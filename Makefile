@@ -99,10 +99,11 @@ fuzz-smoke:
 # sortgen-check is the generated-library gate: emit sorters for
 # n = 6, 13, 32 into a throwaway module, go vet + go build them, run the
 # compiled differential harness against slices.Sort over five input
-# distributions, and re-run the in-process plan and hybrid differentials.
+# distributions, and re-run the in-process plan differential and every
+# hybrid test (differential, directed pattern, exhaustive small-n).
 .PHONY: sortgen-check
 sortgen-check:
-	$(GO) test -count=1 -run '^TestEmittedModule$$|^TestPlanDifferential$$|^TestHybridDifferential$$' ./internal/sortgen
+	$(GO) test -count=1 -run '^TestEmittedModule$$|^TestPlanDifferential$$|^TestHybrid' ./internal/sortgen
 
 .PHONY: fuzz
 fuzz: FUZZTIME = 5m
@@ -161,7 +162,7 @@ bench-compare:
 # bench-sortgen benchmarks the generated sorting library (hybrid and
 # composed fixed-n sorters) against slices.Sort / sort.Slice / sort.Ints
 # over five distributions and writes BENCH_sortgen.json; it fails unless
-# the hybrid beats sort.Slice on 500k random ints.
+# the hybrid beats slices.Sort on 500k random ints.
 .PHONY: bench-sortgen
 bench-sortgen:
 	$(GO) run ./cmd/experiments -table=sortgen
@@ -169,7 +170,7 @@ bench-sortgen:
 # sortgen-compare re-measures the sortgen rows of the committed
 # BENCH_sortgen.json and fails on a >35% wall-clock regression (whole-
 # list sorts are noisier than search wall times) or if the hybrid stops
-# beating sort.Slice at 500k random. Regenerate the baseline with
+# beating slices.Sort at 500k random. Regenerate the baseline with
 # `make bench-sortgen` when a slowdown is intentional.
 .PHONY: sortgen-compare
 sortgen-compare:

@@ -7,18 +7,40 @@ import (
 )
 
 // FuzzSortgenVsSlicesSort drives arbitrary byte-derived inputs through
-// both sortgen paths — the hybrid dynamic-n sorter on the full slice
-// and a composed fixed-n plan interpreter on the same values — and
-// requires byte-equal output with slices.Sort for each.
+// both sortgen paths — the hybrid dynamic-n sorter on up to
+// maxFuzzHybrid values and a composed fixed-n plan interpreter on the
+// first ≤ maxFuzzPlan of them — and requires byte-equal output with
+// slices.Sort for each.
 func FuzzSortgenVsSlicesSort(f *testing.F) {
+	// maxFuzzHybrid reaches past the hybrid's ninther and partial
+	// insertion sort thresholds (50 elements); maxFuzzPlan bounds the
+	// plans the target composes.
+	const (
+		maxFuzzHybrid = 512
+		maxFuzzPlan   = 48
+	)
 	f.Add([]byte{})
 	f.Add([]byte{7, 3, 9, 1, 0, 255, 128, 2, 2, 2, 64, 5})
 	f.Add([]byte("sortgen differential fuzzing against slices.Sort"))
+	// 128 ascending values with ties and one transposition, so the
+	// ninther and the partial insertion sort run from the first input.
+	vals := make([]uint16, 128)
+	for i := range vals {
+		vals[i] = uint16(i / 2)
+	}
+	vals[3], vals[90] = vals[90], vals[3]
+	var seed []byte
+	for _, v := range vals {
+		seed = binary.BigEndian.AppendUint16(seed, v)
+	}
+	f.Add(seed)
+	// Compose is deterministic in n, so each length's plan is composed
+	// once per process; the fuzzing engine calls the target serially.
+	var sorters [maxFuzzPlan + 1]func([]int)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Decode signed 16-bit values; cap the length so each iteration
-		// composes a plan in microseconds.
+		// Decode signed 16-bit values.
 		var in []int
-		for i := 0; i+1 < len(data) && len(in) < 48; i += 2 {
+		for i := 0; i+1 < len(data) && len(in) < maxFuzzHybrid; i += 2 {
 			in = append(in, int(int16(binary.BigEndian.Uint16(data[i:]))))
 		}
 		want := slices.Clone(in)
@@ -30,18 +52,18 @@ func FuzzSortgenVsSlicesSort(f *testing.F) {
 			t.Fatalf("HybridSort(%v) = %v, want %v", in, got, want)
 		}
 
-		got = slices.Clone(in)
-		HybridMergesort(got)
-		if !slices.Equal(got, want) {
-			t.Fatalf("HybridMergesort(%v) = %v, want %v", in, got, want)
+		in = in[:min(len(in), maxFuzzPlan)]
+		want = slices.Clone(in)
+		slices.Sort(want)
+		if sorters[len(in)] == nil {
+			p, err := Compose(len(in))
+			if err != nil {
+				t.Fatalf("Compose(%d): %v", len(in), err)
+			}
+			sorters[len(in)] = p.Sorter()
 		}
-
-		p, err := Compose(len(in))
-		if err != nil {
-			t.Fatalf("Compose(%d): %v", len(in), err)
-		}
 		got = slices.Clone(in)
-		p.Sorter()(got)
+		sorters[len(in)](got)
 		if !slices.Equal(got, want) {
 			t.Fatalf("plan(%d).Sorter()(%v) = %v, want %v", len(in), in, got, want)
 		}

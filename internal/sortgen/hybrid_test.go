@@ -2,23 +2,36 @@ package sortgen
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
+
+	"sortsynth/internal/kernels"
 )
 
 func TestHybridDifferential(t *testing.T) {
-	sizes := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 17, 63, 100, 1024, 20000}
+	sizes := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 17, 49, 50, 51, 63, 100, 1024, 20000}
 	if err := CheckDynamic(HybridSort, sizes, 8, 11); err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckDynamic(HybridMergesort, sizes, 8, 12); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// checkHybrid requires HybridSort(in) to equal slices.Sort(in).
+func checkHybrid(t *testing.T, name string, in []int) {
+	t.Helper()
+	want := slices.Clone(in)
+	slices.Sort(want)
+	got := slices.Clone(in)
+	HybridSort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("HybridSort diverges from slices.Sort on %s n=%d: got %v, want %v",
+			name, len(in), truncate(got), truncate(want))
+	}
+}
+
 // medianOf3Killer builds the classic adversarial permutation that
-// drives median-of-three quicksort quadratic, forcing the heapsort
-// fallback path; the output must still be byte-equal with slices.Sort.
+// drives median-of-three quicksort quadratic; the output must still be
+// byte-equal with slices.Sort.
 func medianOf3Killer(n int) []int {
 	a := make([]int, n)
 	k := n / 2
@@ -38,30 +51,16 @@ func medianOf3Killer(n int) []int {
 
 func TestHybridAdversarial(t *testing.T) {
 	for _, n := range []int{100, 1000, 10000} {
-		in := medianOf3Killer(n)
-		want := slices.Clone(in)
-		slices.Sort(want)
-		got := slices.Clone(in)
-		HybridSort(got)
-		if !slices.Equal(got, want) {
-			t.Fatalf("HybridSort diverges on median-of-3 killer n=%d", n)
-		}
+		checkHybrid(t, "median-of-3 killer", medianOf3Killer(n))
 	}
-	// All-equal and two-valued inputs stress the partition's duplicate
-	// handling.
+	// Two-valued inputs stress the partition's duplicate handling.
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(2000)
-		in := make([]int, n)
+		in := make([]int, 1+rng.Intn(2000))
 		for i := range in {
 			in[i] = rng.Intn(2)
 		}
-		want := slices.Clone(in)
-		slices.Sort(want)
-		HybridSort(in)
-		if !slices.Equal(in, want) {
-			t.Fatalf("HybridSort diverges on two-valued input n=%d", n)
-		}
+		checkHybrid(t, "two-valued", in)
 	}
 }
 
@@ -79,6 +78,216 @@ func TestHeapsortFallbackDirect(t *testing.T) {
 		heapsort(in)
 		if !slices.Equal(in, want) {
 			t.Fatalf("heapsort diverges at n=%d", n)
+		}
+	}
+}
+
+// TestHybridHeapsortRescue enters the loop with no bad-pivot budget
+// left, so every range longer than a kernel leaf goes straight to the
+// heapsort that bounds the worst case.
+func TestHybridHeapsortRescue(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{6, 7, 50, 333, 4096} {
+		for _, in := range [][]int{medianOf3Killer(n), Distributions()[0].Gen(rng, n)} {
+			want := slices.Clone(in)
+			slices.Sort(want)
+			got := slices.Clone(in)
+			pdqsort(got, 0, len(got), 0)
+			if !slices.Equal(got, want) {
+				t.Fatalf("pdqsort with limit 0 diverges at n=%d: got %v", n, truncate(got))
+			}
+		}
+	}
+}
+
+// TestHybridTieTolerantHint checks that the sortedness hint reads
+// through ties: runs of equal keys inside an ascending or descending
+// range, which defeat a test that needs every sampled comparison to
+// swap, still give the increasing or decreasing hint.
+func TestHybridTieTolerantHint(t *testing.T) {
+	for _, n := range []int{8, 49, 50, 1000, 20000} {
+		// Every key twice: 0 0 1 1 2 2 ...
+		asc := make([]int, n)
+		for i := range asc {
+			asc[i] = i / 2
+		}
+		desc := slices.Clone(asc)
+		slices.Reverse(desc)
+		if _, hint := choosePivot(asc, 0, n); hint != increasingHint {
+			t.Fatalf("n=%d: ascending input with ties got hint %d, want increasing", n, hint)
+		}
+		if _, hint := choosePivot(desc, 0, n); hint != decreasingHint {
+			t.Fatalf("n=%d: descending input with ties got hint %d, want decreasing", n, hint)
+		}
+		checkHybrid(t, "descending with ties", desc)
+		checkHybrid(t, "ascending with ties", asc)
+	}
+	if _, hint := choosePivot([]int{0, 0, 5, 0, 9, 0, 1, 0}, 0, 8); hint != unknownHint {
+		t.Fatalf("mixed sample got hint %d, want unknown", hint)
+	}
+	// Reversed input that steps down by 0..2, the benchmark's shape.
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{50, 1000, 20000} {
+		desc := make([]int, n)
+		v := n
+		for i := range desc {
+			v -= rng.Intn(3)
+			desc[i] = v
+		}
+		checkHybrid(t, "reversed with ties", desc)
+	}
+}
+
+// TestHybridFewDistinct covers the equal-key path: inputs with 1, 2
+// and 8 distinct values make the pivot repeat the previous one.
+func TestHybridFewDistinct(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, distinct := range []int{1, 2, 8} {
+		for _, n := range []int{6, 50, 51, 1000, 20000} {
+			in := make([]int, n)
+			for i := range in {
+				in[i] = rng.Intn(distinct) * 1000
+			}
+			checkHybrid(t, "few distinct", in)
+		}
+	}
+	// partitionEqual on its own: the pivot's run comes first, then the
+	// greater keys, and the returned index splits the two.
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(100)
+		in := make([]int, n)
+		for i := range in {
+			in[i] = 10 + rng.Intn(4)
+		}
+		in[rng.Intn(n)] = 10 // the range's minimum, as the previous pivot guarantees
+		mid := partitionEqual(in, 0, n, slices.Index(in, 10))
+		for i, v := range in {
+			if (i < mid) != (v == 10) {
+				t.Fatalf("partitionEqual split at %d: %v", mid, in)
+			}
+		}
+	}
+}
+
+// TestHybridOrganPipeAndSawtooth covers the patterns quicksort variants
+// pick bad pivots on.
+func TestHybridOrganPipeAndSawtooth(t *testing.T) {
+	for _, n := range []int{6, 7, 9, 50, 51, 101, 1000, 20000} {
+		pipe := make([]int, n)
+		for i := range pipe {
+			pipe[i] = min(i, n-1-i)
+		}
+		checkHybrid(t, "organ pipe", pipe)
+		for _, period := range []int{2, 3, 7, 43, n/2 + 1} {
+			saw := make([]int, n)
+			for i := range saw {
+				saw[i] = i % period
+			}
+			checkHybrid(t, "sawtooth", saw)
+			slices.Reverse(saw)
+			checkHybrid(t, "reversed sawtooth", saw)
+		}
+	}
+}
+
+// TestHybridNearlySorted exercises the partial insertion sort's
+// shifting path on sorted ranges of ≥ 50 elements with a few
+// transpositions. One transposition takes at most two shifting steps,
+// so the partial insertion sort alone must repair it.
+func TestHybridNearlySorted(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range []int{50, 64, 500, 5000} {
+		for swaps := 1; swaps <= 4; swaps++ {
+			for trial := 0; trial < 20; trial++ {
+				in := make([]int, n)
+				for i := range in {
+					in[i] = 3 * i
+				}
+				for s := 0; s < swaps; s++ {
+					i, j := rng.Intn(n), rng.Intn(n)
+					in[i], in[j] = in[j], in[i]
+				}
+				checkHybrid(t, "nearly sorted", in)
+				if got := slices.Clone(in); swaps == 1 && (!partialInsertionSort(got) || !slices.IsSorted(got)) {
+					t.Fatalf("partialInsertionSort did not repair a transposition at n=%d", n)
+				}
+			}
+		}
+	}
+	// Below 50 elements the partial insertion sort only detects.
+	in := []int{0, 1, 2, 4, 3, 5, 6, 7}
+	if partialInsertionSort(in) || !slices.Equal(in, []int{0, 1, 2, 4, 3, 5, 6, 7}) {
+		t.Fatalf("partialInsertionSort shifted a short range: %v", in)
+	}
+}
+
+// TestHybridSmallExhaustive sorts every weak order (every tuple over
+// {0..m-1} using each value, m ≤ n, which includes every permutation)
+// of every length 0..8: all paths across the kernel-leaf/partition
+// boundary, with every pattern of ties.
+func TestHybridSmallExhaustive(t *testing.T) {
+	for n := 0; n <= 8; n++ {
+		count := 0
+		forEachWeakOrder(n, func(in []int) {
+			count++
+			checkHybrid(t, "weak order", in)
+		})
+		// Ordered Bell (Fubini) numbers.
+		if want := []int{1, 1, 3, 13, 75, 541, 4683, 47293, 545835}[n]; count != want {
+			t.Fatalf("n=%d: enumerated %d weak orders, want %d", n, count, want)
+		}
+	}
+}
+
+// forEachWeakOrder calls fn on every weak order of length n: each set
+// partition of the positions (a restricted growth string) under every
+// ordering of its blocks. fn must not keep or modify its argument.
+func forEachWeakOrder(n int, fn func([]int)) {
+	rgs := make([]int, n)
+	out := make([]int, n)
+	var labels func(perm []int, k int)
+	labels = func(perm []int, k int) {
+		if k == len(perm) {
+			for i, b := range rgs {
+				out[i] = perm[b]
+			}
+			fn(out)
+			return
+		}
+		for i := k; i < len(perm); i++ {
+			perm[k], perm[i] = perm[i], perm[k]
+			labels(perm, k+1)
+			perm[k], perm[i] = perm[i], perm[k]
+		}
+	}
+	var grow func(i, blocks int)
+	grow = func(i, blocks int) {
+		if i == n {
+			perm := make([]int, blocks)
+			for b := range perm {
+				perm[b] = b
+			}
+			labels(perm, 0)
+			return
+		}
+		for b := 0; b <= blocks; b++ {
+			rgs[i] = b
+			grow(i+1, max(blocks, b+1))
+		}
+	}
+	grow(0, 0)
+}
+
+// TestHybridLeavesAreSynthesizedKernels pins the leaf dispatch: every
+// segment of 3..5 elements runs the registry's synthesized kernel.
+func TestHybridLeavesAreSynthesizedKernels(t *testing.T) {
+	for n := 3; n <= MaxKernelN; n++ {
+		k, ok := kernels.Lookup("enum", n)
+		if !ok {
+			t.Fatalf("no enum kernel for n=%d", n)
+		}
+		if reflect.ValueOf(leafKernels[n]).Pointer() != reflect.ValueOf(k.Go).Pointer() {
+			t.Fatalf("leafKernels[%d] is not kernels.Lookup(\"enum\", %d)", n, n)
 		}
 	}
 }
