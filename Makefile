@@ -1,7 +1,8 @@
 GO ?= go
+GOFMT ?= gofmt
 
 # check is the tier-1 gate: everything builds (cmd/ included), vets
-# clean, the full test suite (including the sortsynthd service tests)
+# clean, every Go file is gofmt-clean, the full test suite (including the sortsynthd service tests)
 # passes under the race detector, the backend portfolio race smoke test
 # (n=3, enum vs stoke) runs explicitly under -race, the cross-backend
 # conformance harness reports zero divergences, the baked-universe gate
@@ -15,7 +16,7 @@ GO ?= go
 # kernel stores, and the SWAR gate proves the bit-sliced and scalar
 # execution layers byte-identical across cut modes and worker counts.
 .PHONY: check
-check: build vet race smoke conformance bake-check objective-check swar-check autotune-check fuzz-smoke sortgen-check bench-compare sortgen-compare
+check: build vet fmt-check race smoke conformance bake-check objective-check swar-check autotune-check fuzz-smoke sortgen-check bench-compare sortgen-compare
 
 # autotune-check is the tuned-dispatch gate: the deterministic scheduler
 # battery (fake clock, scripted backends, seed pinning) and the
@@ -120,6 +121,14 @@ build:
 .PHONY: vet
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails if any Go file outside the benchmark's build directory
+# is not gofmt-clean. Generated files are included: cmd/genkernels
+# gofmts what it writes.
+.PHONY: fmt-check
+fmt-check:
+	@out=$$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs $(GOFMT) -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 .PHONY: test
 test:

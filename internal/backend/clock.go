@@ -22,7 +22,7 @@ type Timer interface {
 // realClock is the production Clock.
 type realClock struct{}
 
-func (realClock) Now() time.Time                { return time.Now() }
+func (realClock) Now() time.Time                 { return time.Now() }
 func (realClock) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
 
 type realTimer struct{ t *time.Timer }

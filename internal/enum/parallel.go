@@ -8,7 +8,6 @@ import (
 
 	"sortsynth/internal/isa"
 	"sortsynth/internal/state"
-	"sortsynth/internal/tables"
 )
 
 // The parallel engine is the level-synchronous parallel Dijkstra variant
@@ -133,28 +132,13 @@ func runParallel(ctx context.Context, set *isa.Set, opt Options) *Result {
 		// the parallel cut deterministic. Everything level-invariant —
 		// bound budget, cut limit, option flags — is hoisted out of the
 		// per-candidate funnel.
-		m, tab := s.m, s.tab
-		useGuide, useDist, viaErase := s.opt.UseActionGuide, s.opt.UseDistPrune, s.opt.ViabilityErase
+		m, lut := s.m, s.lut
+		useDist, viaErase := s.opt.UseDistPrune, s.opt.ViabilityErase
 		swar := s.swar
-		var lut *state.DistLUT
-		if useDist {
-			lut = tab.DistLUT()
-		}
 		cutOn := s.opt.Cut != CutNone
 		budget := s.bound - (g + 1)
 		fused := useDist && budget >= 0
-		limit := math.Inf(1)
-		intLimit := math.MaxInt
-		if cutOn {
-			if ref := s.bestPerm[g]; ref != math.MaxInt32 {
-				if s.opt.Cut == CutFactor {
-					limit = s.opt.CutK * float64(ref)
-				} else {
-					limit = float64(ref) + s.opt.CutK
-				}
-				intLimit = int(math.Floor(limit))
-			}
-		}
+		limit, intLimit := s.cutLimit(g)
 		chunk := (len(frontier) + workers - 1) / workers
 		var wg sync.WaitGroup
 		var mu sync.Mutex
@@ -180,10 +164,6 @@ func runParallel(ctx context.Context, set *isa.Set, opt Options) *Result {
 					if fi&63 == 63 && s.ctx.Err() != nil {
 						break // cancelled mid-level; the caller re-checks after the join
 					}
-					var guide tables.Mask
-					if useGuide {
-						guide = tab.GuideMask(fe.st)
-					}
 					// The parent's distinct projection count: children of
 					// projection-preserving instructions inherit it verbatim
 					// (state.ProjPreserving), skipping their per-assignment
@@ -192,33 +172,19 @@ func runParallel(ctx context.Context, set *isa.Set, opt Options) *Result {
 					if cutOn {
 						fePC = m.PermCount(fe.st)
 					}
-					// Parent distance-table indices, computed once per
-					// frontier entry and amortized over every candidate
-					// instruction (ApplyDistSWAR's incremental index form).
-					if swar && fused {
-						if cap(pidx) < len(fe.st) {
-							pidx = make([]uint32, len(fe.st))
+					// The candidate set — action guide, pre-apply cut,
+					// budget mask — shared with the sequential engine. A
+					// worker always expands a frontier entry completely,
+					// so its dropped candidates are booked up front.
+					c := s.candidates(fe.st, &pidx, budget, intLimit != math.MaxInt && fePC > intLimit)
+					c.book(allIDs, &lgen, &lcut, &lpr)
+					for {
+						id, more := c.next()
+						if !more {
+							break
 						}
-						pidx = pidx[:len(fe.st)]
-						for i, a := range fe.st {
-							pidx[i] = lut.Index(a)
-						}
-					}
-					for id, in := range instrs {
-						if useGuide && !guide.Has(id) {
-							continue
-						}
-						// Pre-apply cut for projection-preserving
-						// instructions: the child inherits the parent's
-						// projection multiset, so it cannot be sorted and
-						// the §3.5 verdict is fePC's — known before the
-						// successor exists (see the sequential engine).
-						projPres := s.projPres[id]
-						if projPres && intLimit != math.MaxInt && fePC > intLimit {
-							lgen++
-							lcut++
-							continue
-						}
+						in := instrs[id]
+						projPres := s.projPres.Has(id)
 						// The raw successor keeps the parent's order; the
 						// prune predicates and the cut's exceeds-test are
 						// order-insensitive, so the canonicalizing sort is

@@ -121,15 +121,17 @@ type searcher struct {
 	// candidate), and swar selects the bit-sliced execution layer
 	// (DESIGN.md §15) over the scalar per-Asg oracle path.
 	lut  *state.DistLUT
-	pidx []uint32 // parent distance-table indices for ApplyDistSWAR
+	pidx []uint32 // parent distance-table indices (budget mask, ApplyDistSWAR)
 	swar bool
 
-	// Cut bookkeeping hoists: projPres[id] marks instructions that
-	// cannot change any assignment's projection (state.ProjPreserving),
-	// whose children inherit the parent's distinct projection count
-	// parentPC verbatim — no per-assignment recount needed.
-	projPres []bool
-	parentPC int
+	// instrMask holds every instruction of the set. Cut bookkeeping
+	// hoists: projPres marks the instructions that cannot change any
+	// assignment's projection (state.ProjPreserving), whose children
+	// inherit the parent's distinct projection count parentPC verbatim —
+	// no per-assignment recount needed.
+	instrMask tables.Mask
+	projPres  tables.Mask
+	parentPC  int
 
 	// The caller's enumeration request, before newSearcher forced
 	// AllSolutions for an objective run: finish restores the requested
@@ -222,9 +224,11 @@ func newSearcher(ctx context.Context, set *isa.Set, opt Options) *searcher {
 	}
 	s.swar = !opt.DisableSWAR
 	instrs := set.Instrs()
-	s.projPres = make([]bool, len(instrs))
+	s.instrMask = tables.MaskOf(len(instrs))
 	for id, in := range instrs {
-		s.projPres[id] = m.ProjPreserving(in)
+		if m.ProjPreserving(in) {
+			s.projPres.Set(id)
+		}
 	}
 	// The apply buffer can never need more room than the initial state
 	// (successors keep their parent's length and canonicalization only
@@ -309,33 +313,31 @@ func (s *searcher) search() {
 		st := s.arena.At(it.off, it.n)
 		s.res.Expanded++
 
-		var guide tables.Mask
-		useGuide := s.opt.UseActionGuide
-		if useGuide {
-			guide = s.tab.GuideMask(st)
-		}
 		// The cut reference bestPerm[g] can only move when depth-g+1
 		// children are recorded, so the limit is invariant across one
 		// parent's expansion and hoisted out of the candidate funnel. The
-		// parent's distance-table indices are likewise computed once here
-		// and amortized over every candidate instruction (ApplyDistSWAR's
-		// incremental index form).
+		// candidate set — action guide, pre-apply cut, budget mask — is
+		// likewise built once per parent. A solution found mid-expansion
+		// can only lower the bound, which keeps the mask a sound superset
+		// of what the exact prune accepts for the later siblings.
 		limit, intLimit := s.cutLimit(g)
 		if s.opt.Cut != CutNone {
 			s.parentPC = s.m.PermCount(st)
 		}
-		if s.swar && s.opt.UseDistPrune && s.bound-(g+1) >= 0 {
-			s.fillPidx(st)
-		}
-		for id, in := range instrs {
-			if useGuide && !guide.Has(id) {
-				continue
+		preCut := intLimit != math.MaxInt && s.parentPC > intLimit
+		c := s.candidates(st, &s.pidx, s.bound-(g+1), preCut)
+		for {
+			id, ok := c.next()
+			if !ok {
+				break
 			}
-			s.expandChild(it.id, g, it.cost, st, uint16(id), in, limit, intLimit)
+			s.expandChild(it.id, g, it.cost, st, uint16(id), instrs[id], limit, intLimit)
 			if s.done {
+				c.book(id, &s.res.Generated, &s.res.CutCount, &s.res.Pruned)
 				return
 			}
 		}
+		c.book(allIDs, &s.res.Generated, &s.res.CutCount, &s.res.Pruned)
 	}
 	s.res.Exhausted = true
 }
@@ -377,19 +379,6 @@ func (s *searcher) allViable(st state.State) bool {
 	return s.m.AllViable(st)
 }
 
-// fillPidx caches the distance-table index of every parent assignment in
-// s.pidx, the base values ApplyDistSWAR's incremental index deltas start
-// from.
-func (s *searcher) fillPidx(st state.State) {
-	if cap(s.pidx) < len(st) {
-		s.pidx = make([]uint32, len(st))
-	}
-	s.pidx = s.pidx[:len(st)]
-	for i, a := range st {
-		s.pidx[i] = s.lut.Index(a)
-	}
-}
-
 // stopped reports whether the search context is done and records the
 // stop reason on the result (deadline → TimedOut, cancel → Cancelled).
 func (s *searcher) stopped() bool {
@@ -420,21 +409,11 @@ func (s *searcher) expandChild(parentID int32, g int, parentCost int32, st state
 	// of successor distances is zero exactly for solution states). The
 	// budget check doubles as the depth guard: bound ≤ MaxDepth, so
 	// pruning at budget < 0 also keeps g within its uint8 storage.
+	// Candidates the pre-apply cut or the budget mask claims never reach
+	// this point (see candidates).
 	cg := g + 1
 	budget := s.bound - cg
-	// Pre-apply cut for projection-preserving instructions: the child's
-	// projection multiset is exactly the parent's, so it cannot be sorted
-	// (the parent is not) and its distinct projection count is parentPC —
-	// the §3.5 verdict is known before the successor exists, and the
-	// whole apply+prune pass is skipped. Generated still counts the
-	// candidate; the discard is booked as a cut (the same candidates die
-	// either way, so the search tree is untouched).
-	projPres := s.projPres[instrID]
-	if projPres && intLimit != math.MaxInt && s.parentPC > intLimit {
-		s.res.Generated++
-		s.res.CutCount++
-		return
-	}
+	projPres := s.projPres.Has(int(instrID))
 	var child state.State
 	var sorted bool
 	if s.opt.UseDistPrune && budget >= 0 {

@@ -151,10 +151,10 @@ func New(cfg Config) (*Server, error) {
 		"GET /v1/synthesize":        s.handleSynthesizeGet,
 		"POST /v1/synthesize/batch": s.handleSynthesizeBatch,
 		"GET /v1/kernels":           s.handleKernels,
-		"GET /v1/sortgen":     s.handleSortgen,
-		"POST /v1/verify":     s.handleVerify,
-		"GET /metrics":        s.handleMetrics,
-		"GET /healthz":        s.handleHealthz,
+		"GET /v1/sortgen":           s.handleSortgen,
+		"POST /v1/verify":           s.handleVerify,
+		"GET /metrics":              s.handleMetrics,
+		"GET /healthz":              s.handleHealthz,
 	}
 	patterns := make([]string, 0, len(routes))
 	for p := range routes {

@@ -26,11 +26,11 @@ type sortgenResponse struct {
 	// KernelInstructions counts the synthesized-kernel instructions
 	// inlined into the sorter; Comparators counts the merge-layer
 	// compare-and-swaps.
-	KernelInstructions int     `json:"kernel_instructions"`
-	Comparators        int     `json:"comparators"`
-	Source string `json:"source"`
-	Cached bool   `json:"cached"`
-	Key    string `json:"key"`
+	KernelInstructions int    `json:"kernel_instructions"`
+	Comparators        int    `json:"comparators"`
+	Source             string `json:"source"`
+	Cached             bool   `json:"cached"`
+	Key                string `json:"key"`
 	// GeneratedMS is the artifact's cost: what the original composition
 	// and emission took. On a cache hit it does NOT describe this
 	// request — that is ServedMS, measured from this request's start.

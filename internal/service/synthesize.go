@@ -79,8 +79,8 @@ type synthesizeResponse struct {
 	Cost          float64 `json:"cost,omitempty"`
 	SolutionCount int64   `json:"solution_count"`
 	Backend       string  `json:"backend"`
-	Cached        bool     `json:"cached"`
-	Coalesced     bool     `json:"coalesced,omitempty"`
+	Cached        bool    `json:"cached"`
+	Coalesced     bool    `json:"coalesced,omitempty"`
 	// Source is the tier that answered: "universe" (baked L0),
 	// "cache" (kcache L1/L2), or "search" (a live synthesis).
 	Source string      `json:"source"`

@@ -164,15 +164,146 @@ func TestCacheReturnsSameTable(t *testing.T) {
 
 func TestMaskOps(t *testing.T) {
 	var m Mask
-	m.set(3)
-	m.set(70)
+	m.Set(3)
+	m.Set(70)
 	if !m.Has(3) || !m.Has(70) || m.Has(4) {
 		t.Error("Mask set/has wrong")
 	}
 	var o Mask
-	o.set(100)
+	o.Set(100)
 	m.Or(o)
 	if !m.Has(100) || !m.Has(3) {
 		t.Error("Mask Or wrong")
+	}
+	if got := m.Count(); got != 3 {
+		t.Errorf("Count = %d, want 3", got)
+	}
+	if got := m.First(); got != 3 {
+		t.Errorf("First = %d, want 3", got)
+	}
+	if got := (Mask{}).First(); got != -1 {
+		t.Errorf("First of empty = %d, want -1", got)
+	}
+	for _, tc := range []struct{ id, want int }{{0, 0}, {3, 0}, {4, 1}, {70, 1}, {71, 2}, {100, 2}, {101, 3}, {MaskWords * 64, 3}} {
+		if got := m.Below(tc.id).Count(); got != tc.want {
+			t.Errorf("Below(%d) has %d members, want %d", tc.id, got, tc.want)
+		}
+	}
+	if got := m.And(o); got != o {
+		t.Errorf("And = %x, want %x", got, o)
+	}
+	if got := m.AndNot(o); got.Has(100) || got.Count() != 2 {
+		t.Errorf("AndNot = %x, want {3, 70}", got)
+	}
+	if all := MaskOf(70); all.Count() != 70 || !all.Has(69) || all.Has(70) {
+		t.Errorf("MaskOf(70) = %x", all)
+	}
+}
+
+// maskMachines are the cmov and minmax machines for n = 2..4 under both
+// test suites.
+func maskMachines() []*state.Machine {
+	var ms []*state.Machine
+	for _, suite := range []state.Suite{state.SuitePermutations, state.SuiteWeakOrders} {
+		for n := 2; n <= 4; n++ {
+			ms = append(ms,
+				state.NewMachineSuite(isa.NewCmov(n, 1), suite),
+				state.NewMachineSuite(isa.NewMinMax(n, 1), suite))
+		}
+	}
+	return ms
+}
+
+func TestBudgetMaskSoundAndExact(t *testing.T) {
+	for _, m := range maskMachines() {
+		tab := For(m)
+		instrs := m.Set.Instrs()
+		asgs := assignments(m)
+		maxDist := 0
+		for _, d := range tab.dist {
+			if d < Infinite-1 {
+				maxDist = max(maxDist, int(d))
+			}
+		}
+		succ := make([]int, len(instrs))
+		for _, a := range asgs {
+			idx := tab.index(a)
+			d := int(tab.dist[idx])
+			for id, in := range instrs {
+				succ[id] = int(tab.dist[tab.index(m.Step(a, in))])
+			}
+			for budget := 0; budget <= maxDist+1; budget++ {
+				var fits Mask
+				for id, nd := range succ {
+					if nd <= budget {
+						fits.Set(id)
+					}
+				}
+				got := tab.BudgetMask([]uint32{idx}, budget)
+				if lost := fits.AndNot(got); lost != (Mask{}) {
+					t.Fatalf("%v %v: asg %v (dist %d) budget %d: mask drops in-budget instruction %d",
+						m.Set, m.Suite, m.Unpack(a), d, budget, lost.First())
+				}
+				if slack := budget - d + 1; d < Infinite-1 && slack <= 2 && got != fits {
+					t.Fatalf("%v %v: asg %v (dist %d) budget %d (slack %d): mask keeps over-budget instruction %d",
+						m.Set, m.Suite, m.Unpack(a), d, budget, slack, got.AndNot(fits).First())
+				}
+			}
+		}
+	}
+}
+
+func TestBudgetMaskCoversApplyDist(t *testing.T) {
+	// A state's mask is the intersection of its assignments' masks, so
+	// every candidate the fused apply+prune accepts must survive it.
+	for _, set := range []*isa.Set{isa.NewCmov(3, 1), isa.NewMinMax(3, 1)} {
+		m := state.NewMachine(set)
+		tab := For(m)
+		lut := tab.DistLUT()
+		rng := rand.New(rand.NewSource(5))
+		instrs := set.Instrs()
+		for trial := 0; trial < 300; trial++ {
+			// A random walk from the initial state keeps it realistic.
+			st := m.Initial()
+			for step := rng.Intn(6); step > 0; step-- {
+				st = m.ApplyRaw(nil, st, instrs[rng.Intn(len(instrs))])
+			}
+			pidx := make([]uint32, len(st))
+			for i, a := range st {
+				pidx[i] = lut.Index(a)
+			}
+			for budget := 0; budget <= 12; budget++ {
+				mask := tab.BudgetMask(pidx, budget)
+				for id, in := range instrs {
+					if _, ok := m.ApplyDist(nil, st, in, lut, budget); ok && !mask.Has(id) {
+						t.Fatalf("%v: budget %d drops instruction %v that ApplyDist accepts", set, budget, in)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestGuideMaskMatchesFirstOptimalDefinition(t *testing.T) {
+	// The guide's definition for a single assignment (paper §3.2): for
+	// 0 < d < ∞, every cmp plus every instruction whose successor has
+	// distance d−1; empty otherwise. GuideMask reads it off the slack-0
+	// budget masks instead of a table of its own.
+	for _, m := range maskMachines() {
+		tab := For(m)
+		instrs := m.Set.Instrs()
+		for _, a := range assignments(m) {
+			var want Mask
+			if d := tab.dist[tab.index(a)]; d > 0 && d < Infinite-1 {
+				for id, in := range instrs {
+					if in.Op == isa.Cmp || tab.dist[tab.index(m.Step(a, in))] == d-1 {
+						want.Set(id)
+					}
+				}
+			}
+			if got := tab.GuideMask(state.State{a}); got != want {
+				t.Fatalf("%v %v: GuideMask(%v) = %x, want %x", m.Set, m.Suite, m.Unpack(a), got, want)
+			}
+		}
 	}
 }

@@ -24,8 +24,8 @@ func FuzzTunedTableLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(raw)
-	f.Add(raw[:len(raw)/2])                       // truncated
-	f.Add([]byte(`{}`))                           // empty object
+	f.Add(raw[:len(raw)/2])                        // truncated
+	f.Add([]byte(`{}`))                            // empty object
 	f.Add([]byte(`{"version":99,"checksum":"x"}`)) // version skew
 	f.Add([]byte(`{"version":1,"checksum":"deadbeef","entries":{"k":{"ranked":[{"backend":"enum"}],"stagger_ms":1}}}`))
 	f.Add([]byte(`not json at all`))

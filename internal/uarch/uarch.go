@@ -119,23 +119,42 @@ func InstrScore(in isa.Instr) int {
 	return 0
 }
 
-// deps returns the register/flag read and write sets of an instruction.
-// Registers are numbered 0..regs-1; the flags are pseudo-register "regs".
-func deps(in isa.Instr, regs int) (reads []int, writes []int) {
+// operands is an instruction's register/flag read set and the one
+// location it writes. Registers are numbered 0..regs-1; the flags are
+// pseudo-register "regs". A fixed-size value, so the analyses allocate
+// nothing per simulated instruction.
+type operands struct {
+	reads  [3]int
+	nreads int
+	write  int
+}
+
+// deps returns the operands of an instruction.
+func deps(in isa.Instr, regs int) operands {
 	flags := regs
+	dst, src := int(in.Dst), int(in.Src)
 	switch in.Op {
 	case isa.Mov:
-		return []int{int(in.Src)}, []int{int(in.Dst)}
+		return operands{reads: [3]int{src}, nreads: 1, write: dst}
 	case isa.Cmp:
-		return []int{int(in.Dst), int(in.Src)}, []int{flags}
+		return operands{reads: [3]int{dst, src}, nreads: 2, write: flags}
 	case isa.Cmovl, isa.Cmovg:
 		// A conditional move truly depends on its old destination value
 		// (it may keep it), the source, and the flags.
-		return []int{int(in.Dst), int(in.Src), flags}, []int{int(in.Dst)}
+		return operands{reads: [3]int{dst, src, flags}, nreads: 3, write: dst}
 	case isa.Min, isa.Max:
-		return []int{int(in.Dst), int(in.Src)}, []int{int(in.Dst)}
+		return operands{reads: [3]int{dst, src}, nreads: 2, write: dst}
 	}
 	panic(fmt.Sprintf("uarch: unknown op %v", in.Op))
+}
+
+// readyTimes returns a zeroed per-register (plus flags) completion-time
+// table, backed by buf when the machine fits it.
+func readyTimes(buf *[16]int, regs int) []int {
+	if regs+1 <= len(buf) {
+		return buf[:regs+1]
+	}
+	return make([]int, regs+1)
 }
 
 // CriticalPath returns the latency of the longest true-dependency chain
@@ -143,20 +162,19 @@ func deps(in isa.Instr, regs int) (reads []int, writes []int) {
 // move elimination.
 func CriticalPath(set *isa.Set, p isa.Program) int {
 	regs := set.Regs()
-	ready := make([]int, regs+1) // completion time of last writer
+	var buf [16]int
+	ready := readyTimes(&buf, regs) // completion time of last writer
 	cp := 0
 	for _, in := range p {
-		reads, writes := deps(in, regs)
+		ops := deps(in, regs)
 		start := 0
-		for _, r := range reads {
+		for _, r := range ops.reads[:ops.nreads] {
 			if ready[r] > start {
 				start = ready[r]
 			}
 		}
 		done := start + classes[in.Op].latency
-		for _, w := range writes {
-			ready[w] = done
-		}
+		ready[ops.write] = done
 		if done > cp {
 			cp = done
 		}
@@ -229,7 +247,8 @@ func ThroughputProfile(set *isa.Set, p isa.Program, prof Profile) float64 {
 	var ports [8]slot
 	numPorts := prof.NumPorts
 
-	ready := make([]int, regs+1)
+	var buf [16]int
+	ready := readyTimes(&buf, regs)
 	cycle := 0     // current issue cycle
 	issued := 0    // instructions issued this cycle
 	lastDone := 0  // completion time of the final instruction
@@ -248,9 +267,9 @@ func ThroughputProfile(set *isa.Set, p isa.Program, prof Profile) float64 {
 				cl.latency = 1
 				cl.ports = uint8(1<<prof.NumPorts - 1)
 			}
-			reads, writes := deps(in, regs)
+			ops := deps(in, regs)
 			start := cycle
-			for _, r := range reads {
+			for _, r := range ops.reads[:ops.nreads] {
 				if ready[r] > start {
 					start = ready[r]
 				}
@@ -277,9 +296,7 @@ func ThroughputProfile(set *isa.Set, p isa.Program, prof Profile) float64 {
 					exec++
 				}
 			}
-			for _, w := range writes {
-				ready[w] = done
-			}
+			ready[ops.write] = done
 			if done > lastDone {
 				lastDone = done
 			}

@@ -151,3 +151,16 @@ func TestThroughputDeterministic(t *testing.T) {
 		t.Error("Throughput not deterministic")
 	}
 }
+
+func TestAnalyzeProfileAllocations(t *testing.T) {
+	set := isa.NewCmov(3, 1)
+	p, err := isa.ParseProgram("cmp r1 r2; mov s1 r1; cmovg r1 r2; cmovg r2 s1; cmp r2 r3; mov s1 r3; cmovg r3 r2; cmovg r2 s1; cmp r1 s1; cmovg r1 s1; cmovg s1 r1", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prof := range uarch.Profiles() {
+		if n := testing.AllocsPerRun(50, func() { uarch.AnalyzeProfile(set, p, prof) }); n > 2 {
+			t.Errorf("%s: AnalyzeProfile allocates %.0f times per call, want ≤ 2", prof.Name, n)
+		}
+	}
+}
