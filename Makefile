@@ -11,10 +11,11 @@ GOFMT ?= gofmt
 # budget, the generated sorting library passes its generate → vet →
 # build → differential gate, and the enum and sortgen rows of the
 # committed BENCH_*.json files are re-measured without -race as
-# throughput regression gates, the objective gate proves re-rank
-# determinism across worker counts and the loud rejection of pre-v3
-# kernel stores, and the SWAR gate proves the bit-sliced and scalar
-# execution layers byte-identical across cut modes and worker counts.
+# throughput regression gates, the objective gate proves the fastest
+# pick never model-costs more than the shortest pick and the loud
+# rejection of pre-v3 kernel stores, and the SWAR gate proves the
+# bit-sliced and scalar execution layers byte-identical across cut modes
+# and test suites.
 .PHONY: check
 check: build vet fmt-check race smoke conformance bake-check objective-check swar-check autotune-check fuzz-smoke sortgen-check bench-compare sortgen-compare
 
@@ -36,7 +37,7 @@ autotune-check:
 # autotune regenerates the committed tuned dispatch table
 # (results/tuned.json): every portfolio member measured best-of-3 on
 # every spec class (ISA × n ≤ 3 × dup-safety × objective), plus enum
-# worker/config audit rows. Serve it with `sortsynthd -tuned
+# search-config audit rows. Serve it with `sortsynthd -tuned
 # results/tuned.json`.
 .PHONY: autotune
 autotune:
@@ -44,17 +45,16 @@ autotune:
 
 # swar-check is the SWAR execution-layer gate: the bit-sliced and the
 # scalar engines must produce byte-identical program sets, solution
-# counts, and effort counters across a cut × workers {1,2,4,8} matrix
-# (both ISAs, permutation and weak-order suites). This equivalence is
+# counts, and effort counters across a cut × suite matrix (both ISAs,
+# permutation and weak-order suites). This equivalence is
 # what keeps Options.DisableSWAR out of the kernel-cache keys. Exits
 # nonzero on any divergence; writes results/swarcheck.txt.
 .PHONY: swar-check
 swar-check:
 	$(GO) run ./cmd/experiments -table=swarcheck
 
-# objective-check is the ranking-objective gate: the fastest winner must
-# be byte-identical at workers 1/2/4/8 with model cost ≤ the shortest
-# pick's, objectives must mint distinct v3 cache keys, kernel stores
+# objective-check is the ranking-objective gate: the fastest winner's
+# model cost must be ≤ the shortest pick's, objectives must mint distinct v3 cache keys, kernel stores
 # written under the pre-v3 key scheme must be rejected with a "re-bake"
 # message, and the default bake universe must carry fastest specs (so
 # bake-check's baked == live replay covers them).
@@ -139,8 +139,8 @@ race:
 	$(GO) test -race ./...
 
 # bench runs the kernel microbenchmarks plus the synthesis-throughput
-# benchmark (n=3 and n=4, best configuration, at 1 / GOMAXPROCS / 8
-# workers, plus a portfolio race row), which writes backend-labelled
+# benchmark (n=3 and n=4, best configuration, SWAR on and off, plus a
+# portfolio race row), which writes backend-labelled
 # measurements to BENCH_enum.json at the repository root, and the
 # shortest-vs-fastest objective latency rows, which land in the same
 # file (each table preserves the other's half on rewrite).

@@ -105,13 +105,6 @@ func BenchmarkEnumAblation(b *testing.B) {
 			return o
 		}},
 		{"best", func() enum.Options { o := enum.ConfigBest(); o.MaxLen = 11; return o }},
-		{"parallel", func() enum.Options {
-			o := enum.ConfigBase()
-			o.MaxLen = 11
-			o.Heuristic = enum.HeurPermCount
-			o.Workers = 4
-			return o
-		}},
 	}
 	for _, cfg := range configs {
 		b.Run(cfg.name, func(b *testing.B) {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"time"
 
@@ -190,26 +189,23 @@ func buildTunedTable(c *ctx, classes []tuneClass, rounds int, timeout time.Durat
 	return &tuned.Table{Entries: entries}, nil
 }
 
-// sweepEnumKnobs measures the enum engine's own knobs — worker count
-// and search configuration — on one class. The rows land in Plan.Sweep
-// for the record; the ranked plan always dispatches the registry's
-// default enum (ConfigBest, engine-chosen workers).
+// sweepEnumKnobs measures the enum engine's own knob — the search
+// configuration — on one class. The rows land in Plan.Sweep for the
+// record; the ranked plan always dispatches the registry's default enum
+// (ConfigBest).
 func sweepEnumKnobs(set *isa.Set, budget int, timeout time.Duration, rounds int) []tuned.Candidate {
 	knobs := []struct {
-		label   string
-		opt     enum.Options
-		workers int
+		label string
+		opt   enum.Options
 	}{
-		{"enum[best,w=1]", enum.ConfigBest(), 1},
-		{fmt.Sprintf("enum[best,w=%d]", runtime.GOMAXPROCS(0)), enum.ConfigBest(), runtime.GOMAXPROCS(0)},
-		{"enum[base,w=1]", enum.ConfigBase(), 1},
-		{"enum[dijkstra,w=1]", enum.ConfigDijkstra(), 1},
+		{"enum[best]", enum.ConfigBest()},
+		{"enum[base]", enum.ConfigBase()},
+		{"enum[dijkstra]", enum.ConfigDijkstra()},
 	}
 	var sweep []tuned.Candidate
 	for _, k := range knobs {
 		opt := k.opt
 		opt.MaxLen = budget
-		opt.Workers = k.workers
 		opt.Timeout = timeout
 		m, err := bench.MeasureSearch(set, opt, rounds)
 		if err != nil {
@@ -222,7 +218,7 @@ func sweepEnumKnobs(set *isa.Set, budget int, timeout time.Duration, rounds int)
 }
 
 func init() {
-	register("autotune", "sweep backend×workers×config per spec class and write the tuned dispatch table", false, func(c *ctx) error {
+	register("autotune", "sweep backend×config per spec class and write the tuned dispatch table", false, func(c *ctx) error {
 		maxN := *tuneMaxN
 		if maxN > 3 && !c.slow {
 			maxN = 3

@@ -36,7 +36,7 @@ func init() {
 		defer runtime.GOMAXPROCS(prev)
 
 		var t tableWriter
-		t.row("n", "workers", "committed", "fresh", "ratio", "verdict")
+		t.row("n", "committed", "fresh", "ratio", "verdict")
 		worst := 0.0
 		failed := 0
 		for _, m := range rep.Measurements {
@@ -45,7 +45,6 @@ func init() {
 			}
 			opt := enum.ConfigBest()
 			opt.MaxLen = m.MaxLen
-			opt.Workers = m.Workers
 			// Re-measure with the same best-of-N the enumbench table used
 			// for this n: the committed number is a minimum over that many
 			// rounds, and comparing a smaller-sample minimum against it
@@ -56,7 +55,7 @@ func init() {
 			}
 			fresh, err := bench.MeasureSearch(isa.NewCmov(m.N, 1), opt, rounds)
 			if err != nil {
-				return fmt.Errorf("n=%d workers=%d: %w", m.N, m.Workers, err)
+				return fmt.Errorf("n=%d: %w", m.N, err)
 			}
 			ratio := fresh.WallMS / m.WallMS
 			verdict := "ok"
@@ -67,7 +66,7 @@ func init() {
 			if ratio > worst {
 				worst = ratio
 			}
-			t.row(fmt.Sprint(m.N), fmt.Sprint(m.Workers),
+			t.row(fmt.Sprint(m.N),
 				fmt.Sprintf("%.1fms", m.WallMS),
 				fmt.Sprintf("%.1fms", fresh.WallMS),
 				fmt.Sprintf("%.2f", ratio), verdict)

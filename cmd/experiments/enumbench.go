@@ -14,30 +14,10 @@ import (
 	"sortsynth/internal/stoke"
 )
 
-// seqMergeBaselineN4MS is the n=4 best-config wall time of the previous
-// parallel engine (per-level sequential merge, per-candidate state
-// clones) at 8 workers on this repository's reference host, measured
-// before the sharded merge landed. BENCH_enum.json records the current
-// engine's speedup against it.
-const seqMergeBaselineN4MS = 1940.0
-
 // enumBenchReport is the BENCH_enum.json payload.
 type enumBenchReport struct {
 	GOMAXPROCS   int                       `json:"gomaxprocs"`
 	Measurements []bench.SearchMeasurement `json:"measurements"`
-
-	// IdenticalAcrossWorkers is true when every parallel worker count
-	// produced the same kernel text for the same (isa, n) — the
-	// sharded-merge determinism contract, checked on the measured runs
-	// themselves. The workers=1 runs use the sequential engine, whose
-	// traversal order may surface a different kernel of the same
-	// optimal length, so they are excluded from the comparison.
-	IdenticalAcrossWorkers bool `json:"identical_across_workers"`
-
-	// Speedup of the current 8-worker n=4 run over the sequential-merge
-	// parallel engine this PR replaced.
-	SeqMergeBaselineN4MS float64 `json:"seq_merge_baseline_n4_ms"`
-	SpeedupVsSeqMergeN4  float64 `json:"speedup_vs_seq_merge_n4"`
 
 	// ObjectiveRows are the shortest-vs-fastest kernel latency rows
 	// written by -table=objective. enumbench carries them over unchanged
@@ -73,19 +53,17 @@ func writeBenchReport(rep enumBenchReport) error {
 }
 
 func init() {
-	register("enumbench", "synthesis throughput at 1 / GOMAXPROCS / 8 workers (writes BENCH_enum.json)", false, func(c *ctx) error {
+	register("enumbench", "synthesis throughput at n=3 and n=4, SWAR on and off (writes BENCH_enum.json)", false, func(c *ctx) error {
 		c.section("Synthesis throughput, best configuration (III)")
 
-		// Throughput rows must see the whole machine: undo any GOMAXPROCS
-		// env pinning (a GOMAXPROCS=1 environment used to freeze
-		// gomaxprocs:1 into BENCH_enum.json and serialize the parallel
-		// rows). The previous value is restored when the table finishes.
+		// Rows are taken with the whole machine available: the search
+		// runs on one goroutine, but the garbage collector's background
+		// workers use the other procs, so an env-pinned GOMAXPROCS would
+		// shift the rows. The previous value is restored when the table
+		// finishes.
 		prev := runtime.GOMAXPROCS(runtime.NumCPU())
 		defer runtime.GOMAXPROCS(prev)
 
-		// workers=2 rides along so the byte-identity check always sees at
-		// least two parallel counts, even where GOMAXPROCS(0) == 1.
-		workerSet := []int{1, 2, runtime.GOMAXPROCS(0), 8}
 		cases := []struct {
 			n, maxLen int
 			rounds    int
@@ -99,66 +77,45 @@ func init() {
 			return fmt.Errorf("read committed BENCH_enum.json: %w", err)
 		}
 		rep := enumBenchReport{
-			GOMAXPROCS:             runtime.GOMAXPROCS(0),
-			IdenticalAcrossWorkers: true,
-			SeqMergeBaselineN4MS:   seqMergeBaselineN4MS,
-			ObjectiveRows:          prevRep.ObjectiveRows,
+			GOMAXPROCS:    runtime.GOMAXPROCS(0),
+			ObjectiveRows: prevRep.ObjectiveRows,
 		}
 		var t tableWriter
-		t.row("n", "workers", "wall", "swar off", "swar x", "expanded", "expanded/s", "length")
+		t.row("n", "backend", "wall", "swar off", "swar x", "expanded", "expanded/s", "length")
 		for _, tc := range cases {
 			set := isa.NewCmov(tc.n, 1)
-			parKernel := ""
-			seen := map[int]bool{}
-			for _, w := range workerSet {
-				if seen[w] {
-					continue // GOMAXPROCS may coincide with 1 or 8
-				}
-				seen[w] = true
-				opt := enum.ConfigBest()
-				opt.MaxLen = tc.maxLen
-				opt.Workers = w
-				m, err := bench.MeasureSearch(set, opt, tc.rounds)
-				if err != nil {
-					return fmt.Errorf("n=%d workers=%d: %w", tc.n, w, err)
-				}
-				// SWAR A/B: the same row with the bit-sliced layer off.
-				// The kernels must match byte for byte (swar-check proves
-				// the full equivalence; this is the cheap tripwire on the
-				// measured runs themselves).
-				optOff := opt
-				optOff.DisableSWAR = true
-				mOff, err := bench.MeasureSearch(set, optOff, tc.rounds)
-				if err != nil {
-					return fmt.Errorf("n=%d workers=%d swar off: %w", tc.n, w, err)
-				}
-				if mOff.Kernel != m.Kernel {
-					return fmt.Errorf("n=%d workers=%d: SWAR and scalar runs produced different kernels:\n  swar   %s\n  scalar %s",
-						tc.n, w, m.Kernel, mOff.Kernel)
-				}
-				m.SWAROffWallMS = mOff.WallMS
-				if m.WallMS > 0 {
-					m.SWARSpeedup = mOff.WallMS / m.WallMS
-				}
-				if w > 1 {
-					if parKernel == "" {
-						parKernel = m.Kernel
-					} else if m.Kernel != parKernel {
-						rep.IdenticalAcrossWorkers = false
-					}
-				}
-				rep.Measurements = append(rep.Measurements, m)
-				t.row(fmt.Sprint(tc.n), fmt.Sprint(w),
-					fmt.Sprintf("%.1fms", m.WallMS),
-					fmt.Sprintf("%.1fms", m.SWAROffWallMS),
-					fmt.Sprintf("%.2f", m.SWARSpeedup),
-					fmt.Sprint(m.Expanded),
-					fmt.Sprintf("%.0f", m.ExpandedPerSec),
-					fmt.Sprint(m.Length))
-				if tc.n == 4 && w == 8 {
-					rep.SpeedupVsSeqMergeN4 = seqMergeBaselineN4MS / m.WallMS
-				}
+			opt := enum.ConfigBest()
+			opt.MaxLen = tc.maxLen
+			m, err := bench.MeasureSearch(set, opt, tc.rounds)
+			if err != nil {
+				return fmt.Errorf("n=%d: %w", tc.n, err)
 			}
+			// SWAR A/B: the same row with the bit-sliced layer off. The
+			// kernels must match byte for byte (swar-check proves the
+			// full equivalence; this is the cheap tripwire on the
+			// measured runs themselves).
+			optOff := opt
+			optOff.DisableSWAR = true
+			mOff, err := bench.MeasureSearch(set, optOff, tc.rounds)
+			if err != nil {
+				return fmt.Errorf("n=%d swar off: %w", tc.n, err)
+			}
+			if mOff.Kernel != m.Kernel {
+				return fmt.Errorf("n=%d: SWAR and scalar runs produced different kernels:\n  swar   %s\n  scalar %s",
+					tc.n, m.Kernel, mOff.Kernel)
+			}
+			m.SWAROffWallMS = mOff.WallMS
+			if m.WallMS > 0 {
+				m.SWARSpeedup = mOff.WallMS / m.WallMS
+			}
+			rep.Measurements = append(rep.Measurements, m)
+			t.row(fmt.Sprint(tc.n), "enum",
+				fmt.Sprintf("%.1fms", m.WallMS),
+				fmt.Sprintf("%.1fms", m.SWAROffWallMS),
+				fmt.Sprintf("%.2f", m.SWARSpeedup),
+				fmt.Sprint(m.Expanded),
+				fmt.Sprintf("%.0f", m.ExpandedPerSec),
+				fmt.Sprint(m.Length))
 		}
 		// Portfolio row: enum races stoke at n=3. The enum engine is
 		// deterministic and wins well before the chain gets lucky, so the
@@ -181,12 +138,7 @@ func init() {
 			fmt.Sprint(pm.Length))
 
 		t.flush(c.w)
-		c.printf("\nparallel kernels byte-identical across worker counts: %v\n", rep.IdenticalAcrossWorkers)
-		c.printf("portfolio (enum vs stoke) winner at n=3: %s\n", pm.Winner)
-		if rep.SpeedupVsSeqMergeN4 > 0 {
-			c.printf("n=4 ×8 vs sequential-merge parallel baseline (%.0f ms): %.2fx\n",
-				seqMergeBaselineN4MS, rep.SpeedupVsSeqMergeN4)
-		}
+		c.printf("\nportfolio (enum vs stoke) winner at n=3: %s\n", pm.Winner)
 
 		if err := writeBenchReport(rep); err != nil {
 			return err

@@ -10,23 +10,14 @@ import (
 )
 
 // swarcheck is the SWAR execution-layer equivalence gate (DESIGN.md
-// §15): across a cut × workers matrix, a run with the SWAR bit-sliced
+// §15): across a cut × suite matrix, a run with the SWAR bit-sliced
 // kernels must be byte-identical to the scalar run in everything the
 // search computes — the enumerated program set, the exact solution
-// count, and every effort counter. On top of the on/off axis it
-// re-asserts the parallel engine's invariant that the counters do not
-// depend on the worker count. Any divergence fails the process, which
-// is what lets DisableSWAR stay out of the kernel-cache keys.
+// count, and every effort counter. Any divergence fails the process,
+// which is what lets DisableSWAR stay out of the kernel-cache keys.
 
 func init() {
-	register("swarcheck", "prove SWAR and scalar execution byte-identical (programs, solution counts, all counters) across cut modes and worker counts (nonzero exit on divergence)", false, func(c *ctx) error {
-		type swarcase struct {
-			name    string
-			set     *isa.Set
-			dupsafe bool
-			cut     bool
-			workers []int
-		}
+	register("swarcheck", "prove SWAR and scalar execution byte-identical (programs, solution counts, all counters) across cut modes and test suites (nonzero exit on divergence)", false, func(c *ctx) error {
 		// The cut toggles between the cases so both the cut and no-cut
 		// engine paths (pre-apply skip, fused prune, recount) run under
 		// SWAR and scalar; n=3 keeps the uncut tree affordable, n=4 is
@@ -34,70 +25,57 @@ func init() {
 		// dupsafe case covers the other ISA and the multi-tag
 		// weak-order suite, whose goal check takes the scalar
 		// fallback inside the SWAR layer.
-		cases := []swarcase{
-			{"cmov n=3 cut=none", isa.NewCmov(3, 1), false, false, []int{1, 2, 4, 8}},
-			{"cmov n=4 cut=best", isa.NewCmov(4, 1), false, true, []int{1, 2, 4, 8}},
-			{"minmax n=3 dupsafe cut=best", isa.NewMinMax(3, 2), true, true, []int{1, 4}},
+		cases := []struct {
+			name    string
+			set     *isa.Set
+			dupsafe bool
+			cut     bool
+		}{
+			{"cmov n=3 cut=none", isa.NewCmov(3, 1), false, false},
+			{"cmov n=4 cut=best", isa.NewCmov(4, 1), false, true},
+			{"minmax n=3 dupsafe cut=best", isa.NewMinMax(3, 2), true, true},
 		}
 		tw := &tableWriter{}
-		tw.row("case", "workers", "swar", "len", "solutions", "expanded", "generated", "pruned", "cut", "deduped", "wall")
+		tw.row("case", "swar", "len", "solutions", "expanded", "generated", "pruned", "cut", "deduped", "wall")
 		fail := 0
 		for _, cs := range cases {
-			// The parallel engine's counters must agree at every worker
-			// count; the sequential engine (workers=1) explores a
-			// different frontier by design and is compared only against
-			// its own scalar twin.
-			var parRef string
-			var parRefW int
-			for _, w := range cs.workers {
-				var ids [2]string
-				for i, off := range []bool{false, true} {
-					opt := enum.ConfigBest()
-					if !cs.cut {
-						opt.Cut = enum.CutNone
-						opt.CutK = 0
-					}
-					opt.MaxLen = 20
-					opt.Workers = w
-					opt.AllSolutions = true
-					opt.MaxSolutions = 64
-					opt.DuplicateSafe = cs.dupsafe
-					opt.DisableSWAR = off
-					start := time.Now()
-					res := enum.Run(cs.set, opt)
-					wall := time.Since(start)
-					ids[i] = swarcheckIdentity(res, cs.set.N)
-					mode := "on"
-					if off {
-						mode = "off"
-					}
-					tw.row(cs.name, fmt.Sprint(w), mode,
-						fmt.Sprint(res.Length), fmt.Sprint(res.SolutionCount),
-						fmt.Sprint(res.Expanded), fmt.Sprint(res.Generated),
-						fmt.Sprint(res.Pruned), fmt.Sprint(res.CutCount),
-						fmt.Sprint(res.Deduped), wall.Round(time.Millisecond).String())
+			var ids [2]string
+			for i, off := range []bool{false, true} {
+				opt := enum.ConfigBest()
+				if !cs.cut {
+					opt.Cut = enum.CutNone
+					opt.CutK = 0
 				}
-				if ids[0] != ids[1] {
-					fail++
-					c.printf("DIVERGENCE %s workers=%d: swar vs scalar\n  swar   %s\n  scalar %s\n",
-						cs.name, w, ids[0], ids[1])
+				opt.MaxLen = 20
+				opt.AllSolutions = true
+				opt.MaxSolutions = 64
+				opt.DuplicateSafe = cs.dupsafe
+				opt.DisableSWAR = off
+				start := time.Now()
+				res := enum.Run(cs.set, opt)
+				wall := time.Since(start)
+				ids[i] = swarcheckIdentity(res, cs.set.N)
+				mode := "on"
+				if off {
+					mode = "off"
 				}
-				if w > 1 {
-					if parRef == "" {
-						parRef, parRefW = ids[0], w
-					} else if ids[0] != parRef {
-						fail++
-						c.printf("DIVERGENCE %s: workers=%d vs workers=%d\n  w=%d %s\n  w=%d %s\n",
-							cs.name, w, parRefW, w, ids[0], parRefW, parRef)
-					}
-				}
+				tw.row(cs.name, mode,
+					fmt.Sprint(res.Length), fmt.Sprint(res.SolutionCount),
+					fmt.Sprint(res.Expanded), fmt.Sprint(res.Generated),
+					fmt.Sprint(res.Pruned), fmt.Sprint(res.CutCount),
+					fmt.Sprint(res.Deduped), wall.Round(time.Millisecond).String())
+			}
+			if ids[0] != ids[1] {
+				fail++
+				c.printf("DIVERGENCE %s: swar vs scalar\n  swar   %s\n  scalar %s\n",
+					cs.name, ids[0], ids[1])
 			}
 		}
 		tw.flush(c.w)
 		if fail > 0 {
 			return fmt.Errorf("swarcheck: %d divergences between SWAR and scalar execution", fail)
 		}
-		c.printf("all runs byte-identical: SWAR on/off and every worker count agree\n")
+		c.printf("all runs byte-identical: SWAR on and off agree\n")
 		return nil
 	})
 }

@@ -107,9 +107,6 @@ func init() {
 			mod   func(o *enum.Options)
 		}{
 			{"dijkstra, single core", "56 s", func(o *enum.Options) { o.Heuristic = enum.HeurNone; o.MaxLen = 0 }},
-			{"dijkstra, parallel ×2", "—", func(o *enum.Options) { o.Heuristic = enum.HeurNone; o.MaxLen = 0; o.Workers = 2 }},
-			{"dijkstra, parallel ×4", "—", func(o *enum.Options) { o.Heuristic = enum.HeurNone; o.MaxLen = 0; o.Workers = 4 }},
-			{"dijkstra, parallel ×8", "17 s", func(o *enum.Options) { o.Heuristic = enum.HeurNone; o.MaxLen = 0; o.Workers = 8 }},
 			{"(I) A*, dedup, no heuristic", "219 s", func(o *enum.Options) {}},
 			{"(I) + permutation count", "1713 ms", func(o *enum.Options) { o.Heuristic = enum.HeurPermCount }},
 			{"(I) + register assignment count", "2582 ms", func(o *enum.Options) { o.Heuristic = enum.HeurAsgCount }},
@@ -142,7 +139,7 @@ func init() {
 			t.row(r.name, ms(res.Elapsed), fmt.Sprint(res.Expanded), fmt.Sprint(res.Length), "("+r.paper+")")
 		}
 		t.flush(c.w)
-		c.printf("\nNotes: the Dijkstra rows search unbounded; the (I)-based rows use the\nlength bound 11, as the paper's protocol implies. The ×2/×4/×8 rows share\none sharded-merge engine and produce byte-identical results; on\nsingle-core hosts they pay coordination overhead without speedup (the\npaper's 3.3× was measured on 16 cores). See `make bench` / BENCH_enum.json\nfor the throughput comparison against the old sequential-merge engine.\n")
+		c.printf("\nNotes: the Dijkstra row searches unbounded; the (I)-based rows use the\nlength bound 11, as the paper's protocol implies. The paper's\n\"dijkstra, parallel\" row (17 s on 16 cores) is not reproduced: a\nlevel-synchronous parallel engine was slower than the sequential one at\nevery worker count on a 2-vCPU host and was removed (EXPERIMENTS.md T9).\n")
 		return nil
 	})
 

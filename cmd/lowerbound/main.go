@@ -32,7 +32,6 @@ func main() {
 		length  = flag.Int("len", 10, "certify that no kernel of length ≤ len exists")
 		budget  = flag.Float64("budget", 0, "state budget (0 = unlimited; inexhaustive runs are inconclusive)")
 		timeout = flag.Duration("timeout", 0, "wall-clock budget")
-		workers = flag.Int("workers", 0, "parallel workers (0 = sequential)")
 	)
 	flag.Parse()
 
@@ -49,7 +48,6 @@ func main() {
 	opt := enum.ConfigProof(*length)
 	opt.StateBudget = int64(*budget)
 	opt.Timeout = *timeout
-	opt.Workers = *workers
 
 	start := time.Now()
 	res := sortsynth.Synthesize(set, opt)

@@ -46,7 +46,6 @@ func main() {
 		prove     = flag.Int("prove", 0, "prove no kernel of length ≤ N exists (exhaustive)")
 		verify    = flag.String("verify", "", "verify a kernel given as text instead of synthesizing")
 		k         = flag.Float64("k", 1, "cut constant (0 disables the cut)")
-		workers   = flag.Int("workers", 1, "parallel level-synchronous workers")
 		timeout   = flag.Duration("timeout", 0, "wall-clock budget (0 = none)")
 		quiet     = flag.Bool("q", false, "print only the kernel")
 
@@ -177,7 +176,6 @@ func main() {
 	opt.MaxLen = bound
 	opt.DuplicateSafe = *dupsafe
 	opt.Timeout = *timeout
-	opt.Workers = *workers
 	if *k == 0 {
 		opt.Cut = enum.CutNone
 	} else {

@@ -40,7 +40,6 @@ func main() {
 		cacheDir  = flag.String("cache-dir", "", "on-disk kernel store (empty = memory-only)")
 		cacheSize = flag.Int("cache-size", 256, "in-memory LRU capacity (entries)")
 		searches  = flag.Int("max-searches", 0, "concurrent search bound (0 = GOMAXPROCS)")
-		workers   = flag.Int("search-workers", 0, "enum workers per search (0 = GOMAXPROCS, 1 = sequential engine)")
 		uprofile  = flag.String("uarch-profile", "", `uarch profile for objective ranking (deployment-wide; empty = "big-ooo" default)`)
 		timeout   = flag.Duration("search-timeout", 2*time.Minute, "per-search wall-clock cap")
 		maxN      = flag.Int("max-n", 5, "largest array length to accept")
@@ -57,7 +56,6 @@ func main() {
 		CacheDir:              *cacheDir,
 		CacheSize:             *cacheSize,
 		MaxConcurrentSearches: *searches,
-		SearchWorkers:         *workers,
 		UarchProfile:          *uprofile,
 		SearchTimeout:         *timeout,
 		MaxN:                  *maxN,

@@ -12,10 +12,10 @@ import (
 )
 
 // SearchMeasurement is one synthesis-throughput data point: a full
-// search of the given set at a fixed worker count, reported in the
-// units the engine comparison cares about (wall time and expanded
-// states per second). The kernel text is included so callers can check
-// that every worker count produced byte-identical output.
+// search of the given set, reported in the units the engine comparison
+// cares about (wall time and expanded states per second). The kernel
+// text is included so callers can check that two measured runs produced
+// byte-identical output.
 type SearchMeasurement struct {
 	ISA string `json:"isa"`
 	N   int    `json:"n"`
@@ -24,8 +24,7 @@ type SearchMeasurement struct {
 	Backend string `json:"backend"`
 	// Winner is the racing backend that produced the kernel when
 	// Backend is a portfolio; empty otherwise.
-	Winner  string `json:"winner,omitempty"`
-	Workers int    `json:"workers"`
+	Winner string `json:"winner,omitempty"`
 	// GOMAXPROCS is the runtime's parallelism ceiling when this row was
 	// measured (recorded per row, not once per report, so a row taken
 	// under an env-pinned or host-limited runtime is visible as such).
@@ -49,9 +48,7 @@ type SearchMeasurement struct {
 
 // MeasureSearch runs the search rounds times and reports the fastest
 // run (search work is deterministic for a fixed configuration, so
-// best-of-N isolates scheduler and allocator noise). Workers ≤ 1
-// selects the sequential engine; the parallel engine is defined to
-// produce byte-identical results at every worker count.
+// best-of-N isolates scheduler and allocator noise).
 func MeasureSearch(set *isa.Set, opt enum.Options, rounds int) (SearchMeasurement, error) {
 	if rounds < 1 {
 		rounds = 1
@@ -73,7 +70,6 @@ func MeasureSearch(set *isa.Set, opt enum.Options, rounds int) (SearchMeasuremen
 		ISA:        set.Kind.String(),
 		N:          set.N,
 		Backend:    "enum",
-		Workers:    opt.Workers,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		MaxLen:     opt.MaxLen,
 		Length:     best.Length,

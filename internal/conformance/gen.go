@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
 	"sort"
 	"time"
 
@@ -59,16 +58,13 @@ func newTruthCache(log func(string, ...any)) *truthCache {
 
 // groundTruthOptions is the certified configuration: HeurDistMax is
 // admissible and UseDistPrune/ViabilityErase are optimality-preserving
-// (DESIGN.md §3), so the first solution found is provably minimal. The
-// parallel engine returns an identical solution set at every worker
-// count, so workers only shorten the wall clock.
+// (DESIGN.md §3), so the first solution found is provably minimal.
 func groundTruthOptions(dup bool) enum.Options {
 	return enum.Options{
 		Heuristic:      enum.HeurDistMax,
 		UseDistPrune:   true,
 		ViabilityErase: true,
 		DuplicateSafe:  dup,
-		Workers:        runtime.GOMAXPROCS(0),
 	}
 }
 

@@ -18,7 +18,7 @@ type openEntry struct {
 // 0..MaxDepth inclusive.
 const depthSlots = MaxDepth + 1
 
-// bucketQueue is the open list of the sequential engine: an array of
+// bucketQueue is the open list of the search: an array of
 // buckets indexed by the composite key
 //
 //	f·(MaxDepth+1) + (MaxDepth − g)

@@ -18,7 +18,7 @@ type candidates struct {
 	keep, drop, cut tables.Mask
 }
 
-// candidates builds one parent's candidate set for either engine. st is
+// candidates builds one parent's candidate set. st is
 // the parent state, budget the children's remaining instruction budget,
 // and preCut reports that the parent's distinct projection count already
 // exceeds the §3.5 cut limit: a projection-preserving instruction hands

@@ -71,26 +71,6 @@ func TestTimeoutOptionWiresToContext(t *testing.T) {
 	}
 }
 
-func TestRunContextCancelParallel(t *testing.T) {
-	set := isa.NewCmov(4, 1)
-	opt := slowOpts()
-	opt.Workers = 4
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	res := RunContext(ctx, set, opt)
-	elapsed := time.Since(start)
-	if !res.Cancelled {
-		t.Errorf("Cancelled = false, want true (TimedOut=%v, Length=%d)", res.TimedOut, res.Length)
-	}
-	if elapsed > 10*time.Second {
-		t.Errorf("parallel search took %v after a 100ms cancel", elapsed)
-	}
-}
-
 func TestRunContextCompletedSearchUnaffected(t *testing.T) {
 	// A context that is never cancelled must not change results.
 	set := isa.NewCmov(3, 1)

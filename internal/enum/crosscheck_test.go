@@ -75,16 +75,13 @@ func TestAllSolutionsMatchesBruteForceMinMaxN2(t *testing.T) {
 	}
 }
 
-// TestParallelCrosscheckMatrix runs the n=3 all-solutions enumeration
-// across the full cut × worker matrix and pins the sharded-merge
-// determinism contract (DESIGN.md §8): every parallel run must produce
-// byte-identical results — Length, SolutionCount, and the ordered
-// program list — regardless of worker count, and the solution *set*
-// must equal the sequential engine's. The cut cases matter most: the
-// k-cut compares each state against the level's best permutation count,
-// so any drift in the merge order or the cut reference would change
-// which states survive. Runs under -race via `make check`.
-func TestParallelCrosscheckMatrix(t *testing.T) {
+// TestCutMatrixEnumeratesSortingPrograms runs the n=3 all-solutions
+// enumeration under every cut mode and checks that each run yields a
+// duplicate-free program set of the reported size in which every
+// program sorts. The cut cases matter most: the k-cut compares each
+// state against the level's best permutation count, so a stale cut
+// reference would drop or corrupt path-DAG edges.
+func TestCutMatrixEnumeratesSortingPrograms(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
@@ -99,71 +96,29 @@ func TestParallelCrosscheckMatrix(t *testing.T) {
 		{"k=1.5", CutFactor, 1.5},
 		{"k=1", CutFactor, 1},
 	}
-	programs := func(res *Result) []string {
-		out := make([]string, len(res.Programs))
-		for i, p := range res.Programs {
-			out[i] = p.FormatInline(set.N)
-		}
-		return out
-	}
 	for _, tc := range cuts {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := ConfigAllSolutions()
 			opt.MaxLen = 11
 			opt.Cut, opt.CutK = tc.cut, tc.k
 
-			seq := Run(set, opt)
-			if seq.Err != nil || seq.Length != 11 {
-				t.Fatalf("sequential: length=%d err=%v", seq.Length, seq.Err)
+			res := Run(set, opt)
+			if res.Err != nil || res.Length != 11 {
+				t.Fatalf("length=%d err=%v", res.Length, res.Err)
 			}
-			seqSet := make(map[string]bool, len(seq.Programs))
-			for _, p := range programs(seq) {
-				if seqSet[p] {
-					t.Fatalf("sequential enumerated duplicate %s", p)
-				}
-				seqSet[p] = true
+			if int64(len(res.Programs)) != res.SolutionCount {
+				t.Fatalf("enumerated %d programs, SolutionCount %d", len(res.Programs), res.SolutionCount)
 			}
-
-			var first []string
-			for _, workers := range []int{2, 4, 8} {
-				opt.Workers = workers
-				par := Run(set, opt)
-				if par.Err != nil {
-					t.Fatalf("workers=%d: %v", workers, par.Err)
+			seen := make(map[string]bool, len(res.Programs))
+			for _, p := range res.Programs {
+				k := p.FormatInline(set.N)
+				if seen[k] {
+					t.Fatalf("enumerated duplicate %s", k)
 				}
-				if par.Length != seq.Length || par.SolutionCount != seq.SolutionCount {
-					t.Fatalf("workers=%d: length=%d count=%d, sequential %d/%d",
-						workers, par.Length, par.SolutionCount, seq.Length, seq.SolutionCount)
-				}
-				got := programs(par)
-				// Parallel runs are byte-identical across worker counts:
-				// same programs in the same order.
-				if first == nil {
-					first = got
-				} else if len(got) != len(first) {
-					t.Fatalf("workers=%d enumerated %d programs, workers=2 %d", workers, len(got), len(first))
-				} else {
-					for i := range got {
-						if got[i] != first[i] {
-							t.Fatalf("workers=%d program %d = %s, workers=2 has %s", workers, i, got[i], first[i])
-						}
-					}
-				}
-				// And set-equal to the sequential engine.
-				if len(got) != len(seqSet) {
-					t.Fatalf("workers=%d enumerated %d programs, sequential %d", workers, len(got), len(seqSet))
-				}
-				for _, p := range got {
-					if !seqSet[p] {
-						t.Fatalf("workers=%d enumerated %s, absent from sequential set", workers, p)
-					}
-				}
-				// Every enumerated kernel must actually sort.
-				for i := 0; i < len(par.Programs); i += 61 {
-					crosscheckSorts(t, set, par.Programs[i])
-				}
+				seen[k] = true
+				crosscheckSorts(t, set, p)
 			}
-			t.Logf("%s: %d solutions identical across workers 2/4/8, set-equal to sequential", tc.name, seq.SolutionCount)
+			t.Logf("%s: %d distinct sorting programs", tc.name, res.SolutionCount)
 		})
 	}
 }

@@ -2,9 +2,8 @@ package enum
 
 import "sortsynth/internal/state"
 
-// flatEmpty marks an unoccupied slot. Stored values are node IDs (≥ 0) or
-// the parallel merge's provisional IDs (−1 … −2³¹+1), so the extreme
-// negative value can never collide with a real entry.
+// flatEmpty marks an unoccupied slot. Stored values are node IDs (≥ 0),
+// so the extreme negative value can never collide with a real entry.
 const flatEmpty = int32(-1 << 31)
 
 type flatSlot struct {
@@ -12,19 +11,14 @@ type flatSlot struct {
 	val int32
 }
 
-// flatTable is the dedup index of both search engines: an open-addressing
-// hash table from state.Key128 to node ID with linear probing and
-// power-of-two capacity. The key is already a high-quality 128-bit hash,
-// so the low bits of Key128.Lo index directly — no re-hashing, no
-// per-probe interface or allocation cost, and one cache line per probe in
-// the common hit-on-first-slot case, unlike the runtime map which must
-// treat the 16-byte key as opaque bytes. Growth doubles the slot array
-// and rehashes in place (DESIGN.md §10); the load factor is kept ≤ 3/4.
-//
-// The sequential engine holds one table; the parallel engine holds one
-// per dedup shard (shard choice uses the high bits of Key128.Hi, the
-// probe uses the low bits of Key128.Lo, so shard tables stay uniformly
-// filled).
+// flatTable is the search's dedup index: an open-addressing hash table
+// from state.Key128 to node ID with linear probing and power-of-two
+// capacity. The key is already a high-quality 128-bit hash, so the low
+// bits of Key128.Lo index directly — no re-hashing, no per-probe
+// interface or allocation cost, and one cache line per probe in the
+// common hit-on-first-slot case, unlike the runtime map which must treat
+// the 16-byte key as opaque bytes. Growth doubles the slot array and
+// rehashes in place (DESIGN.md §10); the load factor is kept ≤ 3/4.
 type flatTable struct {
 	slots []flatSlot
 	mask  uint64
@@ -84,26 +78,6 @@ func (t *flatTable) getOrPut(k state.Key128, v int32) (int32, bool) {
 		}
 		if s.key == k {
 			return s.val, false
-		}
-	}
-}
-
-// set stores v under k, inserting or overwriting.
-func (t *flatTable) set(k state.Key128, v int32) {
-	if t.used >= t.limit {
-		t.grow()
-	}
-	for i := k.Lo & t.mask; ; i = (i + 1) & t.mask {
-		s := &t.slots[i]
-		if s.val == flatEmpty {
-			s.key = k
-			s.val = v
-			t.used++
-			return
-		}
-		if s.key == k {
-			s.val = v
-			return
 		}
 	}
 }

@@ -9,12 +9,11 @@ import (
 // FuzzFlatTable drives a byte-string-scripted op sequence through the
 // open-addressing table and a reference Go map. The key universe is
 // small and built to share home slots, so the fuzzer exercises probe
-// chains, overwrites (including the negative provisional-ID range of
-// the parallel merge), and growth from a capacity-1 table.
+// chains and growth from a capacity-1 table.
 func FuzzFlatTable(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 1, 1, 3, 2, 1, 4, 0, 1, 5})
-	f.Add([]byte("put-get-set-grow put-get-set-grow"))
+	f.Add([]byte("put-get-grow put-get-grow"))
 	f.Fuzz(func(t *testing.T, script []byte) {
 		tbl := newFlatTable(1)
 		ref := map[state.Key128]int32{}
@@ -29,9 +28,9 @@ func FuzzFlatTable(f *testing.F) {
 			steps = 4096
 		}
 		for s := 0; s < steps; s++ {
-			op := script[s*3] % 3
+			op := script[s*3] % 2
 			k := keys[int(script[s*3+1])%len(keys)]
-			v := int32(script[s*3+2]) - 128 // negative values hit the provisional-ID range
+			v := int32(script[s*3+2])
 			switch op {
 			case 0:
 				got, ok := tbl.get(k)
@@ -54,9 +53,6 @@ func FuzzFlatTable(f *testing.F) {
 					}
 					ref[k] = v
 				}
-			case 2:
-				tbl.set(k, v)
-				ref[k] = v
 			}
 			if tbl.count() != len(ref) {
 				t.Fatalf("step %d: count = %d, map has %d", s, tbl.count(), len(ref))

@@ -11,23 +11,22 @@ import (
 )
 
 // TestSearchGoldenCounters pins the search effort counters, solution
-// counts and kernels of three benchmark specs at Workers 1 and 2, plus
-// an unguided first-solution search whose last expansion stops
-// mid-candidate-set. The budget mask drops candidates before they are
-// applied and books them with popcounts; these values were recorded
-// with every candidate applied, so any drift in what the engines
-// generate, prune, cut or deduplicate — or in which kernel they return
-// — fails here.
+// counts and kernels of three benchmark specs, plus an unguided
+// first-solution search whose last expansion stops mid-candidate-set.
+// The budget mask drops candidates before they are applied and books
+// them with popcounts; these values were recorded with every candidate
+// applied, so any drift in what the engine generates, prunes, cuts or
+// deduplicates — or in which kernel it returns — fails here. The
+// subtest names keep the workers=1 suffix the rows were recorded under.
 func TestSearchGoldenCounters(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs an n=3 enumeration, an n=3 proof and an n=4 synthesis per engine")
+		t.Skip("runs an n=3 enumeration, an n=3 proof and an n=4 synthesis")
 	}
 	type counters struct{ expanded, generated, deduped, cut, pruned int64 }
 	type golden struct {
 		name      string
 		set       *isa.Set
 		opt       Options
-		workers   int
 		length    int
 		solutions int64
 		c         counters
@@ -43,25 +42,18 @@ func TestSearchGoldenCounters(t *testing.T) {
 	const (
 		all3Digest = "8f0bde02c2c402ca"
 		all3W1     = "cmp r1 r2; cmovg s1 r2; cmovg r2 r1; cmovg r1 s1; cmp r2 r3; cmovg s1 r3; cmovg r3 r2; cmovg r2 s1; cmp r1 r2; cmovg r2 r1; cmovg r1 s1"
-		all3W2     = "mov s1 r1; cmp r1 r2; cmovl s1 r2; cmovl r2 r1; mov r1 r2; cmp r1 r3; cmovl r2 r3; cmovg r1 r3; cmp r2 s1; cmovl r3 s1; cmovg r2 s1"
 		best4W1    = "cmp r3 r4; mov s1 r3; cmovg r3 r4; cmovg r4 s1; cmp r1 r2; mov s1 r1; cmovg r1 r2; cmovg r2 s1; cmp r2 r4; mov s1 r2; cmovg r2 r4; cmovg r4 s1; cmp r1 r3; mov s1 r1; cmovg r1 r3; cmovg r3 s1; cmp r2 r3; mov s1 r2; cmovg r2 r3; cmovg r3 s1"
 		first3W1   = "mov s1 r1; cmp r2 s1; cmovl s1 r2; cmovl r2 r1; cmp r2 r3; cmovg r1 r3; cmovg r3 r2; cmp r1 s1; cmovg r2 r1; cmovg r1 s1; cmovl r2 s1"
-		best4W2    = "mov s1 r1; cmp r1 r2; cmovl s1 r2; cmovl r2 r1; mov r1 r3; cmp r1 r4; cmovl r3 r4; cmovl r4 r1; mov r1 r2; cmp r1 r4; cmovl r2 r4; cmovg r1 r4; mov r4 r3; cmp r3 s1; cmovl r4 s1; cmovg r3 s1; mov s1 r2; cmp r2 r3; cmovg r2 r3; cmovg r3 s1"
 	)
 	cases := []golden{
-		{"cmov3-all", cmov3, all3, 1, 11, 5602, counters{500501, 21021042, 1805915, 0, 18702187}, all3W1, all3Digest},
-		{"cmov3-all", cmov3, all3, 2, 11, 5602, counters{498046, 20917932, 1809384, 0, 18610485}, all3W2, all3Digest},
-		{"cmov3-proof10", cmov3, ConfigProof(10), 1, -1, 0, counters{131694, 5531148, 420900, 0, 4977366}, "", ""},
-		{"cmov3-proof10", cmov3, ConfigProof(10), 2, -1, 0, counters{131694, 5531148, 422089, 0, 4977366}, "", ""},
-		{"cmov4-w1", cmov4, best4, 1, 20, 1, counters{130702, 3602143, 253447, 2138139, 1078421}, best4W1, ""},
-		{"cmov4-w1", cmov4, best4, 2, 20, 1, counters{258844, 6954409, 613381, 4109243, 1972891}, best4W2, ""},
-		{"cmov3-distmax-first", cmov3, first3, 1, 11, 1, counters{131826, 5536674, 1729139, 0, 3319343}, first3W1, ""},
+		{"cmov3-all", cmov3, all3, 11, 5602, counters{500501, 21021042, 1805915, 0, 18702187}, all3W1, all3Digest},
+		{"cmov3-proof10", cmov3, ConfigProof(10), -1, 0, counters{131694, 5531148, 420900, 0, 4977366}, "", ""},
+		{"cmov4-w1", cmov4, best4, 20, 1, counters{130702, 3602143, 253447, 2138139, 1078421}, best4W1, ""},
+		{"cmov3-distmax-first", cmov3, first3, 11, 1, counters{131826, 5536674, 1729139, 0, 3319343}, first3W1, ""},
 	}
 	for _, tc := range cases {
-		t.Run(fmt.Sprintf("%s/workers=%d", tc.name, tc.workers), func(t *testing.T) {
-			opt := tc.opt
-			opt.Workers = tc.workers
-			r := Run(tc.set, opt)
+		t.Run(tc.name+"/workers=1", func(t *testing.T) {
+			r := Run(tc.set, tc.opt)
 			got := counters{r.Expanded, r.Generated, r.Deduped, r.CutCount, r.Pruned}
 			if got != tc.c {
 				t.Errorf("counters (expanded, generated, deduped, cut, pruned) = %v, want %v", got, tc.c)

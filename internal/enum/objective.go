@@ -26,7 +26,7 @@ import (
 //
 // Every ranking breaks remaining ties by the canonical program text, so
 // the winner is a pure function of the solution set (and therefore of
-// the spec), not of engine traversal order or worker count.
+// the spec), not of the search's traversal order.
 type Objective uint8
 
 // Objectives, in canonical order. The zero value preserves historical

@@ -82,7 +82,7 @@ type Options struct {
 	ViabilityErase bool
 
 	// MaxLen bounds the program length (inclusive). 0 means unbounded
-	// (in practice bounded by MaxDepth, the engines' depth ceiling).
+	// (in practice bounded by MaxDepth, the engine's depth ceiling).
 	// Values above MaxDepth are rejected with a *DepthLimitError in
 	// Result.Err rather than silently truncated. The search also tightens
 	// the bound to the best solution found.
@@ -98,11 +98,9 @@ type Options struct {
 	// way.
 	MaxSolutions int
 
-	// Workers > 1 runs the level-synchronous parallel Dijkstra variant
-	// with a sharded parallel merge (see parallel.go and DESIGN.md §8);
-	// ≤ 0 means GOMAXPROCS when that engine is selected. The solution
-	// set, SolutionCount, and all Result counters are identical for
-	// every worker count.
+	// Workers has no effect.
+	//
+	// Deprecated: ignored; search runs on one goroutine.
 	Workers int
 
 	// StateBudget caps the number of expanded states (0 = unlimited).
@@ -140,7 +138,7 @@ type Options struct {
 	// objective makes the engine enumerate the optimal set internally
 	// (as if AllSolutions were set) and rank it with the uarch cost
 	// model; the bucket queue additionally orders equal-(f, g) pops by
-	// accumulated instruction weight so the sequential engine walks
+	// accumulated instruction weight so the search walks
 	// toward cheap programs first.
 	Objective Objective
 

@@ -70,7 +70,7 @@ type Result struct {
 	Elapsed time.Duration
 }
 
-// MaxDepth is the deepest program length either engine can represent:
+// MaxDepth is the deepest program length the engine can represent:
 // node depths are stored in a uint8, the cut reference table holds one
 // slot per depth, and the bucket queue carves one g sub-bucket per depth
 // out of each f-band. Options.MaxLen beyond it is rejected with a
@@ -171,27 +171,22 @@ func RunContext(ctx context.Context, set *isa.Set, opt Options) *Result {
 		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
 		defer cancel()
 	}
-	if opt.Workers > 1 {
-		return runParallel(ctx, set, opt)
-	}
 	s := newSearcher(ctx, set, opt)
-	s.seedOpen()
 	s.search()
 	return s.finish()
 }
 
-// newSearcher builds the state shared by both engines: machine, tables,
-// bounds, the cut reference, and the root node. The sequential open list
-// and dedup table are seeded separately (seedOpen); the parallel engine
-// brings its own sharded dedup layer and frontier instead.
+// newSearcher builds the search state: machine, tables, bounds, the cut
+// reference, and the dedup table, arena and open list seeded with the
+// root node.
 func newSearcher(ctx context.Context, set *isa.Set, opt Options) *searcher {
 	userAll, userMaxSols := opt.AllSolutions, opt.MaxSolutions
 	if opt.Objective != ObjectiveShortest {
 		// The objective winner is defined over the optimal-length
 		// solution set, so objective runs always record the full path
-		// DAG and enumerate it — in both engines — regardless of what
-		// program surface the caller asked for. finish() restores the
-		// caller's AllSolutions/MaxSolutions view after ranking.
+		// DAG and enumerate it, regardless of what program surface the
+		// caller asked for. finish() restores the caller's
+		// AllSolutions/MaxSolutions view after ranking.
 		opt.AllSolutions = true
 		opt.MaxSolutions = max(rerankCap, userMaxSols)
 	}
@@ -241,20 +236,15 @@ func newSearcher(ctx context.Context, set *isa.Set, opt Options) *searcher {
 	}
 	s.optLen = -1
 
+	init := m.Initial()
 	s.nodes = append(s.nodes, node{edge: edge{parent: -1}, g: 0})
-	s.bestPerm[0] = int32(m.PermCount(m.Initial()))
-	return s
-}
-
-// seedOpen initializes the sequential engine's dedup table, state arena,
-// and open list with the root state.
-func (s *searcher) seedOpen() {
-	init := s.m.Initial()
+	s.bestPerm[0] = int32(m.PermCount(init))
 	s.dedup = newFlatTable(1 << 12)
-	s.dedup.set(state.HashKey(init), 0)
-	s.open.costOrder = s.opt.Objective != ObjectiveShortest
+	s.dedup.getOrPut(state.HashKey(init), 0)
+	s.open.costOrder = opt.Objective != ObjectiveShortest
 	off, n := s.arena.Save(init)
 	s.open.Push(s.priority(0, init, 0, false), openEntry{id: 0, off: off, n: n, g: 0})
+	return s
 }
 
 // priority computes the open-list key f for a state at depth g. When the
@@ -569,11 +559,9 @@ func (s *searcher) program(id int32) isa.Program {
 // optimal-length program with the uarch cost model and installs the
 // ranking winner as Result.Program. Because the final tie-break is the
 // canonical program text, the winner depends only on the enumerated
-// set — the engines (sequential cost-ordered, parallel level-
-// synchronous) agree whenever their solution sets agree, which the
-// crosscheck matrix pins for every cut. The caller's enumeration
-// request is restored afterwards: Programs stays nil unless the caller
-// asked for AllSolutions, and is truncated to the caller's
+// set, not on the order the search reached it in. The caller's
+// enumeration request is restored afterwards: Programs stays nil unless
+// the caller asked for AllSolutions, and is truncated to the caller's
 // MaxSolutions, in ranked (best-first) order.
 func (s *searcher) rerank(r *Result) {
 	prof, _ := uarch.ProfileByName(s.opt.Profile) // validated in RunContext

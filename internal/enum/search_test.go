@@ -25,38 +25,30 @@ func sortsAll(t *testing.T, set *isa.Set, p isa.Program) {
 
 // TestMaxLenBeyondDepthLimit pins the depth-overflow fix: node depths
 // are stored in a uint8 and bestPerm is sized by MaxDepth, so a MaxLen
-// above MaxDepth used to silently truncate (parallel engine) or index
-// out of range (sequential engine). Both engines must now reject it with
-// a typed error instead.
+// above MaxDepth used to index out of range. The engine must now reject
+// it with a typed error instead.
 func TestMaxLenBeyondDepthLimit(t *testing.T) {
 	set := isa.NewCmov(2, 1)
-	for _, workers := range []int{1, 4} { // sequential and parallel engines
-		opt := ConfigBest()
-		opt.MaxLen = MaxDepth + 1
-		opt.Workers = workers
-		res := Run(set, opt)
-		var dl *DepthLimitError
-		if !errors.As(res.Err, &dl) {
-			t.Fatalf("workers=%d: Err = %v, want *DepthLimitError", workers, res.Err)
-		}
-		if dl.MaxLen != MaxDepth+1 {
-			t.Errorf("workers=%d: DepthLimitError.MaxLen = %d, want %d", workers, dl.MaxLen, MaxDepth+1)
-		}
-		if res.Length != -1 {
-			t.Errorf("workers=%d: Length = %d, want -1", workers, res.Length)
-		}
+	opt := ConfigBest()
+	opt.MaxLen = MaxDepth + 1
+	res := Run(set, opt)
+	var dl *DepthLimitError
+	if !errors.As(res.Err, &dl) {
+		t.Fatalf("Err = %v, want *DepthLimitError", res.Err)
+	}
+	if dl.MaxLen != MaxDepth+1 {
+		t.Errorf("DepthLimitError.MaxLen = %d, want %d", dl.MaxLen, MaxDepth+1)
+	}
+	if res.Length != -1 {
+		t.Errorf("Length = %d, want -1", res.Length)
 	}
 
 	// MaxLen == MaxDepth is the largest accepted bound and must search
-	// normally on both engines.
-	for _, workers := range []int{1, 4} {
-		opt := ConfigBest()
-		opt.MaxLen = MaxDepth
-		opt.Workers = workers
-		res := Run(set, opt)
-		if res.Err != nil || res.Length != 4 {
-			t.Errorf("workers=%d: MaxLen=MaxDepth gave length=%d err=%v, want 4, nil", workers, res.Length, res.Err)
-		}
+	// normally.
+	opt.MaxLen = MaxDepth
+	res = Run(set, opt)
+	if res.Err != nil || res.Length != 4 {
+		t.Errorf("MaxLen=MaxDepth gave length=%d err=%v, want 4, nil", res.Length, res.Err)
 	}
 }
 
@@ -204,23 +196,6 @@ func TestMinMaxAllSolutionsN3(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
-	set := isa.NewCmov(3, 1)
-	opt := ConfigAllSolutions()
-	opt.MaxLen = 11
-	opt.Cut, opt.CutK = CutFactor, 1
-	seq := Run(set, opt)
-	opt.Workers = 4
-	par := Run(set, opt)
-	if seq.Length != par.Length {
-		t.Fatalf("lengths differ: seq %d, par %d", seq.Length, par.Length)
-	}
-	if seq.SolutionCount != par.SolutionCount {
-		t.Errorf("solution counts differ: seq %d, par %d", seq.SolutionCount, par.SolutionCount)
-	}
-	sortsAll(t, set, par.Program)
-}
-
 func TestProofNoLength10KernelN3(t *testing.T) {
 	// Paper §5.3 validates AlphaDev's claim that 11 is minimal for n=3 by
 	// exhausting the length-10 space.
@@ -266,21 +241,6 @@ func TestTimeoutStops(t *testing.T) {
 	}
 	if !res.TimedOut && res.Length == -1 {
 		t.Error("neither solution nor timeout reported")
-	}
-}
-
-func TestParallelProofMatchesSequential(t *testing.T) {
-	// The parallel engine must certify the same nonexistence result.
-	set := isa.NewCmov(2, 1)
-	seq := Run(set, ConfigProof(3))
-	par := ConfigProof(3)
-	par.Workers = 4
-	parRes := Run(set, par)
-	if seq.Length != -1 || parRes.Length != -1 {
-		t.Fatal("found impossible kernel")
-	}
-	if !seq.Proof || !parRes.Proof {
-		t.Errorf("proof flags: seq=%v par=%v", seq.Proof, parRes.Proof)
 	}
 }
 

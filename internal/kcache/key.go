@@ -79,9 +79,9 @@ const KeyVersion = 3
 //   - Timeout, StateBudget, Trace: affect whether the search finishes,
 //     not what the finished search produces (sortsynthd never caches an
 //     unfinished result);
-//   - Workers: the parallel engine's sequential merge preserves the
-//     sequential engine's dedup and path-DAG semantics, so the artifact
-//     is the same;
+//   - Workers: deprecated and ignored; the search runs on one
+//     goroutine, so nothing in it depends on the worker count or
+//     GOMAXPROCS;
 //   - DisableSWAR: the SWAR and scalar execution layers are defined (and
 //     gate-checked by swar-check) to produce byte-identical solution
 //     sets and counters, so the toggle cannot influence the artifact.

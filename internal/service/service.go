@@ -48,11 +48,6 @@ type Config struct {
 	// MaxN bounds the array length accepted by /v1/synthesize (0 = 5;
 	// the packed state machine additionally requires n+m ≤ 7).
 	MaxN int
-	// SearchWorkers sets enum.Options.Workers for every search
-	// (0 = GOMAXPROCS; 1 forces the sequential engine). The parallel
-	// engine's results are identical for every worker count, and the
-	// cache key excludes Workers, so this only tunes throughput.
-	SearchWorkers int
 	// MaxSortN bounds the array length accepted by /v1/sortgen (0 =
 	// 256). Unlike MaxN this is a cost bound, not a state-machine
 	// limit: composition is polynomial, but the emitted source grows
@@ -68,18 +63,18 @@ type Config struct {
 	MaxBatch int
 	// UarchProfile names the uarch profile objective rankings run under
 	// ("" = the default big out-of-order core; see internal/uarch).
-	// Deployment-wide, like SearchWorkers: the profile describes the
-	// hardware the fleet serves, so it is a server flag, not a request
-	// field. It participates in non-shortest cache keys.
+	// Deployment-wide: the profile describes the hardware the fleet
+	// serves, so it is a server flag, not a request field. It
+	// participates in non-shortest cache keys.
 	UarchProfile string
 	// TunedPath mounts an autotuned dispatch table (results/tuned.json,
 	// written by `experiments -table=autotune`) that turns the portfolio
 	// backend's race-everything dispatch into staggered dispatch:
 	// predicted-best engine first, fallbacks only after a tuned delay.
-	// Like SearchWorkers it is cache-key-excluded by design — the table
-	// changes which engine answers first, never which kernel is correct,
-	// so tuned and untuned replicas share one cache. A missing or corrupt
-	// table degrades to the plain racing portfolio with a logged-once
+	// It is cache-key-excluded by design — the table changes which
+	// engine answers first, never which kernel is correct, so tuned and
+	// untuned replicas share one cache. A missing or corrupt table
+	// degrades to the plain racing portfolio with a logged-once
 	// warning and a counted load error ("" = no table).
 	TunedPath string
 }
@@ -110,9 +105,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxN <= 0 {
 		cfg.MaxN = 5
-	}
-	if cfg.SearchWorkers <= 0 {
-		cfg.SearchWorkers = runtime.GOMAXPROCS(0)
 	}
 	if cfg.MaxSortN <= 0 {
 		cfg.MaxSortN = 256

@@ -320,7 +320,7 @@ func (s *Server) buildOptions(set *isa.Set, req *synthesizeRequest) (enum.Option
 	opt.DuplicateSafe = req.DuplicateSafe
 	opt.MaxLen = req.MaxLen
 	if opt.MaxLen > enum.MaxDepth {
-		// Reject up front: the engines would return the same typed error,
+		// Reject up front: the engine would return the same typed error,
 		// but this way it is a plain 400 before any flight is created.
 		return opt, fmt.Errorf("max_len %d exceeds the engine depth limit %d", req.MaxLen, enum.MaxDepth)
 	}
@@ -331,10 +331,8 @@ func (s *Server) buildOptions(set *isa.Set, req *synthesizeRequest) (enum.Option
 		}
 		opt.MaxLen = l
 	}
-	// Worker count and the server-side wall cap are serving-layer tuning
-	// knobs: both are excluded from the cache key, so they never fragment
-	// the artifact space.
-	opt.Workers = s.cfg.SearchWorkers
+	// The server-side wall cap is a serving-layer knob: it is excluded
+	// from the cache key, so it never fragments the artifact space.
 	opt.Timeout = s.cfg.SearchTimeout
 	return opt, nil
 }
@@ -583,7 +581,7 @@ func searchErrorStatus(ctx context.Context, err error) (int, string) {
 	switch {
 	case errors.As(err, &depthErr):
 		// Normally rejected in buildOptions before a flight starts; this
-		// is the engines' own guard surfacing as a client error.
+		// is the engine's own guard surfacing as a client error.
 		return http.StatusBadRequest, err.Error()
 	case errors.As(err, &objErr), errors.As(err, &profErr), errors.As(err, &unsupErr):
 		// Same story: prepareSynthesize rejects these before a flight,

@@ -3,27 +3,31 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
 	"sortsynth/internal/universe"
 )
 
-// bakeMini writes a miniature universe (cmov, n=2, enum, budgets 3..5)
-// and returns its path. The space is small enough to bake in
-// milliseconds, and covers both a positive (L*=4) and a negative
-// (budget 3) record.
+// miniBake is a miniature universe (cmov, n=2, enum, budgets 3..5). The
+// space is small enough to bake in milliseconds, and covers both a
+// positive (L*=4) and a negative (budget 3) record.
+var miniBake = universe.Options{
+	ISAs: []string{"cmov"}, MinN: 2, MaxN: 2, Slack: 1,
+	Backends: []string{"enum"}, Workers: 2, SpecTimeout: time.Minute,
+}
+
+// bakeMini writes the miniBake universe and returns its path.
 func bakeMini(t *testing.T) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "mini.ssuniv")
-	_, stats, err := universe.Bake(context.Background(), path, nil, universe.Options{
-		ISAs: []string{"cmov"}, MinN: 2, MaxN: 2, Slack: 1,
-		Backends: []string{"enum"}, Workers: 2, SpecTimeout: time.Minute,
-	})
+	_, stats, err := universe.Bake(context.Background(), path, nil, miniBake)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +77,53 @@ func TestUniverseServesBakedSpecWithZeroSearches(t *testing.T) {
 	}
 	if got := counter(t, m, "universe", "records"); got < 3 {
 		t.Errorf("universe records = %d, want ≥ 3", got)
+	}
+}
+
+// TestBakedEqualsLiveUnderDefaultConfig pins one artifact per cache key
+// across the answer tiers: on a multi-core runtime, a server built with
+// the default Config and no universe must synthesize, for every baked
+// positive spec, the byte-identical kernel the bake recorded, with the
+// same cost, solution count and search effort.
+func TestBakedEqualsLiveUnderDefaultConfig(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	store, err := universe.Open(bakeMini(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	defer func() { ts.Close(); s.Close() }()
+
+	checked := 0
+	for _, sp := range universe.EnumerateSpecs(miniBake) {
+		baked, ok := store.Lookup(sp.Key())
+		if !ok {
+			t.Fatalf("%v: not in the baked universe", sp)
+		}
+		if baked.NoKernel {
+			continue
+		}
+		live := synthesize(t, ts.URL, fmt.Sprintf(`{"isa":%q,"n":%d,"max_len":%d,"objective":%q}`,
+			sp.ISA, sp.N, sp.Budget, sp.Objective))
+		if live.Source != sourceSearch || live.Key != sp.Key().Hash() {
+			t.Fatalf("%v: source %q key %s, want a live search for key %s", sp, live.Source, live.Key, sp.Key().Hash())
+		}
+		if live.Kernel != baked.Program {
+			t.Errorf("%v: live kernel\n  %s\nbaked\n  %s", sp, live.Kernel, baked.Program)
+		}
+		if live.Cost != baked.Cost || live.SolutionCount != baked.SolutionCount || live.Stats.Expanded != baked.Expanded {
+			t.Errorf("%v: live cost %v, %d solutions, %d expanded; baked %v, %d, %d", sp,
+				live.Cost, live.SolutionCount, live.Stats.Expanded, baked.Cost, baked.SolutionCount, baked.Expanded)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("the mini bake holds no positive record")
 	}
 }
 

@@ -1,7 +1,7 @@
 package state
 
-// Arena is an append-only slab of packed assignments. The search engines
-// store every open-list state in one arena and address it by a compact
+// Arena is an append-only slab of packed assignments. The search engine
+// stores every open-list state in one arena and addresses it by a compact
 // (offset, length) pair instead of holding a heap-allocated clone per
 // entry: pushes become a bulk copy into one growing backing array, pops a
 // constant-time reslice, and the garbage collector sees a single pointer
@@ -30,10 +30,3 @@ func (a *Arena) Save(s State) (off, n int32) {
 func (a *Arena) At(off, n int32) State {
 	return State(a.slab[off : off+n : off+n])
 }
-
-// Reset empties the arena, keeping the allocated slab for reuse. States
-// previously returned by At remain readable only until the slots are
-// overwritten by new Saves, so callers must not hold them across a Reset
-// boundary (the parallel engine double-buffers two arenas for exactly
-// this reason).
-func (a *Arena) Reset() { a.slab = a.slab[:0] }

@@ -44,7 +44,7 @@ func BenchmarkApplyDist(b *testing.B) {
 }
 
 // BenchmarkApplyDistSWAR is BenchmarkApplyDist on the two-lane kernel,
-// with the parent indices precomputed the way the engines amortize them
+// with the parent indices precomputed the way the search amortizes them
 // over every candidate instruction of an expansion.
 func BenchmarkApplyDistSWAR(b *testing.B) {
 	set := isa.NewCmov(4, 1)

@@ -13,7 +13,7 @@ const (
 // the projection field. A successor produced by such an instruction has
 // exactly its parent's multiset of projections, so its distinct
 // projection count — PermCount on the canonical state, the §3.5 cut's
-// quantity — is the parent's, and the engines skip the per-assignment
+// quantity — is the parent's, and the search skips the per-assignment
 // recount for these candidates.
 func (m *Machine) ProjPreserving(in isa.Instr) bool {
 	return in.Op == isa.Cmp || m.shift[in.Dst]+4 <= m.permShift

@@ -682,13 +682,6 @@ func Hash(s State) uint64 {
 // soundness concern.
 type Key128 struct{ Hi, Lo uint64 }
 
-// Shard maps the key onto one of 1<<bits shards using the high bits of
-// Hi. The high bits of a well-mixed hash are uniform, so shards balance;
-// and because sharding is a pure function of the key, every candidate
-// with the same key lands in the same shard — the property the parallel
-// merge's per-shard deduplication relies on.
-func (k Key128) Shard(bits uint) int { return int(k.Hi >> (64 - bits)) }
-
 // HashKey returns the 128-bit dedup key of the canonical state: Lo is
 // Hash(s), Hi an independent splitmix-style mix, both computed in a
 // single fused pass.

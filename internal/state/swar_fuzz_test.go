@@ -35,7 +35,7 @@ var fuzzMachines = []*state.Machine{
 // clampAsg forces an arbitrary fuzzed word into the machine's packed
 // domain: register values at most n, tag below the goal-table size. The
 // distance tables are only defined on that domain (exactly the states
-// the engines can reach), so out-of-range nibbles would index garbage
+// the search can reach), so out-of-range nibbles would index garbage
 // rather than exercise the contract.
 func clampAsg(m *state.Machine, a state.Asg) state.Asg {
 	n := m.Set.N

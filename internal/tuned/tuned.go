@@ -4,7 +4,7 @@
 // backend plans with a measured stagger delay.
 //
 // The table is produced by the autotune harness (`cmd/experiments
-// -table=autotune`), which sweeps backend × workers × budget × heuristic
+// -table=autotune`), which sweeps backend × budget × heuristic
 // knobs per class through internal/bench and persists the best-of-K
 // timings. At serve time the table is consulted, never recomputed:
 // Load validates the format version and the content checksum, Pick
@@ -60,7 +60,7 @@ func (c Class) Key() string {
 type Candidate struct {
 	// Backend is the registry name ("enum", "smt", ...). Only names that
 	// are Portfolio members participate in dispatch; the sweep may also
-	// record knob variants (workers, configs) for the table's audit trail
+	// record knob variants (search configs) for the table's audit trail
 	// under Sweep.
 	Backend string `json:"backend"`
 	// WallMS is the best-of-Rounds measured wall time; 0 when !OK.
@@ -70,8 +70,8 @@ type Candidate struct {
 	// OK reports the candidate produced a verified kernel within the
 	// sweep budget. Failed candidates rank after every successful one.
 	OK bool `json:"ok"`
-	// Note carries the sweep knobs behind an audit row ("workers=4",
-	// "config=distmax slack=+1") or the failure reason for !OK.
+	// Note carries the sweep knobs behind an audit row
+	// ("config=distmax slack=+1") or the failure reason for !OK.
 	Note string `json:"note,omitempty"`
 }
 
@@ -86,7 +86,7 @@ type Plan struct {
 	// enough that a mispredicted class still falls back quickly.
 	StaggerMS float64 `json:"stagger_ms"`
 	// Sweep preserves the full knob sweep the ranking was distilled
-	// from — workers/config/budget variants that are not themselves
+	// from — config/budget variants that are not themselves
 	// portfolio members. Audit trail only; dispatch reads Ranked.
 	Sweep []Candidate `json:"sweep,omitempty"`
 }

@@ -314,7 +314,8 @@ func TestBakeMini(t *testing.T) {
 	// Equal bakes are byte-identical: a second run of the same space —
 	// at a different worker count — must produce the same content ID.
 	// (Wall clock is deliberately excluded from baked entries; node
-	// counts are deterministic per PR 2's stitched parallel merge.)
+	// counts are deterministic because each search runs on one
+	// goroutine.)
 	path2 := filepath.Join(t.TempDir(), "mini2.ssuniv")
 	id2, _, err := Bake(ctx, path2, nil, Options{
 		ISAs: []string{"cmov"}, MinN: 2, MaxN: 2, Slack: 1,
