@@ -2,9 +2,10 @@ GO ?= go
 GOFMT ?= gofmt
 
 # check is the tier-1 gate: everything builds (cmd/ included), vets
-# clean, every Go file is gofmt-clean, the full test suite (including the sortsynthd service tests)
-# passes under the race detector, the backend portfolio race smoke test
-# (n=3, enum vs stoke) runs explicitly under -race, the cross-backend
+# clean, every Go file is gofmt-clean, the full test suite (including
+# the sortsynthd service tests and the portfolio's fake-clock dispatch
+# battery) passes under the race detector, the backend portfolio smoke
+# test (n=3, enum vs stoke) runs explicitly under -race, the cross-backend
 # conformance harness reports zero divergences, the baked-universe gate
 # proves a miniature bake identical to live synthesis and serveable with
 # zero searches, every fuzz target survives a short -race fuzzing
@@ -17,31 +18,7 @@ GOFMT ?= gofmt
 # bit-sliced and scalar execution layers byte-identical across cut modes
 # and test suites.
 .PHONY: check
-check: build vet fmt-check race smoke conformance bake-check objective-check swar-check autotune-check fuzz-smoke sortgen-check bench-compare sortgen-compare
-
-# autotune-check is the tuned-dispatch gate: the deterministic scheduler
-# battery (fake clock, scripted backends, seed pinning) and the
-# service's tuned-mount tests run under -race, then tunecompare runs a
-# mini autotune sweep (n ≤ 3, shortest) into a throwaway dir, reloads it
-# through the strict loader, and replays a mixed workload through the
-# racing and staggered portfolios: answers must agree with direct enum
-# synthesis and staggered capacity (specs per second of engine time)
-# must beat racing by the gate ratio. Regenerate the committed
-# results/tuned.json with `make autotune` after changing backends.
-.PHONY: autotune-check
-autotune-check:
-	$(GO) test -race -count=1 -run '^TestStaggered|^TestPortfolioSeedPinning$$|^TestTuned' ./internal/backend ./internal/service
-	$(GO) test -race -count=1 ./internal/tuned
-	$(GO) run ./cmd/experiments -table=tunecompare
-
-# autotune regenerates the committed tuned dispatch table
-# (results/tuned.json): every portfolio member measured best-of-3 on
-# every spec class (ISA × n ≤ 3 × dup-safety × objective), plus enum
-# search-config audit rows. Serve it with `sortsynthd -tuned
-# results/tuned.json`.
-.PHONY: autotune
-autotune:
-	$(GO) run ./cmd/experiments -table=autotune
+check: build vet fmt-check race smoke conformance bake-check objective-check swar-check fuzz-smoke sortgen-check bench-compare sortgen-compare
 
 # swar-check is the SWAR execution-layer gate: the bit-sliced and the
 # scalar engines must produce byte-identical program sets, solution
@@ -95,7 +72,6 @@ fuzz-smoke:
 	$(GO) test -race -run='^$$' -fuzz='^FuzzFlatTable$$' -fuzztime=$(FUZZTIME) ./internal/enum
 	$(GO) test -race -run='^$$' -fuzz='^FuzzVerifySorts$$' -fuzztime=$(FUZZTIME) ./internal/verify
 	$(GO) test -race -run='^$$' -fuzz='^FuzzSortgenVsSlicesSort$$' -fuzztime=$(FUZZTIME) ./internal/sortgen
-	$(GO) test -race -run='^$$' -fuzz='^FuzzTunedTableLoad$$' -fuzztime=$(FUZZTIME) ./internal/tuned
 
 # sortgen-check is the generated-library gate: emit sorters for
 # n = 6, 13, 32 into a throwaway module, go vet + go build them, run the

@@ -117,10 +117,10 @@ func init() {
 				fmt.Sprintf("%.0f", m.ExpandedPerSec),
 				fmt.Sprint(m.Length))
 		}
-		// Portfolio row: enum races stoke at n=3. The enum engine is
-		// deterministic and wins well before the chain gets lucky, so the
-		// row (winner, kernel, length) regenerates identically run to run;
-		// only the wall time and the loser's proposal count wiggle.
+		// Portfolio row: enum, then stoke one stagger later, at n=3. The
+		// enum engine is deterministic and usually wins inside its solo
+		// window, so the row (winner, kernel, length) regenerates
+		// identically run to run; only the wall time wiggles.
 		pf := backend.NewPortfolio(
 			backend.NewEnum(enum.ConfigBest()),
 			backend.NewStoke(stoke.Options{}),

@@ -9,7 +9,7 @@
 //	sortsynth -n 3 -prove 10             # prove no kernel of length ≤ 10
 //	sortsynth -verify "mov s1 r2; ..." -n 2
 //	sortsynth -n 3 -backend smt          # synthesize through the SMT backend
-//	sortsynth -n 3 -portfolio enum,stoke # race backends, keep the first verified win
+//	sortsynth -n 3 -portfolio enum,stoke # launch in order 25 ms apart, keep the first verified win
 //	sortsynth -emit-sorter -n 13         # emit a full branchless Sort13 as Go source
 package main
 
@@ -52,7 +52,7 @@ func main() {
 		backendName = flag.String("backend", "enum",
 			"synthesis backend: one of the registry names ("+strings.Join(backend.Default().Names(), ", ")+")")
 		portfolioList = flag.String("portfolio", "",
-			"race a comma-separated list of backends (or \"all\") and keep the first verified kernel")
+			"run a comma-separated list of backends (or \"all\") as a portfolio: members launch in list order, 25 ms apart, and the first verified kernel wins")
 		seed = flag.Int64("seed", 0, "seed for the randomized backends (stoke, mcts)")
 
 		emitSorter = flag.Bool("emit-sorter", false,

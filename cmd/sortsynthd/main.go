@@ -45,7 +45,6 @@ func main() {
 		maxN      = flag.Int("max-n", 5, "largest array length to accept")
 		maxSortN  = flag.Int("max-sort-n", 256, "largest generated-sorter length for /v1/sortgen")
 		uniPath   = flag.String("universe", "", "baked universe artifact (sortsynth-bake) mounted as the L0 tier (empty = off)")
-		tunedPath = flag.String("tuned", "", "autotuned dispatch table (experiments -table=autotune) for staggered portfolio scheduling (empty = race everything)")
 		maxBatch  = flag.Int("max-batch", 32, "largest spec list accepted by /v1/synthesize/batch")
 		drain     = flag.Duration("drain", 15*time.Second, "graceful-shutdown drain period")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060; empty = off)")
@@ -61,7 +60,6 @@ func main() {
 		MaxN:                  *maxN,
 		MaxSortN:              *maxSortN,
 		UniversePath:          *uniPath,
-		TunedPath:             *tunedPath,
 		MaxBatch:              *maxBatch,
 	})
 	if err != nil {

@@ -32,7 +32,18 @@ func optimalityPreserving(o enum.Options) bool {
 }
 
 // Enum adapts the §3 enumerative Dijkstra/A* engine.
-type Enum struct{ Opt enum.Options }
+type Enum struct {
+	Opt enum.Options
+	// ProofBudget, when > 0, lets a search that exhausts without a
+	// proof (the §3.5 cut or the action guide voids it) try to certify
+	// its verdict: the budget is re-searched with only
+	// optimality-preserving pruning, capped at ProofBudget expanded
+	// states. If that search exhausts, the result is a sound
+	// refutation (StatusNoProgram); if it finds a kernel the cut had
+	// lost, the kernel is returned. Otherwise the verdict stays
+	// StatusExhausted.
+	ProofBudget int64
+}
 
 // NewEnum wraps the enum engine with the given base options; Spec
 // fields override MaxLen and DuplicateSafe per call.
@@ -80,6 +91,24 @@ func (b *Enum) Synthesize(ctx context.Context, set *isa.Set, spec Spec) (*Result
 				break
 			}
 			r = pr
+		}
+	}
+	if r.Program == nil && r.Exhausted && !r.Proof && b.ProofBudget > 0 {
+		proof := enum.ConfigProof(opt.MaxLen)
+		proof.AllSolutions = false
+		proof.DuplicateSafe, proof.Objective, proof.Profile = opt.DuplicateSafe, opt.Objective, opt.Profile
+		proof.StateBudget = b.ProofBudget
+		pr := enum.RunContext(ctx, set, proof)
+		if pr.Err != nil {
+			return nil, pr.Err
+		}
+		pr.Expanded += r.Expanded
+		pr.Generated += r.Generated
+		pr.Elapsed += r.Elapsed
+		if pr.Program != nil || pr.Proof {
+			r = pr
+		} else {
+			r.Expanded, r.Generated, r.Elapsed = pr.Expanded, pr.Generated, pr.Elapsed
 		}
 	}
 	res := &Result{

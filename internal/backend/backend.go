@@ -77,9 +77,9 @@ const (
 	// internal error). Used in Portfolio race tables; direct calls
 	// surface the error itself.
 	StatusError
-	// StatusSkipped: a staggered Portfolio race ended (a verified winner
-	// arrived, or the context died) before this member's launch slot, so
-	// it never ran. Only ever appears in race tables — a skipped member
+	// StatusSkipped: a Portfolio race ended (a verified winner or a
+	// sound refutation arrived, or the context died) before this
+	// member's launch slot, so it never ran. Only ever appears in race tables — a skipped member
 	// claims nothing and never becomes an aggregate verdict.
 	StatusSkipped
 )
@@ -159,17 +159,17 @@ type Result struct {
 	Winner string
 	Race   []RaceEntry
 
-	// Sched reports staggered-dispatch accounting when the Portfolio ran
-	// under a Scheduler; nil for plain races and every other backend.
+	// Sched reports the Portfolio's dispatch accounting; nil for every
+	// other backend.
 	Sched *SchedStats
 }
 
-// SchedStats is a staggered Portfolio race's dispatch accounting: how
-// the tuned schedule paid off on this request. The serving layer
+// SchedStats is a Portfolio race's dispatch accounting: how the
+// staggered launch order paid off on this request. The serving layer
 // aggregates these into the /metrics scheduler counters.
 type SchedStats struct {
-	// FirstPickWin reports that the predicted-best member (the
-	// schedule's first entry) produced the verified winner.
+	// FirstPickWin reports that the first member in launch order
+	// produced the verified winner.
 	FirstPickWin bool
 	// FallbackStarts counts members beyond the first pick that actually
 	// launched (because their stagger slot, deadline pressure, or an
@@ -179,28 +179,9 @@ type SchedStats struct {
 	// pick — produced the verified winner.
 	FallbackWin bool
 	// SavedLaunches counts members the race finished without ever
-	// launching: the CPU a plain race-everything dispatch would have
+	// launching: the CPU launching every member at once would have
 	// burned and thrown away.
 	SavedLaunches int
-}
-
-// Schedule is one spec's staggered dispatch plan: Portfolio member
-// indices in predicted-best-first order, and the delay between
-// successive launches. Members absent from Order never launch (their
-// race entries read skipped) — a Scheduler that wants every member as a
-// last-resort fallback must list them all.
-type Schedule struct {
-	Order   []int
-	Stagger time.Duration
-}
-
-// Scheduler plans staggered dispatch for a Portfolio. Plan returns
-// (schedule, true) to stagger the race for this spec, or ok=false to
-// fall back to the plain race-everything dispatch. Implementations must
-// be safe for concurrent use; the tuned-table scheduler
-// (internal/tuned) is the canonical one.
-type Scheduler interface {
-	Plan(set *isa.Set, spec Spec) (Schedule, bool)
 }
 
 // Backend is one synthesis engine behind the common vocabulary.

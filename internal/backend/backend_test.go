@@ -3,6 +3,7 @@ package backend
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -92,6 +93,9 @@ func TestDefaultRegistryHasAllSevenBackends(t *testing.T) {
 	}
 }
 
+// TestPortfolioCancelsLosers launches a slow member first and the
+// winner one stagger later: the winner's verified kernel must cancel
+// the still-running first member promptly.
 func TestPortfolioCancelsLosers(t *testing.T) {
 	set := isa.NewCmov(2, 1)
 	good := correctKernel(t, set)
@@ -109,7 +113,7 @@ func TestPortfolioCancelsLosers(t *testing.T) {
 			return &Result{Backend: "lose", Status: StatusExhausted}, nil
 		}
 	}}
-	res, err := Run(context.Background(), NewPortfolio(winner, loser), set, Spec{MaxLen: 4})
+	res, err := Run(context.Background(), NewPortfolio(loser, winner), set, Spec{MaxLen: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +128,11 @@ func TestPortfolioCancelsLosers(t *testing.T) {
 	default:
 		t.Fatal("loser never observed cancellation")
 	}
-	if len(res.Race) != 2 || res.Race[1].Status != StatusCancelled {
+	if len(res.Race) != 2 || res.Race[0].Status != StatusCancelled {
 		t.Fatalf("race table %+v, want loser cancelled", res.Race)
+	}
+	if want := (SchedStats{FallbackStarts: 1, FallbackWin: true}); *res.Sched != want {
+		t.Fatalf("sched = %+v, want %+v", *res.Sched, want)
 	}
 }
 
@@ -138,7 +145,9 @@ func TestPortfolioAllTimeoutNoGoroutineLeak(t *testing.T) {
 		}}
 	}
 	before := runtime.NumGoroutine()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	// Long enough that both fallback slots (one and two staggers) come
+	// well before the deadline, so every member launches and times out.
+	ctx, cancel := context.WithTimeout(context.Background(), 8*fallbackStagger)
 	defer cancel()
 	res, err := Run(ctx, NewPortfolio(block("a"), block("b"), block("c")), set, Spec{MaxLen: 4})
 	if err != nil {
@@ -227,6 +236,82 @@ func TestEnumDupSlackBudgetOptimal(t *testing.T) {
 		}
 		if res.Status != StatusFound || res.Length != 11 {
 			t.Fatalf("budget %d: %s length %d, want found length 11", budget, res.Status, res.Length)
+		}
+	}
+}
+
+// TestDefaultPortfolioAnswersMatchEnum is the portfolio's answer gate
+// over a mixed workload (both ISAs, n = 2 and 3, three seeds each, at
+// the certified optimal budget), at GOMAXPROCS 1 and 2. The staggered
+// launches decide which engine answers, never what the answer is: when
+// enum wins, its kernel is byte-identical to a direct enum synthesis;
+// any other winner must still land on the optimal length.
+func TestDefaultPortfolioAnswersMatchEnum(t *testing.T) {
+	reg := Default()
+	enumB, err := reg.Get("enum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := reg.Get("portfolio")
+	if err != nil {
+		t.Fatal(err)
+	}
+	optimum := map[isa.Kind]map[int]int{
+		isa.KindCmov:   {2: 4, 3: 11},
+		isa.KindMinMax: {2: 3, 3: 8},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, kind := range []isa.Kind{isa.KindCmov, isa.KindMinMax} {
+			for _, n := range []int{2, 3} {
+				set := isa.New(kind, n, 1)
+				for seed := int64(1); seed <= 3; seed++ {
+					spec := Spec{MaxLen: optimum[kind][n], Seed: seed}
+					ref, err := Run(context.Background(), enumB, set, spec)
+					if err != nil || ref.Status != StatusFound {
+						t.Fatalf("enum reference %v seed %d: %v %+v", set, seed, err, ref)
+					}
+					got, err := Run(context.Background(), pf, set, spec)
+					if err != nil || got.Status != StatusFound {
+						t.Fatalf("portfolio %v seed %d: %v %+v", set, seed, err, got)
+					}
+					label := fmt.Sprintf("GOMAXPROCS=%d %v seed=%d", procs, set, seed)
+					switch {
+					case got.Winner == "enum" && got.Program.Format(n) != ref.Program.Format(n):
+						t.Errorf("%s: enum won with a different kernel\nref:\n%s\ngot:\n%s",
+							label, ref.Program.Format(n), got.Program.Format(n))
+					case got.Length != ref.Length:
+						t.Errorf("%s: length %d (winner %s), optimum %d", label, got.Length, got.Winner, ref.Length)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEnumProofBudgetCertifiesRefutation: ConfigBest's §3.5 cut voids
+// the exhaustion proof, so one below the cmov n=3 optimum the plain
+// adapter can only report a spent budget. With a ProofBudget the same
+// search certifies the refutation — unless the budget is too small to
+// finish the certifying search, which leaves the verdict unchanged.
+func TestEnumProofBudgetCertifiesRefutation(t *testing.T) {
+	set := isa.NewCmov(3, 1)
+	spec := Spec{MaxLen: 10}
+	for _, tc := range []struct {
+		budget int64
+		want   Status
+	}{
+		{0, StatusExhausted},
+		{1 << 18, StatusNoProgram},
+		{1000, StatusExhausted},
+	} {
+		res, err := Run(context.Background(), &Enum{Opt: enum.ConfigBest(), ProofBudget: tc.budget}, set, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != tc.want {
+			t.Fatalf("ProofBudget %d: status %v, want %v", tc.budget, res.Status, tc.want)
 		}
 	}
 }

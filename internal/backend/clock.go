@@ -2,7 +2,7 @@ package backend
 
 import "time"
 
-// Clock abstracts wall time for the staggered Portfolio scheduler so
+// Clock abstracts wall time for the Portfolio's staggered launches so
 // the dispatch tests can drive launch slots deterministically instead
 // of sleeping. Production code always uses the real clock; tests swap
 // in a fake via Portfolio.withClock.

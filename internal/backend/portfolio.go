@@ -9,49 +9,44 @@ import (
 	"sortsynth/internal/isa"
 )
 
-// Portfolio races several backends concurrently under one context and
-// returns the first centrally verified kernel, cancelling the losers.
+// fallbackStagger is the delay between successive member launches.
+// Enum answers every n ≤ 3 spec class well inside it, so in the common
+// case the fallbacks never start.
+const fallbackStagger = 25 * time.Millisecond
+
+// Portfolio runs several backends under one context and returns the
+// first centrally verified kernel.
 //
-// Two dispatch modes share those semantics:
+// Members launch in constructor order: the first at once, member i at
+// i × fallbackStagger. Three things change that plan:
 //
-//   - Plain race (the default): every member launches immediately. N
-//     engines burn CPU and N−1 results are thrown away — robust, but
-//     wasteful under load.
-//   - Staggered (WithScheduler): a Scheduler ranks the members per spec
-//     and the predicted-best one launches alone; each fallback launches
-//     only when its stagger slot elapses, when deadline pressure makes
-//     waiting unaffordable, or when every running member has already
-//     failed. A verified winner cancels the running losers and the
-//     not-yet-launched fallbacks never start at all (their race entries
-//     read skipped, counted as SchedStats.SavedLaunches).
+//   - deadline pressure: with a caller deadline of budget T, no launch
+//     slot is later than T/2, so a fallback never gets less time than
+//     the first member already had;
+//   - a dead field: when every launched member has finished without a
+//     verified win, the next member launches at once;
+//   - a settled race: a verified winner or a sound refutation
+//     (StatusNoProgram) cancels the running members, and the members
+//     not yet launched never start. Their race entries read
+//     StatusSkipped, counted in SchedStats.SavedLaunches.
 //
-// Cancellation protocol: every racer runs under a child context that is
-// cancelled the moment a verified winner arrives (or the caller's
-// context ends). Synthesize then waits for every racer goroutine to
-// observe the cancellation and return before it itself returns, so a
-// finished portfolio never leaks goroutines or background CPU work.
+// Cancellation protocol: every member runs under a child context that
+// is cancelled the moment the race settles (or the caller's context
+// ends). Synthesize then waits for every member goroutine to observe
+// the cancellation and return before it itself returns, so a finished
+// portfolio never leaks goroutines or background CPU work.
 type Portfolio struct {
-	backends  []Backend
-	scheduler Scheduler // nil = plain race-everything dispatch
-	clock     Clock     // nil = real time; swapped by scheduler tests
+	backends []Backend
+	clock    Clock // nil = real time; swapped by the dispatch tests
 }
 
 // NewPortfolio builds a portfolio over the given backends (at least
-// one; racing fewer than two is permitted but pointless).
+// one), in launch order.
 func NewPortfolio(bs ...Backend) *Portfolio {
 	if len(bs) == 0 {
 		panic("backend: NewPortfolio needs at least one backend")
 	}
 	return &Portfolio{backends: bs}
-}
-
-// WithScheduler returns a copy of p that dispatches through s. A nil s
-// returns a copy that races everything — the degrade path for a
-// missing or corrupt tuned table.
-func (p *Portfolio) WithScheduler(s Scheduler) *Portfolio {
-	cp := *p
-	cp.scheduler = s
-	return &cp
 }
 
 // withClock returns a copy of p on the given clock (tests only).
@@ -81,13 +76,11 @@ func (p *Portfolio) Backends() []string {
 }
 
 // memberSeed derives the seed member name receives from the spec's base
-// seed: a pure function of (base, name), independent of dispatch mode,
-// launch order, and race timing. Before this pinning, every member got
-// the base seed verbatim, so two randomized members shared one seed
-// stream and a schedule that reordered members changed nothing — but
-// the moment per-race derivation appears anywhere it must be keyed by
-// member identity, not race position, or `seed=K` staggered and racing
-// runs diverge. The regression test holds this invariant.
+// seed: a pure function of (base, name), independent of the member's
+// position in the launch order and of race timing. Keying it by member
+// identity gives two randomized members distinct seed streams, and
+// keeps a member's answer the same in any portfolio that lists it. The
+// seed-pinning test holds this invariant.
 func memberSeed(base int64, name string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(name))
@@ -110,16 +103,16 @@ type outcome struct {
 	err error
 }
 
-// Synthesize implements Backend: it dispatches the member backends —
-// staggered when a Scheduler planned this spec, racing everything
-// otherwise — each through Run (so every candidate winner is verified
-// before it can stop the race), and reports the per-backend outcomes in
-// Result.Race.
+// Synthesize implements Backend: it launches the members on the
+// staggered plan documented on Portfolio, each through Run (so every
+// candidate winner is verified before it can settle the race), and
+// reports the per-member outcomes in Result.Race and the dispatch
+// accounting in Result.Sched.
 //
 // With no winner, the aggregate status is the strongest verdict any
-// racer reached: a sound refutation (StatusNoProgram) beats a spent
+// member reached: a sound refutation (StatusNoProgram) beats a spent
 // budget (StatusExhausted), which beats a timeout, which beats
-// cancellation (see aggregateStatus). If every launched racer failed
+// cancellation (see aggregateStatus). If every launched member failed
 // with an error, the first error is returned.
 func (p *Portfolio) Synthesize(ctx context.Context, set *isa.Set, spec Spec) (*Result, error) {
 	// The race is heterogeneous: most members are single-solution
@@ -128,120 +121,33 @@ func (p *Portfolio) Synthesize(ctx context.Context, set *isa.Set, spec Spec) (*R
 	if err := requireShortest(p.Name(), spec); err != nil {
 		return nil, err
 	}
-	if p.scheduler != nil {
-		if sched, ok := p.scheduler.Plan(set, spec); ok && len(sched.Order) > 0 && p.validOrder(sched.Order) {
-			return p.synthesizeStaggered(ctx, set, spec, sched)
-		}
-	}
-	return p.synthesizeRace(ctx, set, spec)
-}
-
-// validOrder rejects schedules that name out-of-range or duplicate
-// member indices — a malformed plan degrades to the plain race rather
-// than panicking or double-launching a member.
-func (p *Portfolio) validOrder(order []int) bool {
-	seen := make([]bool, len(p.backends))
-	for _, idx := range order {
-		if idx < 0 || idx >= len(p.backends) || seen[idx] {
-			return false
-		}
-		seen[idx] = true
-	}
-	return true
-}
-
-// synthesizeRace is the historical dispatch: every member launches at
-// once and the first verified winner cancels the rest.
-func (p *Portfolio) synthesizeRace(ctx context.Context, set *isa.Set, spec Spec) (*Result, error) {
-	start := time.Now()
-	raceCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make(chan outcome, len(p.backends))
-	var wg sync.WaitGroup
-	for i, b := range p.backends {
-		wg.Add(1)
-		go func(i int, b Backend) {
-			defer wg.Done()
-			res, err := Run(raceCtx, b, set, p.memberSpec(spec, i))
-			results <- outcome{idx: i, res: res, err: err}
-		}(i, b)
-	}
-
-	race := make([]RaceEntry, len(p.backends))
-	var winner *Result
-	var firstErr error
-	errCount := 0
-	for pending := len(p.backends); pending > 0; pending-- {
-		o := <-results
-		name := p.backends[o.idx].Name()
-		switch {
-		case o.err != nil:
-			race[o.idx] = RaceEntry{Backend: name, Status: StatusError, Err: o.err.Error()}
-			errCount++
-			if firstErr == nil {
-				firstErr = o.err
-			}
-		default:
-			race[o.idx] = RaceEntry{Backend: name, Status: o.res.Status, Stats: o.res.Stats}
-			if o.res.Status == StatusFound && winner == nil {
-				winner = o.res
-				cancel() // stop the losers; keep draining their outcomes
-			}
-		}
-	}
-	wg.Wait()
-
-	if errCount == len(p.backends) {
-		return nil, firstErr
-	}
-	return p.finish(ctx, spec, race, winner, time.Since(start), nil), nil
-}
-
-// synthesizeStaggered is the tuned dispatch: sched.Order[0] launches
-// immediately, and each later member waits for its stagger slot. Three
-// things accelerate a pending fallback:
-//
-//   - deadline pressure: with a caller deadline of budget T, no launch
-//     slot is later than T/2 — waiting past that would leave a
-//     fallback less time than the first pick already had;
-//   - a dead field: when every launched member has finished without a
-//     verified win, the next fallback launches immediately (there is
-//     nothing left to wait for);
-//   - nothing decelerates one: slots are fixed at plan time, so the
-//     dispatch order is a pure function of (schedule, deadline) and the
-//     fake-clock tests can replay it exactly.
-//
-// A verified winner cancels the launched losers and permanently parks
-// the pending fallbacks: they never start, their race entries read
-// StatusSkipped, and the count lands in SchedStats.SavedLaunches.
-func (p *Portfolio) synthesizeStaggered(ctx context.Context, set *isa.Set, spec Spec, sched Schedule) (*Result, error) {
 	clock := p.clockOrReal()
 	start := clock.Now()
 	raceCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	// Launch slots, clamped by deadline pressure.
-	slots := make([]time.Duration, len(sched.Order))
+	// Launch slots, clamped by deadline pressure. Slots are fixed here,
+	// so the launch order is a pure function of the deadline and the
+	// fake-clock tests can replay it exactly.
+	slots := make([]time.Duration, len(p.backends))
 	var pressure time.Duration // 0 = no deadline
 	if dl, ok := ctx.Deadline(); ok {
 		pressure = dl.Sub(start) / 2
 	}
-	for i := range sched.Order {
-		d := time.Duration(i) * sched.Stagger
+	for i := range slots {
+		d := time.Duration(i) * fallbackStagger
 		if pressure > 0 && d > pressure {
 			d = pressure
 		}
 		slots[i] = d
 	}
 
-	results := make(chan outcome, len(sched.Order))
+	results := make(chan outcome, len(p.backends))
 	var wg sync.WaitGroup
 	sstats := &SchedStats{}
 	running := 0
-	launch := func(pos int) {
-		idx := sched.Order[pos]
-		if pos > 0 {
+	launch := func(idx int) {
+		if idx > 0 {
 			sstats.FallbackStarts++
 		}
 		running++
@@ -258,12 +164,14 @@ func (p *Portfolio) synthesizeStaggered(ctx context.Context, set *isa.Set, spec 
 	winnerIdx := -1
 	var firstErr error
 	errCount := 0
-	next := 0 // next position in sched.Order to launch
+	next := 0 // next member to launch
 	for {
-		// Launch everything due. With nothing running, the next pending
-		// fallback is due immediately: every launched member already
-		// failed, so there is nothing left to stagger behind.
-		for winner == nil && next < len(sched.Order) && raceCtx.Err() == nil {
+		// Launch everything due. The first member always launches; a
+		// settled race has cancelled raceCtx, so nothing launches after
+		// it. With nothing running, the next member is due at once:
+		// every launched member already failed, so there is nothing
+		// left to stagger behind.
+		for next < len(p.backends) && (next == 0 || raceCtx.Err() == nil) {
 			if running > 0 && clock.Now().Before(start.Add(slots[next])) {
 				break
 			}
@@ -275,7 +183,7 @@ func (p *Portfolio) synthesizeStaggered(ctx context.Context, set *isa.Set, spec 
 		}
 		var timerC <-chan time.Time
 		var timer Timer
-		if winner == nil && next < len(sched.Order) && raceCtx.Err() == nil {
+		if next < len(p.backends) && raceCtx.Err() == nil {
 			timer = clock.NewTimer(start.Add(slots[next]).Sub(clock.Now()))
 			timerC = timer.C()
 		}
@@ -292,10 +200,15 @@ func (p *Portfolio) synthesizeStaggered(ctx context.Context, set *isa.Set, spec 
 				}
 			default:
 				race[o.idx] = RaceEntry{Backend: name, Status: o.res.Status, Stats: o.res.Stats}
-				if o.res.Status == StatusFound && winner == nil {
+				switch {
+				case o.res.Status == StatusFound && winner == nil:
 					winner = o.res
 					winnerIdx = o.idx
-					cancel() // stop the losers; pending fallbacks never launch
+					cancel() // stop the losers; pending members never launch
+				case o.res.Status == StatusNoProgram:
+					// A sound refutation is the final verdict: no other
+					// member can find a program within the budget.
+					cancel()
 				}
 			}
 		case <-timerC:
@@ -306,8 +219,6 @@ func (p *Portfolio) synthesizeStaggered(ctx context.Context, set *isa.Set, spec 
 	}
 	wg.Wait()
 
-	// Members that never launched: the schedule's parked fallbacks plus
-	// anything the schedule never listed.
 	launched := 0
 	for i := range race {
 		if race[i].Backend == "" {
@@ -318,20 +229,20 @@ func (p *Portfolio) synthesizeStaggered(ctx context.Context, set *isa.Set, spec 
 	}
 	sstats.SavedLaunches = len(p.backends) - launched
 	if winner != nil {
-		if winnerIdx == sched.Order[0] {
+		if winnerIdx == 0 {
 			sstats.FirstPickWin = true
 		} else {
 			sstats.FallbackWin = true
 		}
 	}
 
-	if launched > 0 && errCount == launched {
+	if errCount == launched {
 		return nil, firstErr
 	}
 	return p.finish(ctx, spec, race, winner, clock.Now().Sub(start), sstats), nil
 }
 
-// finish assembles the portfolio Result shared by both dispatch modes.
+// finish assembles the portfolio Result.
 func (p *Portfolio) finish(ctx context.Context, spec Spec, race []RaceEntry, winner *Result, elapsed time.Duration, sstats *SchedStats) *Result {
 	// The portfolio's own Stats aggregate the racers' work: total nodes
 	// across every engine that ran, under the race's wall clock.
@@ -367,7 +278,7 @@ func (p *Portfolio) finish(ctx context.Context, spec Spec, race []RaceEntry, win
 // because the race's context ended afterwards, and a race in which
 // every backend timed out reports StatusTimedOut even when the caller's
 // context carried no deadline of its own. Skipped members claim
-// nothing: a staggered race's verdict rests on the members that ran.
+// nothing: the verdict rests on the members that ran.
 func aggregateStatus(ctx context.Context, race []RaceEntry) Status {
 	hasExhausted, hasTimedOut := false, false
 	for _, e := range race {

@@ -72,20 +72,6 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Replace swaps the backend registered under b.Name() for b. Replacing
-// a name that was never registered is a programming error and panics —
-// Replace reconfigures an existing slot (the serving layer swapping the
-// plain portfolio for a tuned one), it never sneaks in a new backend.
-func (r *Registry) Replace(b Backend) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	name := b.Name()
-	if _, ok := r.backends[name]; !ok {
-		panic(fmt.Sprintf("backend: Replace of unregistered %q", name))
-	}
-	r.backends[name] = b
-}
-
 // Synthesize resolves name and runs it through Run, so every result a
 // registry hands out has passed central verification.
 func (r *Registry) Synthesize(ctx context.Context, name string, set *isa.Set, spec Spec) (*Result, error) {
@@ -102,48 +88,45 @@ var (
 )
 
 // Default returns the shared registry with all seven synthesizers in
-// their paper-best configurations, plus a "portfolio" backend racing
-// the three engines that cover the practical spectrum (enum for
-// optimality, smt for fixed-length completeness, stoke for stochastic
-// luck). The instances are stateless per call, so sharing is safe.
+// their paper-best configurations, plus a "portfolio" backend over the
+// three engines that cover the practical spectrum, in launch order:
+// enum for optimality (certifying its refutations), smt for
+// fixed-length completeness, stoke for stochastic luck. The instances
+// are stateless per call, so sharing is safe.
 func Default() *Registry {
 	defaultOnce.Do(func() {
-		defaultReg = NewDefault()
+		r := NewRegistry()
+		r.Register(NewEnum(enum.ConfigBest()))
+		r.Register(NewSMT(smt.Options{
+			Goal:        smt.GoalAscCounts0,
+			Encoding:    smt.EncodingDense,
+			Incremental: true,
+		}, true))
+		r.Register(NewCP(cp.Options{
+			Goal:             cp.GoalAscCounts0,
+			NoConsecutiveCmp: true,
+			CmpSymmetry:      true,
+			NoSelfOps:        true,
+		}))
+		r.Register(NewILP(ilp.Options{MaxNodes: 5_000_000}))
+		r.Register(NewStoke(stoke.Options{}))
+		r.Register(NewMCTS(mcts.Options{}))
+		// Plan-Parallel GBFS + h_add (the LAMA-analogue row): the
+		// serialized Plan-Seq heuristic stalls beyond n=2 here.
+		r.Register(NewPlan(plan.Options{
+			Algorithm: plan.GBFS,
+			Heuristic: plan.HAdd,
+			MaxNodes:  2_000_000,
+		}))
+		// The portfolio's enum certifies an empty-handed search, so a
+		// budget below the optimum ends the race with a sound
+		// refutation instead of waiting out smt. The cap covers every
+		// n ≤ 3 budget (cmov n=3 at length 10 takes 131,694 states)
+		// and bounds the extra work everywhere else.
+		smtB, _ := r.Get("smt")
+		stokeB, _ := r.Get("stoke")
+		r.Register(NewPortfolio(&Enum{Opt: enum.ConfigBest(), ProofBudget: 1 << 18}, smtB, stokeB))
+		defaultReg = r
 	})
 	return defaultReg
-}
-
-// NewDefault builds a fresh registry with the same lineup as Default.
-// Callers that reconfigure a slot (Replace) must use this, never
-// Default: the shared registry is process-global and mutating it would
-// change every other caller's dispatch behind their back.
-func NewDefault() *Registry {
-	r := NewRegistry()
-	r.Register(NewEnum(enum.ConfigBest()))
-	r.Register(NewSMT(smt.Options{
-		Goal:        smt.GoalAscCounts0,
-		Encoding:    smt.EncodingDense,
-		Incremental: true,
-	}, true))
-	r.Register(NewCP(cp.Options{
-		Goal:             cp.GoalAscCounts0,
-		NoConsecutiveCmp: true,
-		CmpSymmetry:      true,
-		NoSelfOps:        true,
-	}))
-	r.Register(NewILP(ilp.Options{MaxNodes: 5_000_000}))
-	r.Register(NewStoke(stoke.Options{}))
-	r.Register(NewMCTS(mcts.Options{}))
-	// Plan-Parallel GBFS + h_add (the LAMA-analogue row): the
-	// serialized Plan-Seq heuristic stalls beyond n=2 here.
-	r.Register(NewPlan(plan.Options{
-		Algorithm: plan.GBFS,
-		Heuristic: plan.HAdd,
-		MaxNodes:  2_000_000,
-	}))
-	enumB, _ := r.Get("enum")
-	smtB, _ := r.Get("smt")
-	stokeB, _ := r.Get("stoke")
-	r.Register(NewPortfolio(enumB, smtB, stokeB))
-	return r
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // fakeClock is a manually advanced Clock: timers fire only when the
-// test calls Advance past their deadline, so staggered dispatch replays
+// test calls Advance past their deadline, so the portfolio replays
 // the exact same launch schedule on every run, under -race, regardless
 // of machine load.
 type fakeClock struct {
@@ -72,14 +72,6 @@ func (t *fakeTimer) Stop() bool {
 	t.fired = true
 	return stopped
 }
-
-// fixedScheduler returns the same schedule for every spec.
-type fixedScheduler struct {
-	sched Schedule
-	ok    bool
-}
-
-func (s fixedScheduler) Plan(*isa.Set, Spec) (Schedule, bool) { return s.sched, s.ok }
 
 // launchEvent records one scripted backend starting work, stamped with
 // the fake clock's time at entry.
@@ -144,10 +136,10 @@ func (r *scriptedRig) expectLaunch(t *testing.T, name string, at time.Duration) 
 	}
 }
 
-// TestStaggeredDispatchOrder drives the schedule [c, a, b] with stagger
-// S on the fake clock: the first pick launches alone at t=0, each
-// fallback launches exactly at its slot, and the last one's verified
-// win cancels the still-running earlier members.
+// TestStaggeredDispatchOrder drives the portfolio [c, a, b] on the fake
+// clock: the first member launches alone at t=0, each fallback launches
+// exactly at its fallbackStagger slot in constructor order, and the
+// last one's verified win cancels the still-running earlier members.
 func TestStaggeredDispatchOrder(t *testing.T) {
 	set := isa.NewCmov(2, 1)
 	good := correctKernel(t, set)
@@ -155,10 +147,8 @@ func TestStaggeredDispatchOrder(t *testing.T) {
 	rig := newScriptedRig(clock, 3)
 	a, b, c := rig.waiter("a"), rig.waiter("b"), rig.waiter("c")
 
-	const S = 10 * time.Millisecond
-	pf := NewPortfolio(a, b, c).
-		WithScheduler(fixedScheduler{sched: Schedule{Order: []int{2, 0, 1}, Stagger: S}, ok: true}).
-		withClock(clock)
+	const S = fallbackStagger
+	pf := NewPortfolio(c, a, b).withClock(clock)
 
 	type syn struct {
 		res *Result
@@ -185,13 +175,13 @@ func TestStaggeredDispatchOrder(t *testing.T) {
 	if res.Status != StatusFound || res.Winner != "b" {
 		t.Fatalf("status %v winner %q, want found by b", res.Status, res.Winner)
 	}
-	for _, idx := range []int{0, 2} { // a and c were cancelled mid-run
+	for _, idx := range []int{0, 1} { // c and a were cancelled mid-run
 		if res.Race[idx].Status != StatusCancelled {
 			t.Fatalf("race[%d] = %+v, want cancelled", idx, res.Race[idx])
 		}
 	}
 	if res.Sched == nil {
-		t.Fatal("staggered result carries no SchedStats")
+		t.Fatal("portfolio result carries no SchedStats")
 	}
 	want := SchedStats{FallbackStarts: 2, FallbackWin: true}
 	if *res.Sched != want {
@@ -200,7 +190,7 @@ func TestStaggeredDispatchOrder(t *testing.T) {
 }
 
 // TestStaggeredFirstPickWinParksFallbacks proves the payoff case: the
-// predicted-best member wins before any stagger slot elapses, so no
+// first member wins before any stagger slot elapses, so no
 // fallback ever launches — their entries read skipped and the saved
 // launches are counted. The fake clock never advances, so a fallback
 // launching at all would be a scheduling bug, not a timing accident.
@@ -209,13 +199,10 @@ func TestStaggeredFirstPickWinParksFallbacks(t *testing.T) {
 	good := correctKernel(t, set)
 	clock := newFakeClock()
 	rig := newScriptedRig(clock, 4)
-	a, b, c := rig.waiter("a"), rig.waiter("b"), rig.waiter("c")
-	d := rig.waiter("d") // never in the schedule at all
+	a, b, c, d := rig.waiter("a"), rig.waiter("b"), rig.waiter("c"), rig.waiter("d")
 	rig.wins["a"] <- good
 
-	pf := NewPortfolio(a, b, c, d).
-		WithScheduler(fixedScheduler{sched: Schedule{Order: []int{0, 1, 2}, Stagger: time.Second}, ok: true}).
-		withClock(clock)
+	pf := NewPortfolio(a, b, c, d).withClock(clock)
 
 	res, err := Run(context.Background(), pf, set, Spec{MaxLen: 4})
 	if err != nil {
@@ -251,10 +238,10 @@ type fakeDeadlineCtx struct {
 
 func (c fakeDeadlineCtx) Deadline() (time.Time, bool) { return c.dl, true }
 
-// TestStaggeredDeadlinePressure gives the race a budget T with a
-// stagger so long the fallbacks would otherwise launch after the
-// deadline. Pressure clamps every slot to T/2: both fallbacks launch
-// together the moment half the budget is gone.
+// TestStaggeredDeadlinePressure gives the race a budget T of one
+// stagger, so both fallback slots (T and 2T) lie past T/2. Pressure
+// clamps every slot to T/2: both fallbacks launch together the moment
+// half the budget is gone.
 func TestStaggeredDeadlinePressure(t *testing.T) {
 	set := isa.NewCmov(2, 1)
 	good := correctKernel(t, set)
@@ -262,11 +249,9 @@ func TestStaggeredDeadlinePressure(t *testing.T) {
 	rig := newScriptedRig(clock, 3)
 	a, b, c := rig.waiter("a"), rig.waiter("b"), rig.waiter("c")
 
-	const T = 8 * time.Second
+	const T = fallbackStagger
 	ctx := fakeDeadlineCtx{Context: context.Background(), dl: clock.Now().Add(T)}
-	pf := NewPortfolio(a, b, c).
-		WithScheduler(fixedScheduler{sched: Schedule{Order: []int{0, 1, 2}, Stagger: 10 * T}, ok: true}).
-		withClock(clock)
+	pf := NewPortfolio(a, b, c).withClock(clock)
 
 	done := make(chan *Result, 1)
 	go func() {
@@ -317,9 +302,7 @@ func TestStaggeredDeadFieldLaunchesImmediately(t *testing.T) {
 	a := rig.failer("a", StatusExhausted)
 	b := rig.waiter("b")
 
-	pf := NewPortfolio(a, b).
-		WithScheduler(fixedScheduler{sched: Schedule{Order: []int{0, 1}, Stagger: time.Hour}, ok: true}).
-		withClock(clock)
+	pf := NewPortfolio(a, b).withClock(clock)
 
 	done := make(chan *Result, 1)
 	go func() {
@@ -356,9 +339,7 @@ func TestStaggeredCancelSkipsPendingAndDoesNotLeak(t *testing.T) {
 	rig := newScriptedRig(clock, 3)
 	a, b, c := rig.waiter("a"), rig.waiter("b"), rig.waiter("c")
 
-	pf := NewPortfolio(a, b, c).
-		WithScheduler(fixedScheduler{sched: Schedule{Order: []int{0, 1, 2}, Stagger: time.Hour}, ok: true}).
-		withClock(clock)
+	pf := NewPortfolio(a, b, c).withClock(clock)
 
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -402,66 +383,98 @@ func TestStaggeredCancelSkipsPendingAndDoesNotLeak(t *testing.T) {
 	}
 }
 
-// TestStaggeredInvalidPlanDegradesToRace: schedules naming duplicate or
-// out-of-range members must not panic or double-launch — the portfolio
-// falls back to racing everything, immediately.
-func TestStaggeredInvalidPlanDegradesToRace(t *testing.T) {
+// TestStaggeredRefutationFirstEndsRace: the first member soundly
+// refutes the budget before any slot elapses. The refutation is the
+// final verdict, so the race ends at once and the fallbacks stay
+// parked — the clock never advances, so a launch would be a dispatch
+// bug, and the dead-field rule must not fire.
+func TestStaggeredRefutationFirstEndsRace(t *testing.T) {
 	set := isa.NewCmov(2, 1)
-	good := correctKernel(t, set)
-	for _, tc := range []struct {
-		name  string
-		order []int
-	}{
-		{"duplicate", []int{0, 0}},
-		{"out-of-range", []int{0, 5}},
-		{"negative", []int{-1, 1}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			clock := newFakeClock()
-			rig := newScriptedRig(clock, 2)
-			a, b := rig.waiter("a"), rig.waiter("b")
-			rig.wins["a"] <- good
-			pf := NewPortfolio(a, b).
-				WithScheduler(fixedScheduler{sched: Schedule{Order: tc.order, Stagger: time.Hour}, ok: true}).
-				withClock(clock)
-			res, err := Run(context.Background(), pf, set, Spec{MaxLen: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Status != StatusFound || res.Winner != "a" {
-				t.Fatalf("result %+v, want found by a", res)
-			}
-			// Plain race: both members launched despite the frozen clock.
-			seen := map[string]bool{}
-			for i := 0; i < 2; i++ {
-				select {
-				case ev := <-rig.launches:
-					seen[ev.name] = true
-				case <-time.After(5 * time.Second):
-					t.Fatal("degraded race did not launch every member")
-				}
-			}
-			if !seen["a"] || !seen["b"] {
-				t.Fatalf("launches = %v, want both members", seen)
-			}
-			if res.Sched != nil {
-				t.Fatalf("degraded race reports SchedStats %+v, want none", *res.Sched)
-			}
-		})
+	clock := newFakeClock()
+	rig := newScriptedRig(clock, 3)
+	a := rig.failer("a", StatusNoProgram)
+	b, c := rig.waiter("b"), rig.waiter("c")
+
+	res, err := Run(context.Background(), NewPortfolio(a, b, c).withClock(clock), set, Spec{MaxLen: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusNoProgram {
+		t.Fatalf("status = %v, want %v", res.Status, StatusNoProgram)
+	}
+	rig.expectLaunch(t, "a", 0)
+	select {
+	case ev := <-rig.launches:
+		t.Fatalf("fallback %s launched after a sound refutation", ev.name)
+	default:
+	}
+	for _, idx := range []int{1, 2} {
+		if res.Race[idx].Status != StatusSkipped {
+			t.Fatalf("race[%d] = %+v, want skipped", idx, res.Race[idx])
+		}
+	}
+	want := SchedStats{SavedLaunches: 2}
+	if *res.Sched != want {
+		t.Fatalf("sched = %+v, want %+v", *res.Sched, want)
+	}
+}
+
+// TestStaggeredRefutationSecondEndsRace: the first member is still
+// searching when the second, launched at its slot, soundly refutes the
+// budget. The refutation cancels the running first member and parks
+// the third.
+func TestStaggeredRefutationSecondEndsRace(t *testing.T) {
+	set := isa.NewCmov(2, 1)
+	clock := newFakeClock()
+	rig := newScriptedRig(clock, 3)
+	a := rig.waiter("a")
+	b := rig.failer("b", StatusNoProgram)
+	c := rig.waiter("c")
+
+	done := make(chan *Result, 1)
+	go func() {
+		res, err := Run(context.Background(), NewPortfolio(a, b, c).withClock(clock), set, Spec{MaxLen: 3})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+
+	rig.expectLaunch(t, "a", 0)
+	clock.Advance(fallbackStagger)
+	rig.expectLaunch(t, "b", fallbackStagger)
+	var res *Result
+	select {
+	case res = <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("race still running 5s after a sound refutation")
+	}
+	if res == nil || res.Status != StatusNoProgram {
+		t.Fatalf("result %+v, want no-program", res)
+	}
+	if res.Race[0].Status != StatusCancelled {
+		t.Fatalf("race[0] = %+v, want cancelled", res.Race[0])
+	}
+	if res.Race[2].Status != StatusSkipped {
+		t.Fatalf("race[2] = %+v, want skipped", res.Race[2])
+	}
+	want := SchedStats{FallbackStarts: 1, SavedLaunches: 1}
+	if *res.Sched != want {
+		t.Fatalf("sched = %+v, want %+v", *res.Sched, want)
 	}
 }
 
 // TestPortfolioSeedPinning is the seed-normalization regression test:
 // each member's seed is a pure function of (spec.Seed, member name), so
-// a staggered run and a racing run of the same spec hand every member
-// the identical seed — and therefore return identical winners — no
-// matter the dispatch order or timing.
+// the same members listed in either launch order receive identical
+// seeds — and therefore return identical winners — no matter their
+// position or the race's timing.
 func TestPortfolioSeedPinning(t *testing.T) {
 	set := isa.NewCmov(2, 1)
 	good := correctKernel(t, set)
 	const base = 42
 
-	runMode := func(t *testing.T, staggered bool) (map[string]int64, string) {
+	runOrder := func(t *testing.T, randFirst bool) (map[string]int64, string) {
 		var mu sync.Mutex
 		seeds := map[string]int64{}
 		record := func(name string, spec Spec) {
@@ -469,25 +482,24 @@ func TestPortfolioSeedPinning(t *testing.T) {
 			defer mu.Unlock()
 			seeds[name] = spec.Seed
 		}
-		// b fails instantly (recording its seed); a then wins. Under
-		// staggered dispatch b is ranked first, so the dead-field rule
-		// launches a with no clock advance; the plain race launches both
-		// at once. Either way both members observe their seeds.
-		a := &fakeBackend{name: "det", fn: func(ctx context.Context, _ *isa.Set, spec Spec) (*Result, error) {
+		// rand fails instantly (recording its seed); det wins. Launched
+		// first, rand's failure leaves a dead field, so det launches with
+		// no clock advance; launched second, rand's slot comes only
+		// after det has already won. Every member that launches
+		// observes its seed.
+		det := &fakeBackend{name: "det", fn: func(ctx context.Context, _ *isa.Set, spec Spec) (*Result, error) {
 			record("det", spec)
 			return &Result{Backend: "det", Status: StatusFound, Program: good, Length: len(good)}, nil
 		}}
-		b := &fakeBackend{name: "rand", fn: func(ctx context.Context, _ *isa.Set, spec Spec) (*Result, error) {
+		rnd := &fakeBackend{name: "rand", fn: func(ctx context.Context, _ *isa.Set, spec Spec) (*Result, error) {
 			record("rand", spec)
 			return &Result{Backend: "rand", Status: StatusExhausted}, nil
 		}}
-		pf := NewPortfolio(a, b)
-		if staggered {
-			pf = pf.WithScheduler(fixedScheduler{
-				sched: Schedule{Order: []int{1, 0}, Stagger: time.Hour}, ok: true,
-			}).withClock(newFakeClock())
+		pf := NewPortfolio(det, rnd)
+		if randFirst {
+			pf = NewPortfolio(rnd, det)
 		}
-		res, err := Run(context.Background(), pf, set, Spec{MaxLen: 4, Seed: base})
+		res, err := Run(context.Background(), pf.withClock(newFakeClock()), set, Spec{MaxLen: 4, Seed: base})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -497,20 +509,20 @@ func TestPortfolioSeedPinning(t *testing.T) {
 		return seeds, res.Winner
 	}
 
-	raceSeeds, raceWinner := runMode(t, false)
-	stagSeeds, stagWinner := runMode(t, true)
+	detFirst, detFirstWinner := runOrder(t, false)
+	randFirst, randFirstWinner := runOrder(t, true)
 
-	if raceWinner != stagWinner {
-		t.Fatalf("winner diverged: race %q vs staggered %q", raceWinner, stagWinner)
+	if detFirstWinner != randFirstWinner {
+		t.Fatalf("winner diverged: %q with det first vs %q with rand first", detFirstWinner, randFirstWinner)
 	}
-	for _, name := range []string{"det", "rand"} {
-		want := memberSeed(base, name)
-		if raceSeeds[name] != want || stagSeeds[name] != want {
-			t.Fatalf("seed for %s: race %d staggered %d, want pinned %d",
-				name, raceSeeds[name], stagSeeds[name], want)
-		}
+	if want := memberSeed(base, "det"); detFirst["det"] != want || randFirst["det"] != want {
+		t.Fatalf("seed for det: %d (det first) %d (rand first), want pinned %d",
+			detFirst["det"], randFirst["det"], want)
 	}
-	if raceSeeds["det"] == raceSeeds["rand"] {
+	if want := memberSeed(base, "rand"); randFirst["rand"] != want {
+		t.Fatalf("seed for rand: %d, want pinned %d", randFirst["rand"], want)
+	}
+	if randFirst["det"] == randFirst["rand"] {
 		t.Fatal("members share one seed stream; per-member derivation lost")
 	}
 }

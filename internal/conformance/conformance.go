@@ -128,7 +128,7 @@ func (o Options) resolved() Options {
 // IncorrectError "divergences" that are really just an unsupported
 // capability.
 var dupCapable = map[string]bool{
-	"enum": true, "smt": true, "portfolio": true, staggeredName: true, "universe": true,
+	"enum": true, "smt": true, "portfolio": true, "universe": true,
 }
 
 // Run executes the conformance harness. The returned Report carries
@@ -138,14 +138,6 @@ var dupCapable = map[string]bool{
 func Run(ctx context.Context, opt Options) (*Report, error) {
 	opt = opt.resolved()
 	start := time.Now()
-
-	// The staggered portfolio rides along as a synthetic judge target
-	// whenever the registry has a portfolio to wrap: tuned dispatch is
-	// differential-tested against the same enum ground truth, plus the
-	// byte-identity cross-check against the plain portfolio.
-	if sb := staggeredExtra(opt.Registry, opt.MaxN, opt.BackendTimeout); sb != nil {
-		opt.Extra = append(opt.Extra, sb)
-	}
 
 	rep := &Report{
 		Seed:     opt.Seed,

@@ -46,6 +46,32 @@ func TestRunCleanOnRealBackends(t *testing.T) {
 	}
 }
 
+// TestPortfolioJudged runs a small conformance roll and checks the
+// portfolio was actually judged: present in the status matrix, clean of
+// divergences, and answering specs through its staggered launches.
+func TestPortfolioJudged(t *testing.T) {
+	opt := smallOptions()
+	opt.BackendTimeout = 2 * time.Second
+	rep, err := Run(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Ok() {
+		t.Fatalf("divergences: %+v", rep.Divergences)
+	}
+	sts, ok := rep.Statuses["portfolio"]
+	if !ok {
+		t.Fatalf("status matrix %v has no portfolio row", rep.Statuses)
+	}
+	total := 0
+	for _, c := range sts {
+		total += c
+	}
+	if total == 0 || sts["found"] == 0 {
+		t.Fatalf("portfolio judged %d specs with %d finds, want > 0 of each (%v)", total, sts["found"], sts)
+	}
+}
+
 func TestSpecStreamDeterministicInSeed(t *testing.T) {
 	opt := smallOptions()
 	truthsA, truthsB := newTruthCache(func(string, ...any) {}), newTruthCache(func(string, ...any) {})
@@ -168,7 +194,7 @@ func TestJudgeBackendRules(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			divs, _, _ := judgeBackend(context.Background(), tc.sp, "scripted", scripted(tc.res))
+			divs, _ := judgeBackend(context.Background(), tc.sp, "scripted", scripted(tc.res))
 			if tc.wantKind == "" {
 				if len(divs) != 0 {
 					t.Fatalf("unexpected divergences: %v", divs)
@@ -224,7 +250,7 @@ func TestObjectiveSpecClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	divs, st, _ := judgeBackend(ctx, sp, "enum", eb)
+	divs, st := judgeBackend(ctx, sp, "enum", eb)
 	if len(divs) != 0 || st != "found" {
 		t.Fatalf("enum on a fastest spec: status %q, divergences %v", st, divs)
 	}
@@ -233,14 +259,14 @@ func TestObjectiveSpecClass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	divs, st, _ = judgeBackend(ctx, sp, "stoke", sb)
+	divs, st = judgeBackend(ctx, sp, "stoke", sb)
 	if len(divs) != 0 || st != "unsupported-objective" {
 		t.Fatalf("stoke on a fastest spec: status %q, divergences %v, want a clean unsupported-objective", st, divs)
 	}
 
 	// The same refusal on a shortest spec would be a genuine backend bug.
 	sp.obj = enum.ObjectiveShortest
-	if divs, _, _ = judgeBackend(ctx, sp, "stoke", sb); len(divs) != 0 {
+	if divs, _ = judgeBackend(ctx, sp, "stoke", sb); len(divs) != 0 {
 		t.Fatalf("stoke on a shortest spec diverged: %v", divs)
 	}
 }

@@ -39,32 +39,25 @@ func judgeSpec(ctx context.Context, opt Options, sp spec) ([]Divergence, map[str
 		wg       sync.WaitGroup
 		divs     []Divergence
 		statuses = make(map[string]string, len(targets))
-		results  = make(map[string]*backend.Result, len(targets))
 	)
 	for _, tg := range targets {
 		wg.Add(1)
 		go func(tg target) {
 			defer wg.Done()
-			ds, st, res := judgeBackend(ctx, sp, tg.name, tg.b)
+			ds, st := judgeBackend(ctx, sp, tg.name, tg.b)
 			mu.Lock()
 			divs = append(divs, ds...)
 			statuses[tg.name] = st
-			results[tg.name] = res
 			mu.Unlock()
 		}(tg)
 	}
 	wg.Wait()
-	// Tuned dispatch must reorder engines, never answers: when the same
-	// member won both portfolio modes, the programs must match.
-	divs = append(divs, crossCheckStaggered(sp, results["portfolio"], results[staggeredName])...)
 	return divs, statuses
 }
 
 // judgeBackend runs one backend on one spec under the spec's deadline
-// and applies the divergence rules documented on the package. The third
-// return is the backend's raw result (nil on error) for cross-mode
-// checks like crossCheckStaggered.
-func judgeBackend(ctx context.Context, sp spec, name string, b backend.Backend) ([]Divergence, string, *backend.Result) {
+// and applies the divergence rules documented on the package.
+func judgeBackend(ctx context.Context, sp spec, name string, b backend.Backend) ([]Divergence, string) {
 	set := sp.set()
 	bspec := backend.Spec{MaxLen: sp.budget, Seed: sp.seed, DuplicateSafe: sp.dup, Objective: sp.obj}
 	tctx, cancel := context.WithTimeout(ctx, sp.timeout)
@@ -85,7 +78,7 @@ func judgeBackend(ctx context.Context, sp spec, name string, b backend.Backend) 
 		var incorrect *backend.IncorrectError
 		if errors.As(err, &incorrect) {
 			return []Divergence{div("incorrect-program",
-				"claimed a kernel that fails central verification: %v", err)}, "error", nil
+				"claimed a kernel that fails central verification: %v", err)}, "error"
 		}
 		// Objectives are a distinct spec class: single-solution backends
 		// have no solution set to rank, and their typed refusal is the
@@ -93,9 +86,9 @@ func judgeBackend(ctx context.Context, sp spec, name string, b backend.Backend) 
 		// The same error on a shortest spec would be a real backend bug.
 		var unsup *backend.UnsupportedObjectiveError
 		if errors.As(err, &unsup) && sp.obj != enum.ObjectiveShortest {
-			return nil, "unsupported-objective", nil
+			return nil, "unsupported-objective"
 		}
-		return []Divergence{div("backend-error", "%v", err)}, "error", nil
+		return []Divergence{div("backend-error", "%v", err)}, "error"
 	}
 
 	st := res.Status.String()
@@ -105,7 +98,7 @@ func judgeBackend(ctx context.Context, sp spec, name string, b backend.Backend) 
 		if len(res.Program) == 0 || res.Length != len(res.Program) {
 			ds = append(ds, div("malformed-result",
 				"found with %d instructions but Length=%d", len(res.Program), res.Length))
-			return ds, st, res
+			return ds, st
 		}
 		// Independent re-verification: central verification already ran
 		// inside backend.Run, so a failure here means the verifiers
@@ -133,7 +126,7 @@ func judgeBackend(ctx context.Context, sp spec, name string, b backend.Backend) 
 			ds = append(ds, div("false-optimality-claim",
 				"claims optimality at length %d, certified optimum is %d", res.Length, sp.opt))
 		}
-		return ds, st, res
+		return ds, st
 
 	case backend.StatusNoProgram:
 		// Sound only if the optimum really is out of budget. The padding
@@ -142,14 +135,14 @@ func judgeBackend(ctx context.Context, sp spec, name string, b backend.Backend) 
 		// of the optimal length extends to every longer length.
 		if sp.opt <= sp.budget {
 			return []Divergence{div("unsound-refutation",
-				"refuted budget %d but a length-%d kernel exists", sp.budget, sp.opt)}, st, res
+				"refuted budget %d but a length-%d kernel exists", sp.budget, sp.opt)}, st
 		}
-		return nil, st, res
+		return nil, st
 
 	case backend.StatusExhausted, backend.StatusTimedOut, backend.StatusCancelled:
-		return nil, st, res // no claim
+		return nil, st // no claim
 
 	default:
-		return []Divergence{div("unexpected-status", "status %v from a direct Run", res.Status)}, st, res
+		return []Divergence{div("unexpected-status", "status %v from a direct Run", res.Status)}, st
 	}
 }

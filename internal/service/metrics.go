@@ -81,13 +81,11 @@ type metrics struct {
 	// universe.Stats and are merged into the /metrics payload).
 	universeNegatives atomic.Int64
 
-	// Staggered-portfolio scheduler outcomes (see backend.SchedStats);
-	// tunedLoadErrors counts dispatch tables rejected at mount time.
+	// Portfolio dispatch outcomes (see backend.SchedStats).
 	firstPickWins          atomic.Int64
 	fallbackStarts         atomic.Int64
 	fallbacksWon           atomic.Int64
 	staggeredSavedLaunches atomic.Int64
-	tunedLoadErrors        atomic.Int64
 
 	searchesStarted   atomic.Int64
 	searchesCompleted atomic.Int64

@@ -67,16 +67,6 @@ type Config struct {
 	// serves, so it is a server flag, not a request field. It
 	// participates in non-shortest cache keys.
 	UarchProfile string
-	// TunedPath mounts an autotuned dispatch table (results/tuned.json,
-	// written by `experiments -table=autotune`) that turns the portfolio
-	// backend's race-everything dispatch into staggered dispatch:
-	// predicted-best engine first, fallbacks only after a tuned delay.
-	// It is cache-key-excluded by design — the table changes which
-	// engine answers first, never which kernel is correct, so tuned and
-	// untuned replicas share one cache. A missing or corrupt table
-	// degrades to the plain racing portfolio with a logged-once
-	// warning and a counted load error ("" = no table).
-	TunedPath string
 }
 
 // Server is the sortsynthd HTTP handler. Create it with New, serve it
@@ -90,7 +80,6 @@ type Server struct {
 	sem        chan struct{} // bounded search worker pool
 	metrics    *metrics
 	registry   *backend.Registry
-	tuned      *tunedState // staggered-dispatch table; nil when not mounted
 	mux        *http.ServeMux
 	baseCancel context.CancelFunc
 }
@@ -155,9 +144,6 @@ func New(cfg Config) (*Server, error) {
 	s.metrics = newMetrics(patterns)
 	for p, h := range routes {
 		s.mux.HandleFunc(p, s.metrics.instrument(p, h))
-	}
-	if cfg.TunedPath != "" {
-		s.mountTuned(cfg.TunedPath)
 	}
 	return s, nil
 }
