@@ -76,11 +76,13 @@ fuzz-smoke:
 # sortgen-check is the generated-library gate: emit sorters for
 # n = 6, 13, 32 into a throwaway module, go vet + go build them, run the
 # compiled differential harness against slices.Sort over five input
-# distributions, and re-run the in-process plan differential and every
-# hybrid test (differential, directed pattern, exhaustive small-n).
+# distributions, check that the committed zleaves.go matches a fresh
+# `genkernels -leaves`, and re-run the in-process plan differential and
+# every hybrid test (differential, directed pattern, exhaustive small-n,
+# 0-1 leaf certification).
 .PHONY: sortgen-check
 sortgen-check:
-	$(GO) test -count=1 -run '^TestEmittedModule$$|^TestPlanDifferential$$|^TestHybrid' ./internal/sortgen
+	$(GO) test -count=1 -run '^TestEmittedModule$$|^TestPlanDifferential$$|^TestLeavesSourceMatchesZleaves$$|^TestHybrid' ./internal/sortgen
 
 .PHONY: fuzz
 fuzz: FUZZTIME = 5m

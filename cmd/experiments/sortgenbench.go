@@ -216,7 +216,7 @@ func init() {
 			rep.HybridVsSlicesSort500kRandomRatio = ratio
 			rep.HybridBeatsSlicesSort500kRandom = ratio < 1
 		}
-		c.printf("\nhybrid (synthesized ≤5 base cases) vs slices.Sort at 500k random: %.2fx wall clock (beats: %v)\n",
+		c.printf("\nhybrid (≤16 kernel and composed base cases) vs slices.Sort at 500k random: %.2fx wall clock (beats: %v)\n",
 			rep.HybridVsSlicesSort500kRandomRatio, rep.HybridBeatsSlicesSort500kRandom)
 		if !rep.HybridBeatsSlicesSort500kRandom {
 			return fmt.Errorf("hybrid sorter did not beat slices.Sort on 500k random ints (ratio %.2f)",

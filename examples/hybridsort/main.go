@@ -1,10 +1,10 @@
 // Hybridsort: sort with the generated library of internal/sortgen —
-// synthesized kernels as the ≤ 5-element base cases of a
-// pattern-defeating quicksort, plus fully branchless composed sorters
-// for fixed small lengths — and check every result byte-for-byte
-// against slices.Sort. This is the deployment scenario that motivates
-// sorting-kernel synthesis (paper §1, §5.3): the kernels matter because
-// they sit inside real sorts.
+// synthesized kernels and the composed sorters built from them as the
+// ≤ 16-element base cases of a pattern-defeating quicksort, plus fully
+// branchless composed sorters for fixed small lengths — and check every
+// result byte-for-byte against slices.Sort. This is the deployment
+// scenario that motivates sorting-kernel synthesis (paper §1, §5.3):
+// the kernels matter because they sit inside real sorts.
 //
 //	go run ./examples/hybridsort
 package main
@@ -50,7 +50,7 @@ func main() {
 	timeIt("sort.Slice (stdlib, func compare)", func(a []int) {
 		sort.Slice(a, func(i, j int) bool { return a[i] < a[j] })
 	})
-	timeIt("sortgen.HybridSort (kernel base cases)", sortgen.HybridSort)
+	timeIt("sortgen.HybridSort (kernel and composed base cases)", sortgen.HybridSort)
 
 	// Fixed-n: compose a fully branchless sorter (kernel blocks + merge
 	// networks) and run it over many small arrays — the shape generated

@@ -1,6 +1,7 @@
 package sortgen
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"go/format"
@@ -34,6 +35,25 @@ func TestGoldenSort6(t *testing.T) {
 	}
 	if src != string(want) {
 		t.Errorf("emitted source for n=6 drifted from %s (run with -update if intentional):\n%s", golden, src)
+	}
+}
+
+// TestLeavesSourceMatchesZleaves is the regeneration gate for
+// HybridSort's compiled leaves: the committed zleaves.go must be
+// byte-identical to LeavesSource, so a change to a frozen kernel or to
+// the merge construction fails until `go run ./cmd/genkernels -leaves`
+// is rerun.
+func TestLeavesSourceMatchesZleaves(t *testing.T) {
+	src, err := LeavesSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed, err := os.ReadFile("zleaves.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(src, committed) {
+		t.Fatal("zleaves.go is stale: regenerate it with `go run ./cmd/genkernels -leaves`")
 	}
 }
 

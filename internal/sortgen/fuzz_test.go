@@ -29,11 +29,20 @@ func FuzzSortgenVsSlicesSort(f *testing.F) {
 		vals[i] = uint16(i / 2)
 	}
 	vals[3], vals[90] = vals[90], vals[3]
-	var seed []byte
-	for _, v := range vals {
-		seed = binary.BigEndian.AppendUint16(seed, v)
+	f.Add(encodeFuzzValues(vals))
+	// Lengths on both sides of the leaf cutoff (16 is the longest leaf,
+	// 17 the shortest partitioned range, 33 splits into leaves of both
+	// kinds), each with distinct values and with ties.
+	for _, n := range []int{maxLeafN, maxLeafN + 1, 2*maxLeafN + 1} {
+		distinct := make([]uint16, n)
+		ties := make([]uint16, n)
+		for i := range distinct {
+			distinct[i] = uint16((i * 7919) % 1009)
+			ties[i] = uint16((i * 5) % 4)
+		}
+		f.Add(encodeFuzzValues(distinct))
+		f.Add(encodeFuzzValues(ties))
 	}
-	f.Add(seed)
 	// Compose is deterministic in n, so each length's plan is composed
 	// once per process; the fuzzing engine calls the target serially.
 	var sorters [maxFuzzPlan + 1]func([]int)
@@ -68,4 +77,14 @@ func FuzzSortgenVsSlicesSort(f *testing.F) {
 			t.Fatalf("plan(%d).Sorter()(%v) = %v, want %v", len(in), in, got, want)
 		}
 	})
+}
+
+// encodeFuzzValues renders vals as the big-endian 16-bit input the
+// fuzz target decodes.
+func encodeFuzzValues(vals []uint16) []byte {
+	var b []byte
+	for _, v := range vals {
+		b = binary.BigEndian.AppendUint16(b, v)
+	}
+	return b
 }

@@ -11,8 +11,9 @@ package sortgen
 //
 // It departs from that port in three places: the partitions are
 // branchless Lomuto loops instead of Hoare, the sortedness hint
-// tolerates ties, and every segment of ≤ MaxKernelN elements is
-// finished by a synthesized kernel instead of insertion sort.
+// tolerates ties, and every segment of ≤ maxLeafN elements is
+// finished by a compiled straight-line sorter instead of insertion
+// sort.
 
 import "math/bits"
 
@@ -20,23 +21,35 @@ import "math/bits"
 // quicksort (ninther pivot, equal-key partitioning, a partial insertion
 // sort on likely-sorted ranges, pattern breaking after unbalanced
 // partitions, and a heapsort rescue that bounds the worst case at
-// O(n log n)) that hands every segment of ≤ 5 elements to the
-// synthesized kernel of exactly that length — the Gamal Aly et al.
-// hybrid with the AlphaDev-style base cases replaced by this
-// repository's synthesized kernels.
+// O(n log n)) that hands every segment of ≤ 16 elements to a
+// straight-line sorter of exactly that length: the synthesized kernel
+// for 3..5, and the composed sorter Compose(n) emits for 6..16 — the
+// Gamal Aly et al. hybrid with the AlphaDev-style base cases replaced
+// by this repository's synthesized kernels.
 func HybridSort(a []int) {
-	if len(a) <= MaxKernelN {
+	if len(a) <= maxLeafN {
 		leafKernels[len(a)](a)
 		return
 	}
 	pdqsort(a, 0, len(a), bits.Len(uint(len(a))))
 }
 
-// leafKernels finishes a segment of length n ≤ MaxKernelN with
+// maxLeafN is the longest segment a leaf sorter finishes; longer ones
+// are partitioned. Past 16 the gain on random input flattens
+// (DESIGN.md, "Kernel leaves").
+const maxLeafN = 16
+
+// choosePivot and breakPatterns only see ranges longer than maxLeafN
+// and have no short-range path, so maxLeafN must stay ≥ 8.
+const _ uint = maxLeafN - 8
+
+// leafKernels finishes a segment of length n ≤ maxLeafN with
 // leafKernels[n]: nothing for 0 and 1, one compare-and-swap for 2, the
 // fastest-objective synthesized kernel (kernels.Lookup("enum", n)) for
-// 3..5. An array, not a map, so a leaf costs one indexed call.
-var leafKernels = func() (ks [MaxKernelN + 1]func([]int)) {
+// 3..MaxKernelN, and the compiled composed sorter of zleaves.go above
+// that. An array, not a map, so a leaf costs one indexed call.
+var leafKernels = func() [maxLeafN + 1]func([]int) {
+	ks := composedLeaves
 	ks[0] = func([]int) {}
 	ks[1] = ks[0]
 	ks[2] = sort2
@@ -63,7 +76,7 @@ func pdqsort(data []int, a, b, limit int) {
 	wasPartitioned := true // the last partition moved nothing
 	for {
 		length := b - a
-		if length <= MaxKernelN {
+		if length <= maxLeafN {
 			leafKernels[length](data[a:b])
 			return
 		}
@@ -214,11 +227,9 @@ func partialInsertionSort(s []int) bool {
 
 // breakPatterns swaps three elements around the middle of s with
 // pseudo-random partners, so a pattern that produced an unbalanced
-// partition is unlikely to produce the next one.
+// partition is unlikely to produce the next one. s holds more than
+// maxLeafN elements.
 func breakPatterns(s []int) {
-	if len(s) < 8 {
-		return
-	}
 	random := xorshift(len(s))
 	modulus := nextPowerOfTwo(len(s))
 	for idx := (len(s)/4)*2 - 1; idx <= (len(s)/4)*2+1; idx++ {
@@ -243,10 +254,10 @@ func nextPowerOfTwo(length int) uint {
 	return 1 << bits.Len(uint(length))
 }
 
-// choosePivot picks a pivot index in data[a:b] and a hint about the
-// range's order: the middle element below 8 elements, the median of
-// three quartile samples below 50, and Tukey's ninther (the median of
-// three medians of adjacent triples) from 50 up.
+// choosePivot picks a pivot index in data[a:b], which holds more than
+// maxLeafN elements, and a hint about the range's order: the median of
+// three quartile samples below 50 elements, and Tukey's ninther (the
+// median of three medians of adjacent triples) from 50 up.
 //
 // The hint ignores ties: increasing when no sampled comparison found a
 // strict descent, decreasing when none found a strict ascent (and at
@@ -261,14 +272,12 @@ func choosePivot(data []int, a, b int) (pivot int, hint sortedHint) {
 		j        = a + l/4*2
 		k        = a + l/4*3
 	)
-	if l >= 8 {
-		if l >= shortestNinther {
-			i = median(data, i-1, i, i+1, &up, &down)
-			j = median(data, j-1, j, j+1, &up, &down)
-			k = median(data, k-1, k, k+1, &up, &down)
-		}
-		j = median(data, i, j, k, &up, &down)
+	if l >= shortestNinther {
+		i = median(data, i-1, i, i+1, &up, &down)
+		j = median(data, j-1, j, j+1, &up, &down)
+		k = median(data, k-1, k, k+1, &up, &down)
 	}
+	j = median(data, i, j, k, &up, &down)
 	switch {
 	case down == 0:
 		return j, increasingHint

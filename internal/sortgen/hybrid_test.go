@@ -1,6 +1,7 @@
 package sortgen
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -9,8 +10,15 @@ import (
 	"sortsynth/internal/kernels"
 )
 
+// TestHybridDifferential covers every length 0..64, both sides of the
+// leaf cutoff and the first partition levels above it, plus larger
+// lists.
 func TestHybridDifferential(t *testing.T) {
-	sizes := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 17, 49, 50, 51, 63, 100, 1024, 20000}
+	var sizes []int
+	for n := 0; n <= 64; n++ {
+		sizes = append(sizes, n)
+	}
+	sizes = append(sizes, 100, 1024, 20000)
 	if err := CheckDynamic(HybridSort, sizes, 8, 11); err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +91,11 @@ func TestHeapsortFallbackDirect(t *testing.T) {
 }
 
 // TestHybridHeapsortRescue enters the loop with no bad-pivot budget
-// left, so every range longer than a kernel leaf goes straight to the
+// left, so every range longer than a leaf goes straight to the
 // heapsort that bounds the worst case.
 func TestHybridHeapsortRescue(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{6, 7, 50, 333, 4096} {
+	for _, n := range []int{maxLeafN + 1, maxLeafN + 2, 50, 333, 4096} {
 		for _, in := range [][]int{medianOf3Killer(n), Distributions()[0].Gen(rng, n)} {
 			want := slices.Clone(in)
 			slices.Sort(want)
@@ -105,7 +113,7 @@ func TestHybridHeapsortRescue(t *testing.T) {
 // range, which defeat a test that needs every sampled comparison to
 // swap, still give the increasing or decreasing hint.
 func TestHybridTieTolerantHint(t *testing.T) {
-	for _, n := range []int{8, 49, 50, 1000, 20000} {
+	for _, n := range []int{maxLeafN + 1, 49, 50, 1000, 20000} {
 		// Every key twice: 0 0 1 1 2 2 ...
 		asc := make([]int, n)
 		for i := range asc {
@@ -122,7 +130,10 @@ func TestHybridTieTolerantHint(t *testing.T) {
 		checkHybrid(t, "descending with ties", desc)
 		checkHybrid(t, "ascending with ties", asc)
 	}
-	if _, hint := choosePivot([]int{0, 0, 5, 0, 9, 0, 1, 0}, 0, 8); hint != unknownHint {
+	// The quartile samples of 17 elements sit at 4, 8 and 12.
+	mixed := make([]int, maxLeafN+1)
+	mixed[4], mixed[8], mixed[12] = 5, 9, 1
+	if _, hint := choosePivot(mixed, 0, len(mixed)); hint != unknownHint {
 		t.Fatalf("mixed sample got hint %d, want unknown", hint)
 	}
 	// Reversed input that steps down by 0..2, the benchmark's shape.
@@ -223,8 +234,8 @@ func TestHybridNearlySorted(t *testing.T) {
 
 // TestHybridSmallExhaustive sorts every weak order (every tuple over
 // {0..m-1} using each value, m ≤ n, which includes every permutation)
-// of every length 0..8: all paths across the kernel-leaf/partition
-// boundary, with every pattern of ties.
+// of every length 0..8: every synthesized-kernel leaf and the three
+// smallest composed leaves, with every pattern of ties.
 func TestHybridSmallExhaustive(t *testing.T) {
 	for n := 0; n <= 8; n++ {
 		count := 0
@@ -279,15 +290,56 @@ func forEachWeakOrder(n int, fn func([]int)) {
 }
 
 // TestHybridLeavesAreSynthesizedKernels pins the leaf dispatch: every
-// segment of 3..5 elements runs the registry's synthesized kernel.
+// segment of 3..5 elements runs the registry's synthesized kernel, and
+// every segment of 6..16 the composed sorter generated into zleaves.go
+// (TestLeavesSourceMatchesZleaves pins that source to Compose).
 func TestHybridLeavesAreSynthesizedKernels(t *testing.T) {
+	same := func(f, g func([]int)) bool {
+		return reflect.ValueOf(f).Pointer() == reflect.ValueOf(g).Pointer()
+	}
 	for n := 3; n <= MaxKernelN; n++ {
 		k, ok := kernels.Lookup("enum", n)
 		if !ok {
 			t.Fatalf("no enum kernel for n=%d", n)
 		}
-		if reflect.ValueOf(leafKernels[n]).Pointer() != reflect.ValueOf(k.Go).Pointer() {
+		if !same(leafKernels[n], k.Go) {
 			t.Fatalf("leafKernels[%d] is not kernels.Lookup(\"enum\", %d)", n, n)
+		}
+	}
+	composed := []func([]int){sort6, sort7, sort8, sort9, sort10, sort11, sort12, sort13, sort14, sort15, sort16}
+	if len(composed) != maxLeafN-MaxKernelN {
+		t.Fatalf("pinned %d composed leaves, want %d", len(composed), maxLeafN-MaxKernelN)
+	}
+	for i, f := range composed {
+		if n := MaxKernelN + 1 + i; !same(leafKernels[n], f) {
+			t.Fatalf("leafKernels[%d] is not the generated sort%d", n, n)
+		}
+	}
+}
+
+// TestHybridComposedLeaves checks each compiled composed leaf on its
+// own: all 2^n 0-1 inputs, which exercise every merge comparator and
+// the kernel blocks on ties, and the differential check over the five
+// distributions.
+func TestHybridComposedLeaves(t *testing.T) {
+	for n := MaxKernelN + 1; n <= maxLeafN; n++ {
+		leaf := leafKernels[n]
+		in := make([]int, n)
+		for bitsIn := 0; bitsIn < 1<<n; bitsIn++ {
+			for i := range in {
+				in[i] = bitsIn >> i & 1
+			}
+			orig := slices.Clone(in)
+			leaf(in)
+			zeros := n - bits.OnesCount(uint(bitsIn))
+			for i, v := range in {
+				if v != b2i(i >= zeros) {
+					t.Fatalf("leaf %d mis-sorts 0-1 input %v: got %v", n, orig, in)
+				}
+			}
+		}
+		if err := CheckFixed(leaf, n, 200, int64(n)); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -8,8 +8,9 @@
 //   - a composer (Compose) that plans a fully branchless sorter for a
 //     fixed small n by covering the array with synthesized-kernel blocks
 //     and gluing the sorted runs with Batcher odd-even merge layers, and
-//     a pattern-defeating quicksort (HybridSort) that uses the kernels as
-//     ≤ 5-element base cases for arbitrary or dynamic n; and
+//     a pattern-defeating quicksort (HybridSort) for arbitrary or
+//     dynamic n whose ≤ 16-element base cases are the kernels and the
+//     composed sorters, compiled into zleaves.go; and
 //   - an emitter (Plan.GoFile) that renders a plan as compilable,
 //     gofmt-clean Go source, next to an in-process interpreter
 //     (Plan.Sorter) for serving a sorter without a codegen round-trip.
