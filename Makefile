@@ -14,21 +14,23 @@ GOFMT ?= gofmt
 # committed BENCH_*.json files are re-measured without -race as
 # throughput regression gates, the objective gate proves the fastest
 # pick never model-costs more than the shortest pick and the loud
-# rejection of pre-v3 kernel stores, and the SWAR gate proves the
-# bit-sliced and scalar execution layers byte-identical across cut modes
-# and test suites.
+# rejection of pre-v3 kernel stores, and the cross-architecture gate
+# vets and tests the packing, table, cache, sortgen and universe
+# packages under GOARCH=386 (including the pinned mini-bake content ID).
 .PHONY: check
-check: build vet fmt-check race smoke conformance bake-check objective-check swar-check fuzz-smoke sortgen-check bench-compare sortgen-compare
+check: build vet fmt-check race smoke conformance bake-check objective-check cross-arch fuzz-smoke sortgen-check bench-compare sortgen-compare
 
-# swar-check is the SWAR execution-layer gate: the bit-sliced and the
-# scalar engines must produce byte-identical program sets, solution
-# counts, and effort counters across a cut × suite matrix (both ISAs,
-# permutation and weak-order suites). This equivalence is
-# what keeps Options.DisableSWAR out of the kernel-cache keys. Exits
-# nonzero on any divergence; writes results/swarcheck.txt.
-.PHONY: swar-check
-swar-check:
-	$(GO) run ./cmd/experiments -table=swarcheck
+# cross-arch is the same-answer-on-every-host gate: vet the whole tree
+# and run the short tests of the packages whose results depend on word
+# size (packing, hashing, distance tables, cache keys, HybridSort, the
+# baked universe) under GOARCH=386, at GOMAXPROCS 1 and 2. 386's 32-bit
+# int exercises the size assumptions, and TestBakeMiniContentID checks
+# that the mini bake hashes to the same content ID as on amd64. An
+# x86-64 Linux kernel runs 386 binaries natively.
+.PHONY: cross-arch
+cross-arch:
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test -short -count=1 -cpu 1,2 ./internal/state ./internal/tables ./internal/kcache ./internal/sortgen ./internal/universe
 
 # objective-check is the ranking-objective gate: the fastest winner's
 # model cost must be ≤ the shortest pick's, objectives must mint distinct v3 cache keys, kernel stores
@@ -68,7 +70,7 @@ fuzz-smoke:
 	$(GO) test -race -run='^$$' -fuzz='^FuzzParseProgram$$' -fuzztime=$(FUZZTIME) ./internal/isa
 	$(GO) test -race -run='^$$' -fuzz='^FuzzCanonicalize$$' -fuzztime=$(FUZZTIME) ./internal/state
 	$(GO) test -race -run='^$$' -fuzz='^FuzzHashKey$$' -fuzztime=$(FUZZTIME) ./internal/state
-	$(GO) test -race -run='^$$' -fuzz='^FuzzSWARvsScalarStep$$' -fuzztime=$(FUZZTIME) ./internal/state
+	$(GO) test -race -run='^$$' -fuzz='^FuzzApplyDistVsStep$$' -fuzztime=$(FUZZTIME) ./internal/state
 	$(GO) test -race -run='^$$' -fuzz='^FuzzFlatTable$$' -fuzztime=$(FUZZTIME) ./internal/enum
 	$(GO) test -race -run='^$$' -fuzz='^FuzzVerifySorts$$' -fuzztime=$(FUZZTIME) ./internal/verify
 	$(GO) test -race -run='^$$' -fuzz='^FuzzSortgenVsSlicesSort$$' -fuzztime=$(FUZZTIME) ./internal/sortgen
@@ -117,8 +119,8 @@ race:
 	$(GO) test -race ./...
 
 # bench runs the kernel microbenchmarks plus the synthesis-throughput
-# benchmark (n=3 and n=4, best configuration, SWAR on and off, plus a
-# portfolio race row), which writes backend-labelled
+# benchmark (n=3 and n=4, best configuration, plus a portfolio race
+# row), which writes backend-labelled
 # measurements to BENCH_enum.json at the repository root, and the
 # shortest-vs-fastest objective latency rows, which land in the same
 # file (each table preserves the other's half on rewrite).

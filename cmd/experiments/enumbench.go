@@ -53,7 +53,7 @@ func writeBenchReport(rep enumBenchReport) error {
 }
 
 func init() {
-	register("enumbench", "synthesis throughput at n=3 and n=4, SWAR on and off (writes BENCH_enum.json)", false, func(c *ctx) error {
+	register("enumbench", "synthesis throughput at n=3 and n=4 (writes BENCH_enum.json)", false, func(c *ctx) error {
 		c.section("Synthesis throughput, best configuration (III)")
 
 		// Rows are taken with the whole machine available: the search
@@ -81,7 +81,7 @@ func init() {
 			ObjectiveRows: prevRep.ObjectiveRows,
 		}
 		var t tableWriter
-		t.row("n", "backend", "wall", "swar off", "swar x", "expanded", "expanded/s", "length")
+		t.row("n", "backend", "wall", "expanded", "expanded/s", "length")
 		for _, tc := range cases {
 			set := isa.NewCmov(tc.n, 1)
 			opt := enum.ConfigBest()
@@ -90,29 +90,9 @@ func init() {
 			if err != nil {
 				return fmt.Errorf("n=%d: %w", tc.n, err)
 			}
-			// SWAR A/B: the same row with the bit-sliced layer off. The
-			// kernels must match byte for byte (swar-check proves the
-			// full equivalence; this is the cheap tripwire on the
-			// measured runs themselves).
-			optOff := opt
-			optOff.DisableSWAR = true
-			mOff, err := bench.MeasureSearch(set, optOff, tc.rounds)
-			if err != nil {
-				return fmt.Errorf("n=%d swar off: %w", tc.n, err)
-			}
-			if mOff.Kernel != m.Kernel {
-				return fmt.Errorf("n=%d: SWAR and scalar runs produced different kernels:\n  swar   %s\n  scalar %s",
-					tc.n, m.Kernel, mOff.Kernel)
-			}
-			m.SWAROffWallMS = mOff.WallMS
-			if m.WallMS > 0 {
-				m.SWARSpeedup = mOff.WallMS / m.WallMS
-			}
 			rep.Measurements = append(rep.Measurements, m)
 			t.row(fmt.Sprint(tc.n), "enum",
 				fmt.Sprintf("%.1fms", m.WallMS),
-				fmt.Sprintf("%.1fms", m.SWAROffWallMS),
-				fmt.Sprintf("%.2f", m.SWARSpeedup),
 				fmt.Sprint(m.Expanded),
 				fmt.Sprintf("%.0f", m.ExpandedPerSec),
 				fmt.Sprint(m.Length))
@@ -132,7 +112,7 @@ func init() {
 		}
 		rep.Measurements = append(rep.Measurements, pm)
 		t.row("3", fmt.Sprintf("race(%d)", len(pf.Backends())),
-			fmt.Sprintf("%.1fms", pm.WallMS), "-", "-",
+			fmt.Sprintf("%.1fms", pm.WallMS),
 			fmt.Sprint(pm.Expanded),
 			fmt.Sprintf("%.0f", pm.ExpandedPerSec),
 			fmt.Sprint(pm.Length))

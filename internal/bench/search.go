@@ -36,14 +36,6 @@ type SearchMeasurement struct {
 	Generated      int64   `json:"generated"`
 	WallMS         float64 `json:"wall_ms"`
 	ExpandedPerSec float64 `json:"expanded_per_sec"`
-
-	// SWAROffWallMS is the same row re-measured with the SWAR
-	// bit-sliced execution layer disabled (Options.DisableSWAR) and
-	// SWARSpeedup the scalar/SWAR wall-clock ratio — the enumbench A/B
-	// that keeps the layer's payoff versioned next to the code. Zero on
-	// rows that did not run the A/B (portfolio rows).
-	SWAROffWallMS float64 `json:"swar_off_wall_ms,omitempty"`
-	SWARSpeedup   float64 `json:"swar_speedup,omitempty"`
 }
 
 // MeasureSearch runs the search rounds times and reports the fastest

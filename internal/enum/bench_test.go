@@ -114,28 +114,18 @@ func BenchmarkDedupGoMap(b *testing.B) {
 }
 
 // BenchmarkSearchBestN3 runs the full sequential best-config search so
-// allocs/op of the engine end to end is tracked by CI-visible output,
-// on both execution layers: the SWAR default and the scalar oracle.
+// allocs/op of the engine end to end is tracked by CI-visible output.
 // This is the pin on the per-expansion hoists (parent indices, parent
-// permutation count, the reused successor buffer) — they serve both
-// paths, so a regression shows up in whichever row it lands on.
+// permutation count, the reused successor buffer).
 func BenchmarkSearchBestN3(b *testing.B) {
 	set := isa.NewCmov(3, 1)
-	for _, bc := range []struct {
-		name string
-		off  bool
-	}{{"swar", false}, {"scalar", true}} {
-		b.Run(bc.name, func(b *testing.B) {
-			opt := ConfigBest()
-			opt.DisableSWAR = bc.off
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res := Run(set, opt)
-				if res.Length != 11 {
-					b.Fatalf("unexpected optimal length %d", res.Length)
-				}
-			}
-		})
+	opt := ConfigBest()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res := Run(set, opt)
+		if res.Length != 11 {
+			b.Fatalf("unexpected optimal length %d", res.Length)
+		}
 	}
 }

@@ -25,8 +25,7 @@ type candidates struct {
 // its child that same count (state.ProjPreserving) and cannot sort it
 // (the parent is not sorted), so its candidates are cut without an
 // apply. With dist-pruning on, the parent's distance-table indices are
-// written to *pidx (ApplyDistSWAR's base indices) and the budget mask
-// is taken over them.
+// written to *pidx and the budget mask is taken over them.
 func (s *searcher) candidates(st state.State, pidx *[]uint32, budget int, preCut bool) candidates {
 	set := s.instrMask
 	if s.opt.UseActionGuide {

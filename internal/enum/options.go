@@ -123,15 +123,6 @@ type Options struct {
 	// kernels that mis-sort duplicates (see EXPERIMENTS.md).
 	DuplicateSafe bool
 
-	// DisableSWAR turns off the SWAR bit-sliced execution layer (two
-	// packed assignments per 64-bit word, DESIGN.md §15) and runs the
-	// scalar per-Asg apply/prune path instead. SWAR is on by default;
-	// both paths produce byte-identical solution sets, counters, and
-	// traversal orders (the swar-check gate proves it), so the toggle
-	// exists for differential testing and as an escape hatch — it never
-	// participates in cache keys.
-	DisableSWAR bool
-
 	// Objective selects which member of the optimal-length solution set
 	// the run returns (see the Objective type). The zero value,
 	// ObjectiveShortest, is the paper's first-found behavior. Any other

@@ -118,11 +118,9 @@ type searcher struct {
 	done     bool // single-solution mode: stop at the first solution
 
 	// Hot-loop hoists: the distance LUT is fetched once per run (not per
-	// candidate), and swar selects the bit-sliced execution layer
-	// (DESIGN.md §15) over the scalar per-Asg oracle path.
+	// candidate), and pidx is reused across parents.
 	lut  *state.DistLUT
-	pidx []uint32 // parent distance-table indices (budget mask, ApplyDistSWAR)
-	swar bool
+	pidx []uint32 // parent distance-table indices (budget mask)
 
 	// instrMask holds every instruction of the set. Cut bookkeeping
 	// hoists: projPres marks the instructions that cannot change any
@@ -217,7 +215,6 @@ func newSearcher(ctx context.Context, set *isa.Set, opt Options) *searcher {
 		s.tab = tables.For(m)
 		s.lut = s.tab.DistLUT()
 	}
-	s.swar = !opt.DisableSWAR
 	instrs := set.Instrs()
 	s.instrMask = tables.MaskOf(len(instrs))
 	for id, in := range instrs {
@@ -352,23 +349,6 @@ func (s *searcher) cutLimit(g int) (limit float64, intLimit int) {
 	return limit, intLimit
 }
 
-// allSorted and allViable dispatch the batched goal and viability checks
-// to the SWAR or scalar implementation; both pairs are defined to agree
-// on every input.
-func (s *searcher) allSorted(st state.State) bool {
-	if s.swar {
-		return s.m.AllSortedSWAR(st)
-	}
-	return s.m.AllSorted(st)
-}
-
-func (s *searcher) allViable(st state.State) bool {
-	if s.swar {
-		return s.m.AllViableSWAR(st)
-	}
-	return s.m.AllViable(st)
-}
-
 // stopped reports whether the search context is done and records the
 // stop reason on the result (deadline → TimedOut, cancel → Cancelled).
 func (s *searcher) stopped() bool {
@@ -394,9 +374,7 @@ func (s *searcher) expandChild(parentID int32, g int, parentCost int32, st state
 	// and the cut's exceeds-test are order-insensitive, so the
 	// canonicalizing sort is deferred until a candidate survives all of
 	// them. With dist-pruning on, the prune is fused into the apply
-	// itself and aborts at the first over-budget assignment; the SWAR
-	// layer additionally folds the goal check into the same pass (the OR
-	// of successor distances is zero exactly for solution states). The
+	// itself and aborts at the first over-budget assignment. The
 	// budget check doubles as the depth guard: bound ≤ MaxDepth, so
 	// pruning at budget < 0 also keeps g within its uint8 storage.
 	// Candidates the pre-apply cut or the budget mask claims never reach
@@ -408,29 +386,19 @@ func (s *searcher) expandChild(parentID int32, g int, parentCost int32, st state
 	var sorted bool
 	if s.opt.UseDistPrune && budget >= 0 {
 		var ok bool
-		if s.swar {
-			child, sorted, ok = s.m.ApplyDistSWAR(s.buf, st, s.pidx, in, s.lut, budget)
-		} else {
-			child, ok = s.m.ApplyDist(s.buf, st, in, s.lut, budget)
-			if ok {
-				sorted = s.m.AllSorted(child)
-			}
-		}
+		child, ok = s.m.ApplyDist(s.buf, st, in, s.lut, budget)
 		s.buf = child // keep the grown buffer
 		s.res.Generated++
 		if !ok {
 			s.res.Pruned++
 			return
 		}
+		sorted = s.m.AllSorted(child)
 	} else {
-		if s.swar {
-			child = s.m.ApplySWAR(s.buf, st, in)
-		} else {
-			child = s.m.ApplyRaw(s.buf, st, in)
-		}
+		child = s.m.ApplyRaw(s.buf, st, in)
 		s.buf = child // keep the grown buffer
 		s.res.Generated++
-		sorted = s.allSorted(child)
+		sorted = s.m.AllSorted(child)
 		if !sorted {
 			// A non-sorted state at the bound is a dead end: any
 			// completion needs at least one more instruction. (The fused
@@ -440,7 +408,7 @@ func (s *searcher) expandChild(parentID int32, g int, parentCost int32, st state
 				s.res.Pruned++
 				return
 			}
-			if s.opt.ViabilityErase && !s.allViable(child) {
+			if s.opt.ViabilityErase && !s.m.AllViable(child) {
 				s.res.Pruned++
 				return
 			}

@@ -81,10 +81,7 @@ const KeyVersion = 3
 //     unfinished result);
 //   - Workers: deprecated and ignored; the search runs on one
 //     goroutine, so nothing in it depends on the worker count or
-//     GOMAXPROCS;
-//   - DisableSWAR: the SWAR and scalar execution layers are defined (and
-//     gate-checked by swar-check) to produce byte-identical solution
-//     sets and counters, so the toggle cannot influence the artifact.
+//     GOMAXPROCS.
 //
 // Normalizations keep distinct spellings of the same search identical:
 // a zero Weight means 1, CutK is meaningless when the cut is off, an

@@ -43,28 +43,6 @@ func BenchmarkApplyDist(b *testing.B) {
 	sinkState = dst
 }
 
-// BenchmarkApplyDistSWAR is BenchmarkApplyDist on the two-lane kernel,
-// with the parent indices precomputed the way the search amortizes them
-// over every candidate instruction of an expansion.
-func BenchmarkApplyDistSWAR(b *testing.B) {
-	set := isa.NewCmov(4, 1)
-	m := state.NewMachine(set)
-	lut := tables.For(m).DistLUT()
-	instrs := set.Instrs()
-	s := m.Initial()
-	pidx := make([]uint32, len(s))
-	for i, a := range s {
-		pidx[i] = lut.Index(a)
-	}
-	var dst state.State
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dst, _, _ = m.ApplyDistSWAR(dst, s, pidx, instrs[i%len(instrs)], lut, 20)
-	}
-	sinkState = dst
-}
-
 // opInstr returns the first instruction of the set with the given op.
 func opInstr(set *isa.Set, op isa.Op) isa.Instr {
 	for _, in := range set.Instrs() {
@@ -75,9 +53,9 @@ func opInstr(set *isa.Set, op isa.Op) isa.Instr {
 	panic("no instruction with requested op")
 }
 
-// BenchmarkApplyPerOp compares the scalar ApplyRaw loop against
-// ApplySWAR for every instruction class, on the full n=4 initial state
-// (24 assignments — the state size the hot search loops actually see).
+// BenchmarkApplyPerOp times ApplyRaw for every instruction class, on
+// the full n=4 initial state (24 assignments — the state size the hot
+// search loops actually see).
 func BenchmarkApplyPerOp(b *testing.B) {
 	cm := state.NewMachine(isa.NewCmov(4, 1))
 	mm := state.NewMachine(isa.NewMinMax(4, 1))
@@ -96,21 +74,12 @@ func BenchmarkApplyPerOp(b *testing.B) {
 	for _, c := range cases {
 		in := opInstr(c.m.Set, c.op)
 		s := c.m.Initial()
-		b.Run(c.name+"/scalar", func(b *testing.B) {
+		b.Run(c.name, func(b *testing.B) {
 			dst := make(state.State, len(s))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				dst = c.m.ApplyRaw(dst, s, in)
-			}
-			sinkState = dst
-		})
-		b.Run(c.name+"/swar", func(b *testing.B) {
-			dst := make(state.State, len(s))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dst = c.m.ApplySWAR(dst, s, in)
 			}
 			sinkState = dst
 		})
@@ -134,11 +103,10 @@ func sortedState(m *state.Machine, k int) state.State {
 	panic("no sorted assignment in packed domain")
 }
 
-// BenchmarkAllSorted{,SWAR} and BenchmarkAllViable{,SWAR} compare the
-// batched goal/viability checks against their scalar forms on full-scan
-// inputs: an all-sorted state for the goal check (an unsorted entry
-// would let the scalar loop exit early) and the all-viable initial
-// state for the viability check.
+// BenchmarkAllSorted and BenchmarkAllViable time the batched
+// goal/viability checks on full-scan inputs: an all-sorted state for the
+// goal check (an unsorted entry would let the loop exit early) and the
+// all-viable initial state for the viability check.
 func BenchmarkAllSorted(b *testing.B) {
 	m := state.NewMachine(isa.NewCmov(4, 1))
 	s := sortedState(m, 24)
@@ -149,16 +117,6 @@ func BenchmarkAllSorted(b *testing.B) {
 	}
 }
 
-func BenchmarkAllSortedSWAR(b *testing.B) {
-	m := state.NewMachine(isa.NewCmov(4, 1))
-	s := sortedState(m, 24)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkBool = m.AllSortedSWAR(s)
-	}
-}
-
 func BenchmarkAllViable(b *testing.B) {
 	m := state.NewMachine(isa.NewCmov(4, 1))
 	s := m.Initial()
@@ -166,16 +124,6 @@ func BenchmarkAllViable(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkBool = m.AllViable(s)
-	}
-}
-
-func BenchmarkAllViableSWAR(b *testing.B) {
-	m := state.NewMachine(isa.NewCmov(4, 1))
-	s := m.Initial()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkBool = m.AllViableSWAR(s)
 	}
 }
 
@@ -231,10 +179,6 @@ func TestHotPathsAllocFree(t *testing.T) {
 	in := opInstr(set, isa.Cmovl)
 	s := m.Initial()
 	dst := make(state.State, len(s))
-	pidx := make([]uint32, len(s))
-	for i, a := range s {
-		pidx[i] = lut.Index(a)
-	}
 	var ps state.ProjSet
 	m.PermCountExceedsSet(s, 12, &ps) // warm the stamp table
 	checks := []struct {
@@ -242,11 +186,7 @@ func TestHotPathsAllocFree(t *testing.T) {
 		fn   func()
 	}{
 		{"ApplyRaw", func() { dst = m.ApplyRaw(dst, s, in) }},
-		{"ApplySWAR", func() { dst = m.ApplySWAR(dst, s, in) }},
 		{"ApplyDist", func() { dst, _ = m.ApplyDist(dst, s, in, lut, 20) }},
-		{"ApplyDistSWAR", func() { dst, _, _ = m.ApplyDistSWAR(dst, s, pidx, in, lut, 20) }},
-		{"AllSortedSWAR", func() { sinkBool = m.AllSortedSWAR(s) }},
-		{"AllViableSWAR", func() { sinkBool = m.AllViableSWAR(s) }},
 		{"PermCountExceedsSet", func() { sinkBool = m.PermCountExceedsSet(s, 12, &ps) }},
 	}
 	for _, c := range checks {

@@ -77,12 +77,6 @@ type Machine struct {
 	needs     []uint // per tag: bitmask of values the goal requires
 	initial   []Asg  // canonical initial state
 
-	// SWAR lane constants (swar.go): the single goal and the
-	// projection-field mask replicated across both 32-bit lanes.
-	swarUniform   bool
-	swarGoalW     uint64
-	swarProjMaskW uint64
-
 	// projBits is the width of the projection-and-tag field (PackedBits
 	// minus the flag/scratch low bits): PermCountExceedsSet picks its
 	// direct-indexed fast path when this fits projDirectBits.
@@ -151,7 +145,7 @@ func NewMachineSuite(set *isa.Set, suite Suite) *Machine {
 		}
 	}
 	Canonicalize((*State)(&m.initial))
-	m.initSWAR()
+	m.projBits = m.PackedBits() - int(m.permShift)
 	return m
 }
 
@@ -479,23 +473,11 @@ func (m *Machine) PermCount(s State) int {
 // (~2.5 KB) plus the distance table (12.5 KB at n=4) stays L1-resident.
 // The previous 16/16 split's low table was 256 KB — every lookup in the
 // search's innermost loop paid an L2 round trip.
-// The index is also linear over whole packed fields, which yields the
-// incremental form the SWAR fused kernel exploits: an instruction
-// changes only its destination register's nibble (or, for cmp, only the
-// flag bits), so
-//
-//	index(child) = index(parent) + (new−old)·RegW[dst]
-//
-// in wraparound uint32 arithmetic — one multiply-add per lane instead of
-// re-deriving the full decomposition per successor assignment.
 type DistLUT struct {
 	Dist []uint8
 	B0   []uint32 // index contribution of bits 0..7
 	B1   []uint32 // index contribution of bits 8..15
 	B2   []uint32 // index contribution of bits 16..PackedBits-1
-
-	RegW  [8]uint32 // index weight of register r's nibble value
-	FlagW uint32    // index weight of the two flag bits
 }
 
 // Index returns the distance-table index of packed assignment a.

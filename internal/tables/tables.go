@@ -229,10 +229,6 @@ func build(m *state.Machine) *Table {
 	}
 	t.base = t.npow[regs]
 	t.buildLUT()
-	for i := 0; i < regs; i++ {
-		t.lut.RegW[i] = t.npow[i]
-	}
-	t.lut.FlagW = t.base
 	// Flag codes 0..2 used (3 allocated for indexing simplicity), one
 	// block per goal tag.
 	size := int(t.base) * 4 * m.NumTags()
@@ -392,9 +388,9 @@ func (t *Table) MaxDist(s state.State) int {
 }
 
 // DistLUT exposes the distance table and its byte-wise index
-// decomposition for state.ApplyDist and state.ApplyDistSWAR, the
-// search's fused apply+prune kernels. The returned value aliases the
-// table's storage and must be treated as read-only.
+// decomposition for state.ApplyDist, the search's fused apply+prune
+// kernel. The returned value aliases the table's storage and must be
+// treated as read-only.
 func (t *Table) DistLUT() *state.DistLUT {
 	return &t.lut
 }

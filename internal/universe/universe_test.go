@@ -329,3 +329,39 @@ func TestBakeMini(t *testing.T) {
 		t.Errorf("equal bakes not byte-identical: %s != %s", id2, id)
 	}
 }
+
+// miniContentID is the sha256 of the mini universe TestBakeMiniContentID
+// bakes, the same artifact as
+//
+//	sortsynth-bake -min-n 2 -max-n 3 -slack 2 -backends enum -dupsafe
+//
+// It is the same on amd64 and 386 and at any worker count. A change
+// that alters any baked artifact must update it and say why.
+const miniContentID = "a6d83a7a55330becf6170eed89b1ce3c4a7cc4e1a2143f245773e00fadbe1238"
+
+// TestBakeMiniContentID pins one artifact per key: the mini universe
+// (enum, both ISAs, n=2..3, slack 2, duplicate-safe variants, default
+// objectives) must hash to miniContentID at one and at two workers.
+// It runs under -short (the bake takes well under a second) so the
+// cross-architecture test run checks it too.
+func TestBakeMiniContentID(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	for _, workers := range []int{1, 2} {
+		path := filepath.Join(t.TempDir(), "mini.ssuniv")
+		id, stats, err := Bake(ctx, path, nil, Options{
+			ISAs: []string{"cmov", "minmax"}, MinN: 2, MaxN: 3, Slack: 2,
+			Backends: []string{"enum"}, DuplicateSafe: true,
+			Workers: workers, SpecTimeout: time.Minute,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Failed != 0 || stats.Skipped != 0 {
+			t.Fatalf("workers=%d: bake did not cover every spec: %+v", workers, stats)
+		}
+		if id != miniContentID {
+			t.Errorf("workers=%d: content ID %s, want %s", workers, id, miniContentID)
+		}
+	}
+}
