@@ -2,23 +2,25 @@ GO ?= go
 GOFMT ?= gofmt
 
 # check is the tier-1 gate: everything builds (cmd/ included), vets
-# clean, every Go file is gofmt-clean, the full test suite (including
-# the sortsynthd service tests and the portfolio's fake-clock dispatch
-# battery) passes under the race detector, the backend portfolio smoke
-# test (n=3, enum vs stoke) runs explicitly under -race, the cross-backend
-# conformance harness reports zero divergences, the baked-universe gate
-# proves a miniature bake identical to live synthesis and serveable with
-# zero searches, every fuzz target survives a short -race fuzzing
-# budget, the generated sorting library passes its generate → vet →
-# build → differential gate, and the enum and sortgen rows of the
-# committed BENCH_*.json files are re-measured without -race as
-# throughput regression gates, the objective gate proves the fastest
-# pick never model-costs more than the shortest pick and the loud
-# rejection of pre-v3 kernel stores, and the cross-architecture gate
-# vets and tests the packing, table, cache, sortgen and universe
-# packages under GOARCH=386 (including the pinned mini-bake content ID).
+# clean, every Go file is gofmt-clean, and the full test suite passes
+# under the race detector. That suite includes the sortsynthd service
+# tests, the portfolio's fake-clock dispatch battery, the pinned
+# cache-key hashes, and the objective properties: the fastest pick never
+# model-costs more than the shortest pick, objectives mint distinct
+# cache keys, and pre-v3 kernel stores are rejected with a "re-bake"
+# message. On top of it: the backend portfolio smoke test (n=3, enum vs
+# stoke) runs explicitly under -race, the cross-backend conformance
+# harness reports zero divergences, the baked-universe gate proves a
+# miniature bake identical to live synthesis and serveable with zero
+# searches, every fuzz target survives a short -race fuzzing budget, the
+# generated sorting library passes its generate → vet → build →
+# differential gate, the enum and sortgen rows of the committed
+# BENCH_*.json files are re-measured without -race as throughput
+# regression gates, and the cross-architecture gate vets and tests the
+# packing, table, cache, sortgen and universe packages under GOARCH=386
+# (including the pinned mini-bake content ID).
 .PHONY: check
-check: build vet fmt-check race smoke conformance bake-check objective-check cross-arch fuzz-smoke sortgen-check bench-compare sortgen-compare
+check: build vet fmt-check race smoke conformance bake-check cross-arch fuzz-smoke sortgen-check bench-compare sortgen-compare
 
 # cross-arch is the same-answer-on-every-host gate: vet the whole tree
 # and run the short tests of the packages whose results depend on word
@@ -31,15 +33,6 @@ check: build vet fmt-check race smoke conformance bake-check objective-check cro
 cross-arch:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test -short -count=1 -cpu 1,2 ./internal/state ./internal/tables ./internal/kcache ./internal/sortgen ./internal/universe
-
-# objective-check is the ranking-objective gate: the fastest winner's
-# model cost must be ≤ the shortest pick's, objectives must mint distinct v3 cache keys, kernel stores
-# written under the pre-v3 key scheme must be rejected with a "re-bake"
-# message, and the default bake universe must carry fastest specs (so
-# bake-check's baked == live replay covers them).
-.PHONY: objective-check
-objective-check:
-	$(GO) run ./cmd/experiments -table=objectivecheck
 
 # conformance runs the differential + metamorphic harness: 200 random
 # specs (n ≤ 3) judged across all registered backends against enum

@@ -1,19 +1,12 @@
 package main
 
 import (
-	"errors"
 	"fmt"
-	"os"
-	"strings"
 	"time"
 
 	"sortsynth/internal/bench"
-	"sortsynth/internal/enum"
-	"sortsynth/internal/isa"
-	"sortsynth/internal/kcache"
 	"sortsynth/internal/kernels"
 	"sortsynth/internal/uarch"
-	"sortsynth/internal/universe"
 )
 
 // objectiveRow is one shortest-vs-fastest latency measurement in
@@ -95,97 +88,6 @@ func init() {
 			return err
 		}
 		c.printf("updated the objective rows of BENCH_enum.json\n")
-		return nil
-	})
-
-	register("objectivecheck", "objective gate: fastest cost ≤ shortest, distinct cache keys, pre-v3 kernel stores rejected", false, func(c *ctx) error {
-		set := isa.NewCmov(3, 1)
-
-		// 1. The fastest pick can never model-cost more than the shortest
-		// pick — it is the minimum of the metric the shortest pick is
-		// merely one sample of.
-		c.section("Fastest vs shortest model cost (cmov n=3)")
-		fastOpt := enum.ConfigBest()
-		fastOpt.MaxLen = 11
-		fastOpt.Objective = enum.ObjectiveFastest
-		fastRes := enum.Run(set, fastOpt)
-		if fastRes.Err != nil || fastRes.Length < 0 {
-			return fmt.Errorf("fastest: %v (length %d)", fastRes.Err, fastRes.Length)
-		}
-		fastCost := fastRes.Cost
-		c.printf("fastest: %d ranked, cost %.3f, length %d, %v\n", fastRes.RerankCandidates, fastCost,
-			fastRes.Length, fastRes.Elapsed.Round(time.Millisecond))
-		shortOpt := enum.ConfigBest()
-		shortOpt.MaxLen = 11
-		shortRes := enum.Run(set, shortOpt)
-		if shortRes.Err != nil || shortRes.Length < 0 {
-			return fmt.Errorf("shortest baseline: %v", shortRes.Err)
-		}
-		_, shortCost, err := enum.RankPrograms(set, []isa.Program{shortRes.Program}, enum.ObjectiveFastest, "")
-		if err != nil {
-			return err
-		}
-		c.printf("model cost: fastest %.3f ≤ shortest pick %.3f: %v\n", fastCost, shortCost, fastCost <= shortCost)
-		if fastCost > shortCost {
-			return fmt.Errorf("fastest winner costs %.3f, more than the shortest pick's %.3f", fastCost, shortCost)
-		}
-
-		// 2. Objectives mint distinct v3 cache keys.
-		kShort := kcache.KeyFor(set, shortOpt)
-		kFast := kcache.KeyFor(set, fastOpt)
-		if kShort.Hash() == kFast.Hash() {
-			return fmt.Errorf("shortest and fastest share cache key %s", kShort.Hash())
-		}
-		c.printf("distinct v3 cache keys: shortest %s, fastest %s\n", kShort.Hash()[:12], kFast.Hash()[:12])
-
-		// 3. Kernel stores written under the pre-v3 key scheme must be
-		// rejected loudly, with the remedy in the message — silently
-		// remounting them would serve shortest bytes under fastest keys.
-		c.section("Stale kernel-store rejection")
-		for _, tc := range []struct {
-			name string
-			prep func(dir string) error
-		}{
-			{"v2-marked store", func(dir string) error {
-				return os.WriteFile(dir+"/KEYVERSION", []byte("2\n"), 0o644)
-			}},
-			{"unmarked populated store", func(dir string) error {
-				return os.WriteFile(dir+"/deadbeef.json", []byte("{}"), 0o644)
-			}},
-		} {
-			dir, err := os.MkdirTemp("", "objcheck")
-			if err != nil {
-				return err
-			}
-			defer os.RemoveAll(dir)
-			if err := tc.prep(dir); err != nil {
-				return err
-			}
-			_, err = kcache.New(dir, 4)
-			var stale *kcache.StaleStoreError
-			if !errors.As(err, &stale) {
-				return fmt.Errorf("%s: kcache.New returned %v, want a StaleStoreError", tc.name, err)
-			}
-			if !strings.Contains(err.Error(), "re-bake") {
-				return fmt.Errorf("%s: rejection %q does not name the remedy (re-bake)", tc.name, err)
-			}
-			c.printf("%s rejected: %v\n", tc.name, err)
-		}
-
-		// 4. The bake plan itself covers the new objective: the default
-		// spec universe emits fastest rows for every enum instance, so
-		// bakecheck's differential replay (baked == live, byte for byte)
-		// extends to them with no extra machinery.
-		nFast := 0
-		for _, sp := range universe.EnumerateSpecs(universe.Options{}) {
-			if sp.Backend == "enum" && sp.Objective == enum.ObjectiveFastest {
-				nFast++
-			}
-		}
-		if nFast == 0 {
-			return fmt.Errorf("default bake universe contains no fastest specs")
-		}
-		c.printf("\ndefault bake universe: %d enum fastest specs (replayed by -table=bakecheck)\n", nFast)
 		return nil
 	})
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -51,18 +52,18 @@ func init() {
 		paperEnum := map[int]string{3: "97 ms", 4: "2443 ms", 5: "11 min"}
 		alphaRL := map[int]string{3: "6 min", 4: "30 min", 5: "~1050 min"}
 		alphaS := map[int]string{3: "0.4 s", 4: "0.6 s", 5: "~345 min"}
-		bounds := map[int]int{3: 11, 4: 20, 5: 33}
 		maxN := 4
 		if c.slow {
 			maxN = 5
 		}
 		for n := 3; n <= maxN; n++ {
 			set := isa.NewCmov(n, 1)
+			bound, _ := isa.KnownOptimalLength(set)
 			opt := enum.ConfigBest()
-			opt.MaxLen = bounds[n]
+			opt.MaxLen = bound
 			res := enum.Run(set, opt)
-			if res.Length != bounds[n] {
-				return fmt.Errorf("n=%d: length %d, want %d", n, res.Length, bounds[n])
+			if res.Length != bound {
+				return fmt.Errorf("n=%d: length %d, want %d", n, res.Length, bound)
 			}
 			t.row(fmt.Sprint(n), ms(res.Elapsed), paperEnum[n], alphaRL[n], alphaS[n])
 		}
@@ -78,7 +79,6 @@ func init() {
 		c.section("States enumerated (paper: 7e3 / 7e4 / 6e6; AlphaDev: 4e5 / 1e6 / 6e6)")
 		var t tableWriter
 		t.row("n", "expanded", "generated", "elapsed")
-		bounds := map[int]int{3: 11, 4: 20, 5: 33}
 		maxN := 4
 		if c.slow {
 			maxN = 5
@@ -86,7 +86,7 @@ func init() {
 		for n := 3; n <= maxN; n++ {
 			set := isa.NewCmov(n, 1)
 			opt := enum.ConfigBest()
-			opt.MaxLen = bounds[n]
+			opt.MaxLen, _ = isa.KnownOptimalLength(set)
 			res := enum.Run(set, opt)
 			t.row(fmt.Sprint(n), fmt.Sprint(res.Expanded), fmt.Sprint(res.Generated), ms(res.Elapsed))
 		}
@@ -167,8 +167,9 @@ func init() {
 				o4 := enum.ConfigBest()
 				o4.MaxLen = 20
 				o4.Cut, o4.CutK = enum.CutFactor, k
-				o4.Timeout = 30 * time.Minute
-				r4 := enum.Run(set4, o4)
+				ctx4, cancel := context.WithTimeout(context.Background(), 30*time.Minute)
+				r4 := enum.RunContext(ctx4, set4, o4)
+				cancel()
 				if r4.Length == 20 {
 					n4time = ms(r4.Elapsed)
 				} else {

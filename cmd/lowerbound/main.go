@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -47,10 +48,15 @@ func main() {
 
 	opt := enum.ConfigProof(*length)
 	opt.StateBudget = int64(*budget)
-	opt.Timeout = *timeout
 
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
 	start := time.Now()
-	res := sortsynth.Synthesize(set, opt)
+	res := sortsynth.SynthesizeContext(ctx, set, opt)
 	elapsed := time.Since(start).Round(time.Millisecond)
 
 	switch {

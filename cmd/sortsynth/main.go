@@ -175,7 +175,6 @@ func main() {
 	opt := enum.ConfigBest()
 	opt.MaxLen = bound
 	opt.DuplicateSafe = *dupsafe
-	opt.Timeout = *timeout
 	if *k == 0 {
 		opt.Cut = enum.CutNone
 	} else {
@@ -186,7 +185,6 @@ func main() {
 		opt.MaxLen = bound
 		opt.DuplicateSafe = *dupsafe
 		opt.MaxSolutions = *maxSols
-		opt.Timeout = *timeout
 		if *k > 0 {
 			opt.Cut, opt.CutK = enum.CutFactor, *k
 		}
@@ -194,7 +192,13 @@ func main() {
 	opt.Objective = obj
 	opt.Profile = *profile
 
-	res := sortsynth.Synthesize(set, opt)
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
+	res := sortsynth.SynthesizeContext(ctx, set, opt)
 	if res.TimedOut || res.Cancelled {
 		why := "timed out"
 		if res.Cancelled {

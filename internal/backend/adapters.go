@@ -23,12 +23,11 @@ func fixedLen(name string, spec Spec) (int, error) {
 }
 
 // optimalityPreserving reports whether an enum configuration guarantees
-// the first solution found is minimal: an admissible, unweighted
-// heuristic and no non-optimality-preserving pruning (§3.2 action
-// guide, §3.5 cut).
+// the first solution found is minimal: an admissible heuristic and no
+// non-optimality-preserving pruning (§3.2 action guide, §3.5 cut).
 func optimalityPreserving(o enum.Options) bool {
 	admissible := o.Heuristic == enum.HeurNone || o.Heuristic == enum.HeurDistMax
-	return admissible && o.Weight <= 1 && o.Cut == enum.CutNone && !o.UseActionGuide
+	return admissible && o.Cut == enum.CutNone && !o.UseActionGuide
 }
 
 // Enum adapts the §3 enumerative Dijkstra/A* engine.
@@ -54,9 +53,9 @@ func (b *Enum) Name() string { return "enum" }
 
 // Synthesize implements Backend. Stats: Nodes = expanded states,
 // Generated = produced successors. Optimal is asserted only for
-// optimality-preserving configurations (admissible unweighted
-// heuristic, no §3.5 cut, no action guide), where the found length is
-// certified minimal by the search order itself.
+// optimality-preserving configurations (admissible heuristic, no §3.5
+// cut, no action guide), where the found length is certified minimal by
+// the search order itself.
 func (b *Enum) Synthesize(ctx context.Context, set *isa.Set, spec Spec) (*Result, error) {
 	opt := b.Opt
 	if spec.MaxLen > 0 {

@@ -57,14 +57,13 @@ func newTruthCache(log func(string, ...any)) *truthCache {
 }
 
 // groundTruthOptions is the certified configuration: HeurDistMax is
-// admissible and UseDistPrune/ViabilityErase are optimality-preserving
+// admissible and UseDistPrune is optimality-preserving
 // (DESIGN.md §3), so the first solution found is provably minimal.
 func groundTruthOptions(dup bool) enum.Options {
 	return enum.Options{
-		Heuristic:      enum.HeurDistMax,
-		UseDistPrune:   true,
-		ViabilityErase: true,
-		DuplicateSafe:  dup,
+		Heuristic:     enum.HeurDistMax,
+		UseDistPrune:  true,
+		DuplicateSafe: dup,
 	}
 }
 

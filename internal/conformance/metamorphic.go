@@ -217,16 +217,16 @@ func checkEnumVariants(ctx context.Context, opt Options, truths *truthCache) Inv
 			fail(&inv, "ground-truth", set.String(), "%v", err)
 			continue
 		}
-		admissible := enum.Options{Heuristic: enum.HeurDistMax, UseDistPrune: true, ViabilityErase: true}
+		admissible := enum.Options{Heuristic: enum.HeurDistMax, UseDistPrune: true}
 		variants := map[string]enum.Options{
 			"distmax":           admissible,
 			"best":              enum.ConfigBest(),
-			"best-cut-additive": {Heuristic: enum.HeurPermCount, UseDistPrune: true, UseActionGuide: true, ViabilityErase: true, Cut: enum.CutAdditive, CutK: 2},
+			"best-cut-additive": {Heuristic: enum.HeurPermCount, UseDistPrune: true, UseActionGuide: true, Cut: enum.CutAdditive, CutK: 2},
 		}
 		if set.N == 2 {
-			variants["dijkstra"] = enum.ConfigDijkstra()
-			variants["permcount"] = enum.Options{Heuristic: enum.HeurPermCount, UseDistPrune: true, ViabilityErase: true}
-			variants["asgcount"] = enum.Options{Heuristic: enum.HeurAsgCount, UseDistPrune: true, ViabilityErase: true}
+			variants["base"] = enum.ConfigBase()
+			variants["permcount"] = enum.Options{Heuristic: enum.HeurPermCount, UseDistPrune: true}
+			variants["asgcount"] = enum.Options{Heuristic: enum.HeurAsgCount, UseDistPrune: true}
 		}
 		for name, vopt := range variants {
 			inv.Checks++

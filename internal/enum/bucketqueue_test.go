@@ -7,12 +7,10 @@ import (
 )
 
 // refItem is an open-list element under the ordering contract the bucket
-// queue must preserve. seq is the push ordinal, used both by the LIFO
-// reference model and to identify entries across implementations.
+// queue must preserve.
 type refItem struct {
-	f   int32
-	g   uint8
-	seq int32
+	f int32
+	g uint8
 }
 
 // refHeap is the retired container/heap open list, kept here as the
@@ -38,78 +36,14 @@ func (h *refHeap) Pop() any {
 	return it
 }
 
-// refModel is an executable model of the full bucket-queue contract:
-// pop returns the entry minimizing (f asc, g desc), latest-pushed first
-// within equal (f, g). O(n) per pop — fine for a test oracle.
-type refModel []refItem
-
-func (m *refModel) pop() refItem {
-	best := 0
-	for i, it := range (*m)[1:] {
-		b := (*m)[best]
-		switch {
-		case it.f != b.f:
-			if it.f < b.f {
-				best = i + 1
-			}
-		case it.g != b.g:
-			if it.g > b.g {
-				best = i + 1
-			}
-		case it.seq > b.seq:
-			best = i + 1
-		}
-	}
-	it := (*m)[best]
-	*m = append((*m)[:best], (*m)[best+1:]...)
-	return it
-}
-
 // TestBucketQueueMatchesReferenceModel drives random interleaved
 // push/pop workloads — including non-monotone pushes below the last
 // popped priority, which force cursor rewinds — and asserts the bucket
-// queue pops in exactly the order the model defines: f ascending,
-// deeper-first on ties, LIFO within equal (f, g).
+// queue pops in exactly the order the library's reference model
+// defines: f ascending, deeper-first on ties, LIFO within equal (f, g).
 func TestBucketQueueMatchesReferenceModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 50; trial++ {
-		var q bucketQueue
-		var model refModel
-		var seq int32
-		maxF := int32(1 + rng.Intn(60))
-		for step := 0; step < 400; step++ {
-			if q.Len() != len(model) {
-				t.Fatalf("trial %d: Len() = %d, model has %d", trial, q.Len(), len(model))
-			}
-			if q.Len() > 0 && rng.Intn(3) == 0 {
-				e, f, ok := q.Pop()
-				if !ok {
-					t.Fatalf("trial %d: Pop failed with %d queued", trial, q.Len())
-				}
-				want := model.pop()
-				if e.id != want.seq || f != want.f || e.g != want.g {
-					t.Fatalf("trial %d step %d: popped (f=%d g=%d seq=%d), model says (f=%d g=%d seq=%d)",
-						trial, step, f, e.g, e.id, want.f, want.g, want.seq)
-				}
-				continue
-			}
-			g := uint8(rng.Intn(MaxDepth + 1))
-			f := int32(g) + rng.Int31n(maxF) // f ≥ g as in the engine
-			q.Push(f, openEntry{id: seq, g: g})
-			model = append(model, refItem{f: f, g: g, seq: seq})
-			seq++
-		}
-		for len(model) > 0 {
-			e, f, ok := q.Pop()
-			want := model.pop()
-			if !ok || e.id != want.seq || f != want.f {
-				t.Fatalf("trial %d drain: popped (f=%d seq=%d ok=%v), want (f=%d seq=%d)",
-					trial, f, e.id, ok, want.f, want.seq)
-			}
-		}
-		if _, _, ok := q.Pop(); ok {
-			t.Fatalf("trial %d: Pop on empty queue reported ok", trial)
-		}
+	if err := CheckBucketQueueConformance(1, 50, 400); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -136,7 +70,7 @@ func TestBucketQueueAgreesWithRetiredHeap(t *testing.T) {
 			g := uint8(rng.Intn(MaxDepth + 1))
 			f := int32(g) + rng.Int31n(40)
 			q.Push(f, openEntry{id: seq, g: g})
-			heap.Push(&h, refItem{f: f, g: g, seq: seq})
+			heap.Push(&h, refItem{f: f, g: g})
 			seq++
 		}
 	}

@@ -1,7 +1,6 @@
 package enum
 
 import (
-	"math/rand"
 	"testing"
 
 	"sortsynth/internal/state"
@@ -12,51 +11,8 @@ import (
 // behavior, including growth across several doublings from a
 // deliberately tiny initial capacity.
 func TestFlatTableMatchesMap(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tbl := newFlatTable(1)
-	ref := map[state.Key128]int32{}
-	// A small key universe forces frequent hits; random 128-bit keys
-	// would almost never collide.
-	keys := make([]state.Key128, 300)
-	for i := range keys {
-		keys[i] = state.Key128{Hi: rng.Uint64(), Lo: rng.Uint64()}
-	}
-	for step := 0; step < 20000; step++ {
-		k := keys[rng.Intn(len(keys))]
-		switch rng.Intn(2) {
-		case 0:
-			got, ok := tbl.get(k)
-			want, wok := ref[k]
-			if ok != wok || (ok && got != want) {
-				t.Fatalf("step %d: get = (%d, %v), want (%d, %v)", step, got, ok, want, wok)
-			}
-		case 1:
-			v := int32(rng.Intn(1 << 20))
-			got, inserted := tbl.getOrPut(k, v)
-			want, existed := ref[k]
-			if inserted == existed {
-				t.Fatalf("step %d: getOrPut inserted=%v, map existed=%v", step, inserted, existed)
-			}
-			if existed && got != want {
-				t.Fatalf("step %d: getOrPut returned %d, want existing %d", step, got, want)
-			}
-			if !existed {
-				if got != v {
-					t.Fatalf("step %d: getOrPut returned %d, want inserted %d", step, got, v)
-				}
-				ref[k] = v
-			}
-		}
-		if tbl.count() != len(ref) {
-			t.Fatalf("step %d: count = %d, map has %d", step, tbl.count(), len(ref))
-		}
-	}
-	for _, k := range keys {
-		got, ok := tbl.get(k)
-		want, wok := ref[k]
-		if ok != wok || (ok && got != want) {
-			t.Fatalf("final: get(%v) = (%d, %v), want (%d, %v)", k, got, ok, want, wok)
-		}
+	if err := CheckFlatTableConformance(3, 20000); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -37,7 +37,7 @@ func TestSearchGoldenCounters(t *testing.T) {
 	all3.MaxLen = 11
 	best4 := ConfigBest()
 	best4.MaxLen = 20
-	first3 := Options{Heuristic: HeurDistMax, UseDistPrune: true, ViabilityErase: true, MaxLen: 11}
+	first3 := Options{Heuristic: HeurDistMax, UseDistPrune: true, MaxLen: 11}
 	cmov3, cmov4 := isa.NewCmov(3, 1), isa.NewCmov(4, 1)
 	const (
 		all3Digest = "8f0bde02c2c402ca"

@@ -1,6 +1,7 @@
 package enum
 
 import (
+	"context"
 	"time"
 
 	"sortsynth/internal/isa"
@@ -14,17 +15,25 @@ import (
 //
 // The returned result carries the shortest kernel found; Proof is true
 // iff the final nonexistence search exhausted, certifying minimality.
-// stepBudget bounds each certification attempt (0 = unlimited — beware:
-// the n=4 length-19 certification is the paper's two-week computation).
+// stepBudget bounds each search step (0 = unlimited — beware: the n=4
+// length-19 certification is the paper's two-week computation).
 func RunMinimal(set *isa.Set, upper int, stepBudget time.Duration) *Result {
+	step := func(opt Options) *Result {
+		ctx := context.Background()
+		if stepBudget > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, stepBudget)
+			defer cancel()
+		}
+		return RunContext(ctx, set, opt)
+	}
 	find := ConfigBest()
 	find.MaxLen = upper
-	find.Timeout = stepBudget
-	best := Run(set, find)
+	best := step(find)
 	if best.Length < 0 {
 		// The aggressive cut may prune every solution; fall back to the
 		// exhaustive mode at the same bound.
-		best = Run(set, proofOpts(upper, stepBudget))
+		best = step(proofOpts(upper))
 		if best.Length < 0 {
 			// No kernel of length ≤ upper (certified iff Proof).
 			return best
@@ -34,14 +43,13 @@ func RunMinimal(set *isa.Set, upper int, stepBudget time.Duration) *Result {
 		// Fast probe for something shorter.
 		f := ConfigBest()
 		f.MaxLen = best.Length - 1
-		f.Timeout = stepBudget
-		if r := Run(set, f); r.Length >= 0 {
+		if r := step(f); r.Length >= 0 {
 			r.Proof = false
 			best = r
 			continue
 		}
 		// Certify that nothing shorter exists.
-		pr := Run(set, proofOpts(best.Length-1, stepBudget))
+		pr := step(proofOpts(best.Length - 1))
 		if pr.Length >= 0 {
 			pr.Proof = false
 			best = pr
@@ -53,9 +61,8 @@ func RunMinimal(set *isa.Set, upper int, stepBudget time.Duration) *Result {
 	return best
 }
 
-func proofOpts(maxLen int, budget time.Duration) Options {
+func proofOpts(maxLen int) Options {
 	o := ConfigProof(maxLen)
-	o.Timeout = budget
 	// Single-solution mode still exhausts when nothing is found (and so
 	// certifies nonexistence), but stops at the first kernel when one
 	// exists — RunMinimal only needs a witness, not the full enumeration.

@@ -13,11 +13,7 @@
 //     enumerated.
 package enum
 
-import (
-	"time"
-
-	"sortsynth/internal/uarch"
-)
+import "sortsynth/internal/uarch"
 
 // Heuristic selects the A* guidance of §3.1.
 type Heuristic uint8
@@ -25,8 +21,8 @@ type Heuristic uint8
 // Available search heuristics.
 const (
 	HeurNone      Heuristic = iota // f = g: plain Dijkstra order
-	HeurPermCount                  // f = g + w·(#distinct permutations − 1)
-	HeurAsgCount                   // f = g + w·(#distinct register assignments − 1)
+	HeurPermCount                  // f = g + #distinct permutations − 1
+	HeurAsgCount                   // f = g + #distinct register assignments − 1
 	HeurDistMax                    // f = g + max assignment distance (admissible)
 )
 
@@ -57,9 +53,8 @@ const (
 
 // Options configures one synthesis run.
 type Options struct {
-	// Heuristic orders the open list; Weight scales it (0 means 1).
+	// Heuristic orders the open list.
 	Heuristic Heuristic
-	Weight    float64
 
 	// Cut enables the non-optimality-preserving §3.5 cut with constant
 	// CutK (the factor k, or the additive constant for CutAdditive).
@@ -69,17 +64,14 @@ type Options struct {
 	// UseDistPrune enables the per-assignment budget check of §3.3 using
 	// the precomputed distance tables: a state is discarded when some
 	// assignment cannot be sorted within the remaining instruction budget.
-	// This is optimality-preserving.
+	// This is optimality-preserving. Without it the search still applies
+	// the cheaper §3.3 value-erasure check, which this one subsumes.
 	UseDistPrune bool
 
 	// UseActionGuide restricts expansion to instructions that start an
 	// optimal completion of some individual assignment (§3.2).
 	// Non-optimality-preserving.
 	UseActionGuide bool
-
-	// ViabilityErase enables the cheap §3.3 value-erasure check. It is
-	// subsumed by UseDistPrune and on by default in the named configs.
-	ViabilityErase bool
 
 	// MaxLen bounds the program length (inclusive). 0 means unbounded
 	// (in practice bounded by MaxDepth, the engine's depth ceiling).
@@ -105,13 +97,6 @@ type Options struct {
 
 	// StateBudget caps the number of expanded states (0 = unlimited).
 	StateBudget int64
-
-	// Timeout aborts the search after the given wall time (0 = none).
-	//
-	// Deprecated: prefer RunContext with context.WithTimeout. A non-zero
-	// Timeout is kept working by wiring it to context.WithTimeout inside
-	// RunContext, so existing callers behave exactly as before.
-	Timeout time.Duration
 
 	// Trace, if non-nil, receives periodic search samples (Figure 1).
 	Trace *Trace
@@ -140,14 +125,6 @@ type Options struct {
 	Profile string
 }
 
-// weight returns the effective heuristic weight.
-func (o *Options) weight() float64 {
-	if o.Weight == 0 {
-		return 1
-	}
-	return o.Weight
-}
-
 // CanonicalProfile returns the profile name as it participates in cache
 // keys: "" when the objective is shortest (the ranking never runs, so
 // the profile cannot influence the artifact and must not fragment the
@@ -164,16 +141,11 @@ func (o Options) CanonicalProfile() string {
 	return o.Profile
 }
 
-// ConfigDijkstra is plain Dijkstra enumeration with deduplication
-// (ablation row "dijkstra, single core").
-func ConfigDijkstra() Options {
-	return Options{Heuristic: HeurNone, ViabilityErase: true}
-}
-
 // ConfigBase is the ablation baseline (I): A* with deduplication and no
-// heuristic.
+// heuristic, which is plain Dijkstra order (the ablation's "dijkstra,
+// single core" row runs it too).
 func ConfigBase() Options {
-	return Options{Heuristic: HeurNone, ViabilityErase: true}
+	return Options{Heuristic: HeurNone}
 }
 
 // ConfigBest is the paper's best configuration (III): permutation-count
@@ -184,7 +156,6 @@ func ConfigBest() Options {
 		Heuristic:      HeurPermCount,
 		UseDistPrune:   true,
 		UseActionGuide: true,
-		ViabilityErase: true,
 		Cut:            CutFactor,
 		CutK:           1,
 	}
@@ -196,10 +167,9 @@ func ConfigBest() Options {
 // n = 3).
 func ConfigAllSolutions() Options {
 	return Options{
-		Heuristic:      HeurPermCount,
-		UseDistPrune:   true,
-		ViabilityErase: true,
-		AllSolutions:   true,
+		Heuristic:    HeurPermCount,
+		UseDistPrune: true,
+		AllSolutions: true,
 	}
 }
 
@@ -208,10 +178,9 @@ func ConfigAllSolutions() Options {
 // Run with MaxLen = L to certify that no kernel of length ≤ L exists.
 func ConfigProof(maxLen int) Options {
 	return Options{
-		Heuristic:      HeurDistMax,
-		UseDistPrune:   true,
-		ViabilityErase: true,
-		MaxLen:         maxLen,
-		AllSolutions:   true,
+		Heuristic:    HeurDistMax,
+		UseDistPrune: true,
+		MaxLen:       maxLen,
+		AllSolutions: true,
 	}
 }

@@ -8,11 +8,11 @@ import (
 )
 
 // Conformance hooks: randomized equivalence checks of the engine's two
-// bespoke data structures against executable reference models. The same
-// models exist as package tests (bucketqueue_test.go, flattable_test.go);
-// these variants live in the library so internal/conformance and
-// cmd/experiments -table=conformance can replay them with a caller-chosen
-// seed and budget, and report divergences instead of failing a test.
+// bespoke data structures against executable reference models. They
+// return the first divergence instead of failing a test, and live in the
+// library, so the package tests, internal/conformance and
+// cmd/experiments -table=conformance all replay the one copy of each
+// model, each with its own seed and budget.
 
 // refEntry is one open-list element in the bucket-queue reference model;
 // seq doubles as the entry id for cross-implementation identification.

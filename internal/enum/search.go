@@ -58,8 +58,7 @@ type Result struct {
 	TimedOut  bool
 	// Cancelled reports that the search stopped because the context
 	// passed to RunContext was cancelled (client disconnect, shutdown).
-	// Deadline expiry — from Options.Timeout or a context deadline — is
-	// reported as TimedOut instead.
+	// A context deadline is reported as TimedOut instead.
 	Cancelled bool
 
 	// Err is set when the options were rejected before any search ran
@@ -150,8 +149,6 @@ func Run(set *isa.Set, opt Options) *Result {
 // checks ctx alongside its other stop conditions, so client disconnects
 // and graceful shutdowns stop the search promptly. A context deadline is
 // reported as Result.TimedOut, a plain cancellation as Result.Cancelled.
-// Options.Timeout, when set, is wired to context.WithTimeout and keeps
-// its historical meaning.
 func RunContext(ctx context.Context, set *isa.Set, opt Options) *Result {
 	if opt.MaxLen > MaxDepth {
 		return &Result{Length: -1, Err: &DepthLimitError{MaxLen: opt.MaxLen}}
@@ -163,11 +160,6 @@ func RunContext(ctx context.Context, set *isa.Set, opt Options) *Result {
 		if _, ok := uarch.ProfileByName(opt.Profile); !ok {
 			return &Result{Length: -1, Err: &UnknownProfileError{Name: opt.Profile}}
 		}
-	}
-	if opt.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opt.Timeout)
-		defer cancel()
 	}
 	s := newSearcher(ctx, set, opt)
 	s.search()
@@ -261,9 +253,6 @@ func (s *searcher) priority(g int, st state.State, pc int, havePC bool) int32 {
 		h = len(st) - 1
 	case HeurDistMax:
 		h = s.tab.MaxDist(st)
-	}
-	if w := s.opt.weight(); w != 1 {
-		h = int(math.Round(w * float64(h)))
 	}
 	return int32(g + h)
 }
@@ -408,7 +397,7 @@ func (s *searcher) expandChild(parentID int32, g int, parentCost int32, st state
 				s.res.Pruned++
 				return
 			}
-			if s.opt.ViabilityErase && !s.m.AllViable(child) {
+			if !s.m.AllViable(child) {
 				s.res.Pruned++
 				return
 			}

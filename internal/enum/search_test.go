@@ -1,6 +1,7 @@
 package enum
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -54,7 +55,7 @@ func TestMaxLenBeyondDepthLimit(t *testing.T) {
 
 func TestSynthesizeN2Dijkstra(t *testing.T) {
 	set := isa.NewCmov(2, 1)
-	res := Run(set, ConfigDijkstra())
+	res := Run(set, ConfigBase())
 	if res.Length != 4 {
 		t.Fatalf("n=2 optimal length = %d, want 4 (paper §2.2)", res.Length)
 	}
@@ -75,7 +76,7 @@ func TestSynthesizeN3Best(t *testing.T) {
 
 func TestSynthesizeN3DijkstraOptimal(t *testing.T) {
 	set := isa.NewCmov(3, 1)
-	res := Run(set, ConfigDijkstra())
+	res := Run(set, ConfigBase())
 	if res.Length != 11 {
 		t.Fatalf("n=3 Dijkstra length = %d, want 11", res.Length)
 	}
@@ -166,7 +167,7 @@ func TestDuplicateSafeAllSolutionsN3(t *testing.T) {
 
 func TestMinMaxN3(t *testing.T) {
 	set := isa.NewMinMax(3, 1)
-	res := Run(set, ConfigDijkstra())
+	res := Run(set, ConfigBase())
 	if res.Length != 8 {
 		t.Fatalf("minmax n=3 length = %d, want 8 (paper §5.4)", res.Length)
 	}
@@ -229,10 +230,10 @@ func TestTraceSampling(t *testing.T) {
 
 func TestTimeoutStops(t *testing.T) {
 	set := isa.NewCmov(4, 1)
-	opt := ConfigDijkstra()
-	opt.Timeout = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	res := Run(set, opt)
+	res := RunContext(ctx, set, ConfigBase())
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Errorf("timeout ignored: ran %v", elapsed)
 	}
@@ -246,7 +247,7 @@ func TestTimeoutStops(t *testing.T) {
 
 func TestStateBudgetStops(t *testing.T) {
 	set := isa.NewCmov(4, 1)
-	opt := ConfigDijkstra()
+	opt := ConfigBase()
 	opt.StateBudget = 50
 	res := Run(set, opt)
 	if res.Expanded > 60 {

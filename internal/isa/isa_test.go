@@ -190,3 +190,26 @@ func TestNewPanicsOnBadConfig(t *testing.T) {
 	}()
 	New(KindCmov, 13, 0)
 }
+
+func TestKnownOptimalLength(t *testing.T) {
+	for _, tc := range []struct {
+		set  *Set
+		want int
+		ok   bool
+	}{
+		{NewCmov(2, 1), 4, true},
+		{NewCmov(3, 1), 11, true},
+		{NewCmov(4, 1), 20, true},
+		{NewCmov(5, 1), 33, true},
+		{NewMinMax(2, 1), 3, true},
+		{NewMinMax(3, 1), 8, true},
+		{NewMinMax(4, 1), 15, true},
+		{NewMinMax(5, 1), 26, true},
+		{NewCmov(3, 2), 0, false},
+		{NewMinMax(6, 1), 0, false},
+	} {
+		if got, ok := KnownOptimalLength(tc.set); got != tc.want || ok != tc.ok {
+			t.Errorf("KnownOptimalLength(%v) = %d, %v; want %d, %v", tc.set, got, ok, tc.want, tc.ok)
+		}
+	}
+}

@@ -144,3 +144,21 @@ func (s *Set) RawProgramSpaceLog10(length int) float64 {
 func (s *Set) String() string {
 	return fmt.Sprintf("%s(n=%d,m=%d)", s.Kind, s.N, s.M)
 }
+
+// knownOptimal holds the established minimal kernel lengths for
+// n = 2..5 with one scratch register, per kind.
+var knownOptimal = [...][4]int{
+	KindCmov:   {4, 11, 20, 33},
+	KindMinMax: {3, 8, 15, 26},
+}
+
+// KnownOptimalLength returns the established minimal kernel length for
+// the set, when one is known: cmov 4/11/20/33 and min/max 3/8/15/26 for
+// n = 2..5 with one scratch register (paper §2.3, §5.4; the n=4 bound is
+// proved by exhaustion, the n=5 values are the best known).
+func KnownOptimalLength(set *Set) (int, bool) {
+	if set.M != 1 || set.N < 2 || set.N > 5 || int(set.Kind) >= len(knownOptimal) {
+		return 0, false
+	}
+	return knownOptimal[set.Kind][set.N-2], true
+}

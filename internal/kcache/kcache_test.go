@@ -219,16 +219,8 @@ func TestCanonicalNormalization(t *testing.T) {
 	base := enum.ConfigBest()
 	base.MaxLen = 11
 
-	// Weight 0 and 1 are the same search.
-	a, b := base, base
-	a.Weight = 0
-	b.Weight = 1
-	if KeyFor(set, a).Canonical() != KeyFor(set, b).Canonical() {
-		t.Error("Weight 0 and 1 canonicalize differently")
-	}
-
 	// CutK is irrelevant with the cut disabled.
-	a, b = base, base
+	a, b := base, base
 	a.Cut, a.CutK = enum.CutNone, 0
 	b.Cut, b.CutK = enum.CutNone, 7
 	if KeyFor(set, a).Canonical() != KeyFor(set, b).Canonical() {
@@ -237,7 +229,6 @@ func TestCanonicalNormalization(t *testing.T) {
 
 	// Execution-only knobs do not change the artifact address.
 	a, b = base, base
-	b.Timeout = time.Minute
 	b.Workers = 8
 	b.StateBudget = 1 << 40
 	b.Trace = &enum.Trace{}
@@ -255,6 +246,11 @@ func TestCanonicalNormalization(t *testing.T) {
 	b.MaxLen = 12
 	if KeyFor(set, base).Canonical() == KeyFor(set, b).Canonical() {
 		t.Error("MaxLen does not change the key")
+	}
+	b = base
+	b.Objective = enum.ObjectiveFastest
+	if KeyFor(set, base).Canonical() == KeyFor(set, b).Canonical() {
+		t.Error("Objective does not change the key")
 	}
 	if KeyFor(isa.NewCmov(3, 1), base).Hash() == KeyFor(isa.NewMinMax(3, 1), base).Hash() {
 		t.Error("isa kind does not change the hash")

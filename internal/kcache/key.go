@@ -16,7 +16,9 @@ import (
 )
 
 // Key identifies one synthesis artifact: the instruction-set
-// instantiation plus the search options.
+// instantiation plus the search options. Only the artifact-determining
+// option fields reach the content address; Canonical lists which, and
+// which normalizations apply.
 type Key struct {
 	ISA string // "cmov" or "minmax"
 	N   int    // sorted registers (array length)
@@ -76,18 +78,24 @@ const KeyVersion = 3
 // deliberately excluded so that operationally different but semantically
 // identical requests share an entry:
 //
-//   - Timeout, StateBudget, Trace: affect whether the search finishes,
-//     not what the finished search produces (sortsynthd never caches an
+//   - StateBudget, Trace: affect whether the search finishes, not what
+//     the finished search produces (sortsynthd never caches an
 //     unfinished result);
 //   - Workers: deprecated and ignored; the search runs on one
 //     goroutine, so nothing in it depends on the worker count or
 //     GOMAXPROCS.
 //
 // Normalizations keep distinct spellings of the same search identical:
-// a zero Weight means 1, CutK is meaningless when the cut is off, an
-// empty Backend means "enum", and the uarch profile is keyed only for
-// non-shortest objectives (where it can influence the winner), with
-// the default profile's name spelled out (Options.CanonicalProfile).
+// CutK is meaningless when the cut is off, an empty Backend means
+// "enum", and the uarch profile is keyed only for non-shortest
+// objectives (where it can influence the winner), with the default
+// profile's name spelled out (Options.CanonicalProfile).
+//
+// Two segments are derived text kept so that every v3 key stays
+// byte-identical to the one written when the options still carried a
+// heuristic weight and a value-erasure switch: "w=" is always 1, and
+// "erase=" is true exactly for the enum backend, whose searches always
+// run the erasure check.
 func (k Key) Canonical() string {
 	return string(k.AppendCanonical(make([]byte, 0, canonicalBufSize)))
 }
@@ -101,10 +109,6 @@ const canonicalBufSize = 224
 // no allocation, which keeps hot-path key hashing (Sum) off the heap.
 func (k Key) AppendCanonical(b []byte) []byte {
 	o := k.Opt
-	w := o.Weight
-	if w == 0 {
-		w = 1
-	}
 	cutK := o.CutK
 	if o.Cut == enum.CutNone {
 		cutK = 0
@@ -125,9 +129,7 @@ func (k Key) AppendCanonical(b []byte) []byte {
 	b = strconv.AppendInt(b, int64(k.M), 10)
 	b = append(b, "|heur="...)
 	b = strconv.AppendUint(b, uint64(o.Heuristic), 10)
-	b = append(b, "|w="...)
-	b = strconv.AppendFloat(b, w, 'g', -1, 64)
-	b = append(b, "|cut="...)
+	b = append(b, "|w=1|cut="...)
 	b = strconv.AppendUint(b, uint64(o.Cut), 10)
 	b = append(b, "|k="...)
 	b = strconv.AppendFloat(b, cutK, 'g', -1, 64)
@@ -136,7 +138,7 @@ func (k Key) AppendCanonical(b []byte) []byte {
 	b = append(b, "|guide="...)
 	b = strconv.AppendBool(b, o.UseActionGuide)
 	b = append(b, "|erase="...)
-	b = strconv.AppendBool(b, o.ViabilityErase)
+	b = strconv.AppendBool(b, be == "enum")
 	b = append(b, "|maxlen="...)
 	b = strconv.AppendInt(b, int64(o.MaxLen), 10)
 	b = append(b, "|all="...)

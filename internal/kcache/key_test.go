@@ -12,13 +12,11 @@ import (
 
 // referenceCanonical is the fmt-based formatting the append path
 // replaced; the two must stay byte-identical forever, or every persisted
-// artifact (disk-tier entries, baked universes) silently misses.
+// artifact (disk-tier entries, baked universes) silently misses. The
+// w= and erase= segments are derived: every key has weight 1, and every
+// enum search runs the value-erasure check.
 func referenceCanonical(k Key) string {
 	o := k.Opt
-	w := o.Weight
-	if w == 0 {
-		w = 1
-	}
 	cutK := o.CutK
 	if o.Cut == enum.CutNone {
 		cutK = 0
@@ -28,14 +26,13 @@ func referenceCanonical(k Key) string {
 		be = "enum"
 	}
 	return fmt.Sprintf(
-		"v3|backend=%s|seed=%d|isa=%s|n=%d|m=%d|heur=%d|w=%s|cut=%d|k=%s|dist=%t|guide=%t|erase=%t|maxlen=%d|all=%t|maxsols=%d|dupsafe=%t|obj=%s|prof=%s",
+		"v3|backend=%s|seed=%d|isa=%s|n=%d|m=%d|heur=%d|w=1|cut=%d|k=%s|dist=%t|guide=%t|erase=%t|maxlen=%d|all=%t|maxsols=%d|dupsafe=%t|obj=%s|prof=%s",
 		be, k.Seed,
 		k.ISA, k.N, k.M,
 		o.Heuristic,
-		strconv.FormatFloat(w, 'g', -1, 64),
 		o.Cut,
 		strconv.FormatFloat(cutK, 'g', -1, 64),
-		o.UseDistPrune, o.UseActionGuide, o.ViabilityErase,
+		o.UseDistPrune, o.UseActionGuide, be == "enum",
 		o.MaxLen,
 		o.AllSolutions, o.MaxSolutions,
 		o.DuplicateSafe,
@@ -52,14 +49,12 @@ func testKeys() []Key {
 		{ISA: "cmov", N: 4, M: 1, Backend: "stoke", Seed: 1 << 60,
 			Opt: enum.Options{MaxLen: 20, DuplicateSafe: true}},
 		{ISA: "cmov", N: 2, M: 1, Opt: enum.Options{
-			Heuristic: enum.HeurPermCount, Weight: 1.5,
-			Cut: enum.CutAdditive, CutK: 0.125,
+			Heuristic: enum.HeurPermCount, Cut: enum.CutAdditive, CutK: 0.125,
 			AllSolutions: true, MaxSolutions: 1000,
 		}},
 		{ISA: "minmax", N: 3, M: 1, Opt: enum.Options{
-			Heuristic: enum.HeurDistMax, Weight: 0.3333333333333333,
-			Cut: enum.CutFactor, CutK: 2,
-			UseDistPrune: true, ViabilityErase: true, MaxLen: 8,
+			Heuristic: enum.HeurDistMax, Cut: enum.CutFactor, CutK: 2,
+			UseDistPrune: true, MaxLen: 8,
 		}},
 		{ISA: "cmov", N: 3, M: 1, Opt: enum.Options{
 			MaxLen: 11, Objective: enum.ObjectiveFastest,

@@ -36,7 +36,8 @@ type synthesizeRequest struct {
 	Seed int64 `json:"seed"`
 
 	// Config selects the search configuration: "best" (default, paper
-	// config III), "base", "dijkstra", or "distmax" (admissible A*).
+	// config III), "base", "dijkstra" (the same search and key as
+	// "base"), or "distmax" (admissible A*).
 	// Only meaningful for the enum backend.
 	Config string `json:"config"`
 
@@ -290,12 +291,12 @@ func (s *Server) buildOptions(set *isa.Set, req *synthesizeRequest) (enum.Option
 	switch req.Config {
 	case "", "best":
 		opt = enum.ConfigBest()
-	case "base":
+	case "base", "dijkstra":
+		// ConfigBase already runs in plain Dijkstra order; "dijkstra"
+		// stays accepted as its historical alias, under the same key.
 		opt = enum.ConfigBase()
-	case "dijkstra":
-		opt = enum.ConfigDijkstra()
 	case "distmax":
-		opt = enum.Options{Heuristic: enum.HeurDistMax, UseDistPrune: true, ViabilityErase: true}
+		opt = enum.Options{Heuristic: enum.HeurDistMax, UseDistPrune: true}
 	default:
 		return opt, fmt.Errorf("unknown config %q (want best, base, dijkstra or distmax)", req.Config)
 	}
@@ -325,15 +326,12 @@ func (s *Server) buildOptions(set *isa.Set, req *synthesizeRequest) (enum.Option
 		return opt, fmt.Errorf("max_len %d exceeds the engine depth limit %d", req.MaxLen, enum.MaxDepth)
 	}
 	if opt.MaxLen == 0 {
-		l, ok := knownOptimalLength(set)
+		l, ok := isa.KnownOptimalLength(set)
 		if !ok {
 			return opt, fmt.Errorf("no known optimal length for %s; pass max_len", set)
 		}
 		opt.MaxLen = l
 	}
-	// The server-side wall cap is a serving-layer knob: it is excluded
-	// from the cache key, so it never fragments the artifact space.
-	opt.Timeout = s.cfg.SearchTimeout
 	return opt, nil
 }
 
@@ -365,7 +363,7 @@ func (s *Server) buildSpec(set *isa.Set, beName string, req *synthesizeRequest) 
 		return spec, fmt.Errorf("max_len %d exceeds the engine depth limit %d", req.MaxLen, enum.MaxDepth)
 	}
 	if spec.MaxLen == 0 {
-		l, ok := knownOptimalLength(set)
+		l, ok := isa.KnownOptimalLength(set)
 		if !ok {
 			return spec, fmt.Errorf("no known optimal length for %s; pass max_len", set)
 		}
@@ -391,22 +389,6 @@ func randomizedBackend(name string) bool {
 	return false
 }
 
-// knownOptimalLength mirrors sortsynth.KnownOptimalLength (the root
-// package cannot be imported from internal/ without a cycle).
-func knownOptimalLength(set *isa.Set) (int, bool) {
-	if set.M != 1 {
-		return 0, false
-	}
-	var table map[int]int
-	if set.Kind == isa.KindCmov {
-		table = map[int]int{2: 4, 3: 11, 4: 20, 5: 33}
-	} else {
-		table = map[int]int{2: 3, 3: 8, 4: 15, 5: 26}
-	}
-	l, ok := table[set.N]
-	return l, ok
-}
-
 // runSearch executes one coalesced synthesis under the bounded worker
 // pool and stores the artifact in the cache on success.
 func (s *Server) runSearch(ctx context.Context, key kcache.Key, set *isa.Set, opt enum.Options) (*kcache.Entry, error) {
@@ -416,6 +398,11 @@ func (s *Server) runSearch(ctx context.Context, key kcache.Key, set *isa.Set, op
 		return nil, ctx.Err()
 	}
 	defer func() { <-s.sem }()
+
+	// The server-side wall cap is a serving-layer knob: it is not part
+	// of the cache key, so it never fragments the artifact space.
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.SearchTimeout)
+	defer cancel()
 
 	s.metrics.searchesStarted.Add(1)
 	s.metrics.inFlight.Add(1)
@@ -485,7 +472,7 @@ func (s *Server) runBackend(ctx context.Context, key kcache.Key, set *isa.Set, b
 	defer func() { <-s.sem }()
 
 	// The registry engines bound their own budgets; the server-side
-	// wall cap applies uniformly, like SearchTimeout on the enum path.
+	// wall cap applies uniformly, as on the enum path.
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.SearchTimeout)
 	defer cancel()
 

@@ -496,7 +496,7 @@ func (l *DistLUT) Lookup(a Asg) uint8 {
 // assignment's distance exceeds budget the whole candidate is dead, so
 // ApplyDist returns ok=false without touching the remaining assignments
 // — for the majority of generated candidates this skips roughly half
-// the apply work and the entire re-scan a separate DistExceeds pass
+// the apply work and the entire re-scan a separate MaxDist pass
 // would do. budget must be nonnegative and below the table's dead
 // markers (the search's depth budget always is); dead assignments then
 // fail the same comparison.

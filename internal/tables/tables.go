@@ -395,20 +395,6 @@ func (t *Table) DistLUT() *state.DistLUT {
 	return &t.lut
 }
 
-// DistExceeds reports whether any assignment of s is dead or needs more
-// than budget further instructions — i.e. whether MaxDist(s) > budget,
-// with an early exit on the first offending assignment. budget must be
-// below Infinite-1 (the search's depth bound always is), which lets the
-// dead markers fall out of the same comparison.
-func (t *Table) DistExceeds(s state.State, budget int) bool {
-	for _, a := range s {
-		if int(t.dist[t.index(a)]) > budget {
-			return true
-		}
-	}
-	return false
-}
-
 // GuideMask returns the union over the assignments of s of the
 // first-optimal-instruction masks — the slack-0 budget masks — plus all
 // cmp instructions (see build) when any assignment contributed one. An

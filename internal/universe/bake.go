@@ -128,23 +128,6 @@ func (o Options) defaults() Options {
 	return o
 }
 
-// optimalLength mirrors service.knownOptimalLength (and the root
-// package's KnownOptimalLength, unimportable from internal/ without a
-// cycle): certified optimal kernel lengths for m=1.
-func optimalLength(isaName string, n, m int) (int, bool) {
-	if m != 1 {
-		return 0, false
-	}
-	var table map[int]int
-	if isaName == "minmax" {
-		table = map[int]int{2: 3, 3: 8, 4: 15, 5: 26}
-	} else {
-		table = map[int]int{2: 4, 3: 11, 4: 20, 5: 33}
-	}
-	l, ok := table[n]
-	return l, ok
-}
-
 // EnumerateSpecs produces the deterministic, duplicate-free spec list a
 // bake covers under opt. Exported so verification tooling (bake-check)
 // walks exactly the baked space.
@@ -153,7 +136,7 @@ func EnumerateSpecs(opt Options) []Spec {
 	var specs []Spec
 	for _, isaName := range opt.ISAs {
 		for n := opt.MinN; n <= opt.MaxN; n++ {
-			lstar, ok := optimalLength(isaName, n, 1)
+			lstar, ok := isa.KnownOptimalLength(Spec{ISA: isaName, N: n, M: 1}.Set())
 			if !ok {
 				continue
 			}

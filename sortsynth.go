@@ -81,19 +81,7 @@ func NewMinMaxSet(n, m int) *Set { return isa.NewMinMax(n, m) }
 // for n = 2..5 with one scratch register (paper §2.3, §5.4; the n=4 bound
 // is proved by this repository's exhaustion mode, the n=5 values are the
 // best known).
-func KnownOptimalLength(set *Set) (int, bool) {
-	if set.M != 1 {
-		return 0, false
-	}
-	var table map[int]int
-	if set.Kind == isa.KindCmov {
-		table = map[int]int{2: 4, 3: 11, 4: 20, 5: 33}
-	} else {
-		table = map[int]int{2: 3, 3: 8, 4: 15, 5: 26}
-	}
-	l, ok := table[set.N]
-	return l, ok
-}
+func KnownOptimalLength(set *Set) (int, bool) { return isa.KnownOptimalLength(set) }
 
 // Synthesize runs the enumerative search with explicit options.
 func Synthesize(set *Set, opt Options) *Result { return enum.Run(set, opt) }
