@@ -12,7 +12,10 @@ import (
 
 // TestSearchGoldenCounters pins the search effort counters, solution
 // counts and kernels of three benchmark specs, plus an unguided
-// first-solution search whose last expansion stops mid-candidate-set.
+// first-solution search whose last expansion stops mid-candidate-set,
+// plus two all-solutions searches started with slack above the optimal
+// length, whose bound drops partway through an expansion when the first
+// solution turns up.
 // The budget mask drops candidates before they are applied and books
 // them with popcounts; these values were recorded with every candidate
 // applied, so any drift in what the engine generates, prunes, cuts or
@@ -37,12 +40,18 @@ func TestSearchGoldenCounters(t *testing.T) {
 	all3.MaxLen = 11
 	best4 := ConfigBest()
 	best4.MaxLen = 20
+	all3Slack := ConfigAllSolutions()
+	all3Slack.MaxLen = 13
+	mm3Slack := ConfigAllSolutions()
+	mm3Slack.MaxLen = 12
 	first3 := Options{Heuristic: HeurDistMax, UseDistPrune: true, MaxLen: 11}
-	cmov3, cmov4 := isa.NewCmov(3, 1), isa.NewCmov(4, 1)
+	cmov3, cmov4, mm3 := isa.NewCmov(3, 1), isa.NewCmov(4, 1), isa.NewMinMax(3, 1)
 	const (
 		all3Digest = "8f0bde02c2c402ca"
+		all3Order  = "1c8eab419d26eb56"
 		all3W1     = "cmp r1 r2; cmovg s1 r2; cmovg r2 r1; cmovg r1 s1; cmp r2 r3; cmovg s1 r3; cmovg r3 r2; cmovg r2 s1; cmp r1 r2; cmovg r2 r1; cmovg r1 s1"
 		best4W1    = "cmp r3 r4; mov s1 r3; cmovg r3 r4; cmovg r4 s1; cmp r1 r2; mov s1 r1; cmovg r1 r2; cmovg r2 s1; cmp r2 r4; mov s1 r2; cmovg r2 r4; cmovg r4 s1; cmp r1 r3; mov s1 r1; cmovg r1 r3; cmovg r3 s1; cmp r2 r3; mov s1 r2; cmovg r2 r3; cmovg r3 s1"
+		mm3W1      = "mov s1 r1; min r1 r3; max r3 s1; mov s1 r2; min r2 r3; max r3 s1; max r2 r1; min r1 s1"
 		first3W1   = "mov s1 r1; cmp r2 s1; cmovl s1 r2; cmovl r2 r1; cmp r2 r3; cmovg r1 r3; cmovg r3 r2; cmp r1 s1; cmovg r2 r1; cmovg r1 s1; cmovl r2 s1"
 	)
 	cases := []golden{
@@ -50,6 +59,16 @@ func TestSearchGoldenCounters(t *testing.T) {
 		{"cmov3-proof10", cmov3, ConfigProof(10), -1, 0, counters{131694, 5531148, 420900, 0, 4977366}, "", ""},
 		{"cmov4-w1", cmov4, best4, 20, 1, counters{130702, 3602143, 253447, 2138139, 1078421}, best4W1, ""},
 		{"cmov3-distmax-first", cmov3, first3, 11, 1, counters{131826, 5536674, 1729139, 0, 3319343}, first3W1, ""},
+		{"cmov3-all-len13", cmov3, all3Slack, 11, 5602, counters{548739, 23047038, 2040713, 0, 20439127}, all3W1, all3Digest},
+		{"minmax3-all-len12", mm3, mm3Slack, 8, 604, counters{718, 25848, 4516, 0, 20537}, mm3W1, "9b601512ec7b91e6"},
+	}
+	// orderDigest pins Programs in the order the engine returns them
+	// (sha256 prefix, one program per line): that order decides the
+	// MaxSolutions truncation and the objective re-rank prefix.
+	orderDigest := map[string]string{
+		"cmov3-all":         all3Order,
+		"cmov3-all-len13":   all3Order,
+		"minmax3-all-len12": "ab8a09b7f5e69556",
 	}
 	for _, tc := range cases {
 		t.Run(tc.name+"/workers=1", func(t *testing.T) {
@@ -69,11 +88,20 @@ func TestSearchGoldenCounters(t *testing.T) {
 				for i, p := range r.Programs {
 					lines[i] = p.FormatInline(tc.set.N)
 				}
+				if d := digest(lines); d != orderDigest[tc.name] {
+					t.Errorf("program order digest %s, want %s", d, orderDigest[tc.name])
+				}
 				slices.Sort(lines)
-				if d := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(lines, "\n"))))[:16]; d != tc.setDigest {
+				if d := digest(lines); d != tc.setDigest {
 					t.Errorf("program set digest %s, want %s", d, tc.setDigest)
 				}
 			}
 		})
 	}
+}
+
+// digest returns the first 16 hex digits of the sha256 of lines joined
+// by newlines.
+func digest(lines []string) string {
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(lines, "\n"))))[:16]
 }
