@@ -7,45 +7,50 @@ import (
 
 // candidates is one parent's candidate instructions, split before any
 // successor is built. keep holds the instructions that go on to the
-// apply and the exact prune; drop holds those already known to die, and
-// is never applied: the budget mask (tables.BudgetMask, DESIGN.md §10)
-// proves them over budget, or the pre-apply cut claims them (cut ⊆
-// drop). book charges the dropped candidates to the counters — Generated,
-// plus CutCount or Pruned — exactly as a candidate-by-candidate apply
-// loop would have, including one that stops mid-expansion at its first
+// apply; drop holds those already known to die, and is never applied:
+// the budget mask (tables.Candidates, DESIGN.md §10) proves them over
+// budget, or the pre-apply cut claims them (cut ⊆ drop). book charges
+// the dropped candidates to the counters — Generated, plus CutCount or
+// Pruned — exactly as a candidate-by-candidate apply-and-check loop
+// would have, including one that stops mid-expansion at its first
 // solution.
 type candidates struct {
 	keep, drop, cut tables.Mask
 }
 
-// candidates builds one parent's candidate set. st is
-// the parent state, budget the children's remaining instruction budget,
-// and preCut reports that the parent's distinct projection count already
-// exceeds the §3.5 cut limit: a projection-preserving instruction hands
-// its child that same count (state.ProjPreserving) and cannot sort it
-// (the parent is not sorted), so its candidates are cut without an
-// apply. With dist-pruning on, the parent's distance-table indices are
-// written to *pidx and the budget mask is taken over them.
-func (s *searcher) candidates(st state.State, pidx *[]uint32, budget int, preCut bool) candidates {
-	set := s.instrMask
-	if s.opt.UseActionGuide {
-		set = s.tab.GuideMask(st)
+// candidates builds one parent's candidate set. st is the parent state,
+// budget the children's remaining instruction budget, and preCut
+// reports that the parent's distinct projection count already exceeds
+// the §3.5 cut limit: a projection-preserving instruction hands its
+// child that same count (state.ProjPreserving) and cannot sort it (the
+// parent is not sorted), so its candidates are cut without an apply.
+// The action guide and the budget mask come from one walk over st.
+func (s *searcher) candidates(st state.State, budget int, preCut bool) candidates {
+	set, fit := s.instrMask, s.instrMask
+	if s.opt.UseActionGuide || s.opt.UseDistPrune {
+		guide, budgetFit := s.tab.Candidates(st, budget)
+		if s.opt.UseActionGuide {
+			set = guide
+		}
+		if s.opt.UseDistPrune {
+			fit = budgetFit
+		}
 	}
-	c := candidates{keep: set}
+	c := candidates{keep: set.And(fit)}
 	if preCut {
 		c.cut = set.And(s.projPres)
 		c.keep = c.keep.AndNot(s.projPres)
 	}
-	if s.opt.UseDistPrune && budget >= 0 {
-		p := (*pidx)[:0]
-		for _, a := range st {
-			p = append(p, s.lut.Index(a))
-		}
-		*pidx = p
-		c.keep = c.keep.And(s.tab.BudgetMask(p, budget))
-	}
 	c.drop = set.AndNot(c.keep)
 	return c
+}
+
+// rebudget moves the kept candidates outside fit, the budget mask at a
+// bound lowered mid-expansion, to the dropped ones, where book charges
+// them as pruned.
+func (c *candidates) rebudget(fit tables.Mask) {
+	c.drop.Or(c.keep.AndNot(fit))
+	c.keep = c.keep.And(fit)
 }
 
 // allIDs is past every instruction ID a Mask can hold.

@@ -83,10 +83,12 @@ func (e *UnknownProfileError) Error() string {
 
 // rerankCap bounds how many optimal programs an objective run
 // materializes for ranking when the caller did not ask for the programs
-// themselves. Far above every pinned solution-set size (n=3 cmov: 234;
-// the largest known set is in the low thousands); if a set ever
-// exceeds it, Result.RerankTruncated reports that the winner was picked
-// from a deterministic prefix of the set.
+// themselves. Small sets fit (n=3 cmov: 234 programs), but not every
+// set does: at cmov n=4 the optimal set holds 7,043,960 programs, so
+// the winner there comes from the first 65,536 in enumeration order.
+// Result.RerankTruncated reports such a prefix pick. Ranking the whole
+// set is an open ROADMAP item ("Make objective=fastest mean what it
+// says at n≥4").
 const rerankCap = 1 << 16
 
 // rankedProgram is one re-rank candidate with its sort keys

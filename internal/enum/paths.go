@@ -32,7 +32,7 @@ func (s *searcher) countPaths() int64 {
 			return c
 		}
 		c := count(nd.parent)
-		for _, e := range nd.extra {
+		for e := range s.extraParents(v) {
 			c = satAdd(c, count(e.parent))
 		}
 		memo[v] = c
@@ -76,7 +76,7 @@ func (s *searcher) enumeratePrograms() []isa.Program {
 		}
 		rev = append(rev, nd.instr)
 		ok := walk(nd.parent)
-		for _, e := range nd.extra {
+		for e := range s.extraParents(v) {
 			if !ok {
 				break
 			}

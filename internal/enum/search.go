@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"math"
 	"time"
 
@@ -83,16 +84,28 @@ func (e *DepthLimitError) Error() string {
 	return fmt.Sprintf("enum: MaxLen %d exceeds the engine depth limit %d", e.MaxLen, MaxDepth)
 }
 
-type edge struct {
-	parent int32
-	instr  uint16
-}
-
+// node is one vertex of the search DAG: its primary parent edge (the
+// first optimal path found to it), its depth, and whether its state is
+// sorted. In AllSolutions mode extra indexes the newest of the node's
+// additional optimal parents in searcher.extras, or is -1. The node
+// holds no pointer, so the garbage collector never scans the nodes
+// slice.
 type node struct {
-	edge
-	extra  []edge // additional optimal parents (AllSolutions mode)
+	parent int32
+	extra  int32
+	instr  uint16
 	g      uint8
 	sorted bool
+}
+
+// extraEdge is one additional optimal parent of a node. next links a
+// node's extra parents into a circular list: the node indexes the
+// newest entry, whose next is the oldest, so an append is O(1) and a
+// walk from the oldest visits the parents in insertion order.
+type extraEdge struct {
+	parent int32
+	next   int32
+	instr  uint16
 }
 
 type searcher struct {
@@ -102,6 +115,7 @@ type searcher struct {
 	opt Options
 
 	nodes    []node
+	extras   []extraEdge
 	dedup    *flatTable
 	open     bucketQueue
 	arena    state.Arena
@@ -115,11 +129,6 @@ type searcher struct {
 	ctx      context.Context
 	buf      state.State
 	done     bool // single-solution mode: stop at the first solution
-
-	// Hot-loop hoists: the distance LUT is fetched once per run (not per
-	// candidate), and pidx is reused across parents.
-	lut  *state.DistLUT
-	pidx []uint32 // parent distance-table indices (budget mask)
 
 	// instrMask holds every instruction of the set. Cut bookkeeping
 	// hoists: projPres marks the instructions that cannot change any
@@ -205,7 +214,6 @@ func newSearcher(ctx context.Context, set *isa.Set, opt Options) *searcher {
 	}
 	if opt.UseDistPrune || opt.UseActionGuide || opt.Heuristic == HeurDistMax {
 		s.tab = tables.For(m)
-		s.lut = s.tab.DistLUT()
 	}
 	instrs := set.Instrs()
 	s.instrMask = tables.MaskOf(len(instrs))
@@ -226,7 +234,7 @@ func newSearcher(ctx context.Context, set *isa.Set, opt Options) *searcher {
 	s.optLen = -1
 
 	init := m.Initial()
-	s.nodes = append(s.nodes, node{edge: edge{parent: -1}, g: 0})
+	s.nodes = append(s.nodes, node{parent: -1, extra: -1})
 	s.bestPerm[0] = int32(m.PermCount(init))
 	s.dedup = newFlatTable(1 << 12)
 	s.dedup.getOrPut(state.HashKey(init), 0)
@@ -294,14 +302,15 @@ func (s *searcher) search() {
 		// parent's expansion and hoisted out of the candidate funnel. The
 		// candidate set — action guide, pre-apply cut, budget mask — is
 		// likewise built once per parent. A solution found mid-expansion
-		// can only lower the bound, which keeps the mask a sound superset
-		// of what the exact prune accepts for the later siblings.
+		// lowers the bound; the later siblings must then fit the lower
+		// budget, so the kept candidates are masked again at it.
 		limit, intLimit := s.cutLimit(g)
 		if s.opt.Cut != CutNone {
 			s.parentPC = s.m.PermCount(st)
 		}
 		preCut := intLimit != math.MaxInt && s.parentPC > intLimit
-		c := s.candidates(st, &s.pidx, s.bound-(g+1), preCut)
+		budget := s.bound - (g + 1)
+		c := s.candidates(st, budget, preCut)
 		for {
 			id, ok := c.next()
 			if !ok {
@@ -311,6 +320,11 @@ func (s *searcher) search() {
 			if s.done {
 				c.book(id, &s.res.Generated, &s.res.CutCount, &s.res.Pruned)
 				return
+			}
+			if s.opt.UseDistPrune && s.bound-(g+1) < budget {
+				budget = s.bound - (g + 1)
+				_, fit := s.tab.Candidates(st, budget)
+				c.rebudget(fit)
 			}
 		}
 		c.book(allIDs, &s.res.Generated, &s.res.CutCount, &s.res.Pruned)
@@ -362,46 +376,22 @@ func (s *searcher) expandChild(parentID int32, g int, parentCost int32, st state
 	// The raw successor keeps the parent's order; the prune predicates
 	// and the cut's exceeds-test are order-insensitive, so the
 	// canonicalizing sort is deferred until a candidate survives all of
-	// them. With dist-pruning on, the prune is fused into the apply
-	// itself and aborts at the first over-budget assignment. The
-	// budget check doubles as the depth guard: bound ≤ MaxDepth, so
-	// pruning at budget < 0 also keeps g within its uint8 storage.
-	// Candidates the pre-apply cut or the budget mask claims never reach
-	// this point (see candidates).
+	// them. Candidates the pre-apply cut or the budget mask claims never
+	// reach this point (see candidates); with dist-pruning on, the mask
+	// is the whole §3.3 budget check, so every child that gets here fits
+	// the budget. Without it the cheaper viability checks run instead:
+	// a non-sorted state at the bound is a dead end (any completion
+	// needs at least one more instruction), and so is one that erased a
+	// value. Either way cg ≤ bound ≤ MaxDepth, within g's uint8 storage.
 	cg := g + 1
-	budget := s.bound - cg
 	projPres := s.projPres.Has(int(instrID))
-	var child state.State
-	var sorted bool
-	if s.opt.UseDistPrune && budget >= 0 {
-		var ok bool
-		child, ok = s.m.ApplyDist(s.buf, st, in, s.lut, budget)
-		s.buf = child // keep the grown buffer
-		s.res.Generated++
-		if !ok {
-			s.res.Pruned++
-			return
-		}
-		sorted = s.m.AllSorted(child)
-	} else {
-		child = s.m.ApplyRaw(s.buf, st, in)
-		s.buf = child // keep the grown buffer
-		s.res.Generated++
-		sorted = s.m.AllSorted(child)
-		if !sorted {
-			// A non-sorted state at the bound is a dead end: any
-			// completion needs at least one more instruction. (The fused
-			// branch prunes these through the dist check — every
-			// non-sorted assignment has dist ≥ 1 > budget 0.)
-			if budget <= 0 {
-				s.res.Pruned++
-				return
-			}
-			if !s.m.AllViable(child) {
-				s.res.Pruned++
-				return
-			}
-		}
+	child := s.m.ApplyRaw(s.buf, st, in)
+	s.buf = child // keep the grown buffer
+	s.res.Generated++
+	sorted := s.m.AllSorted(child)
+	if !sorted && !s.opt.UseDistPrune && (s.bound-cg <= 0 || !s.m.AllViable(child)) {
+		s.res.Pruned++
+		return
 	}
 	// Projection-preserving instructions hand the child the parent's
 	// distinct projection count outright; the pre-canonicalize
@@ -445,12 +435,11 @@ func (s *searcher) expandChild(parentID int32, g int, parentCost int32, st state
 		case cg == int(exn.g):
 			s.res.Deduped++
 			if s.opt.AllSolutions {
-				exn.extra = append(exn.extra, edge{parent: parentID, instr: instrID})
+				s.addExtra(ex, parentID, instrID)
 			}
 		default: // strictly better path to a known state (guided orders only)
 			exn.g = uint8(cg)
-			exn.edge = edge{parent: parentID, instr: instrID}
-			exn.extra = nil
+			exn.parent, exn.instr, exn.extra = parentID, instrID, -1
 			if exn.sorted {
 				s.recordSolution(ex, cg)
 			} else {
@@ -461,7 +450,9 @@ func (s *searcher) expandChild(parentID int32, g int, parentCost int32, st state
 	}
 
 	s.nodes = append(s.nodes, node{
-		edge:   edge{parent: parentID, instr: instrID},
+		parent: parentID,
+		extra:  -1,
+		instr:  instrID,
 		g:      uint8(cg),
 		sorted: sorted,
 	})
@@ -470,6 +461,32 @@ func (s *searcher) expandChild(parentID int32, g int, parentCost int32, st state
 		return
 	}
 	s.pushOpen(id, cg, childCost, child, pc, havePC)
+}
+
+// addExtra appends an additional optimal parent edge to node v.
+func (s *searcher) addExtra(v, parent int32, instr uint16) {
+	id := int32(len(s.extras))
+	e := extraEdge{parent: parent, next: id, instr: instr}
+	nd := &s.nodes[v]
+	if nd.extra >= 0 {
+		tail := &s.extras[nd.extra]
+		e.next, tail.next = tail.next, id
+	}
+	nd.extra = id
+	s.extras = append(s.extras, e)
+}
+
+// extraParents yields node v's additional optimal parents in the order
+// they were added.
+func (s *searcher) extraParents(v int32) iter.Seq[extraEdge] {
+	return func(yield func(extraEdge) bool) {
+		tail := s.nodes[v].extra
+		if tail < 0 {
+			return
+		}
+		for i := s.extras[tail].next; yield(s.extras[i]) && i != tail; i = s.extras[i].next {
+		}
+	}
 }
 
 // pushOpen copies the state into the arena and queues the node.

@@ -3,8 +3,9 @@ package state_test
 // Differential fuzzing of the batched state kernels against the
 // per-assignment Step oracle. The fuzzer steers the packed bit patterns,
 // machine choice, instruction choice, and prune budget; living in the
-// external test package, the target checks the fused ApplyDist kernel
-// with the *real* distance tables from internal/tables.
+// external test package, the target checks the search's budget verdict,
+// the fused candidate pass of internal/tables, with the *real* distance
+// tables.
 
 import (
 	"encoding/binary"
@@ -30,10 +31,12 @@ var fuzzMachines = []*state.Machine{
 }
 
 // clampAsg forces an arbitrary fuzzed word into the machine's packed
-// domain: register values at most n, tag below the goal-table size. The
-// distance tables are only defined on that domain (exactly the states
-// the search can reach), so out-of-range nibbles would index garbage
-// rather than exercise the contract.
+// domain: register values at most n, tag below the goal-table size, and
+// at most one of lt and gt set (cmp sets one flag or none, so both never
+// occur). The distance tables are only defined on that domain (exactly
+// the states the search can reach): out-of-range nibbles would index
+// garbage, and a both-flags assignment reads as dead while its cmp
+// successor does not, rather than exercising the contract.
 func clampAsg(m *state.Machine, a state.Asg) state.Asg {
 	n := m.Set.N
 	vals := m.Unpack(a)
@@ -41,24 +44,27 @@ func clampAsg(m *state.Machine, a state.Asg) state.Asg {
 		vals[i] = v % (n + 1)
 	}
 	lt, gt := m.Flags(a)
-	out := m.Pack(vals, lt, gt)
+	out := m.Pack(vals, lt, gt && !lt)
 	return m.WithTag(out, m.Tag(a)%m.NumTags())
 }
 
 // FuzzApplyDistVsStep is the differential gate for the search's apply
-// path. For a fuzzer-chosen machine, budget, and state, and for every
-// instruction of the machine's set: ApplyRaw must equal the
-// per-assignment Step loop bit for bit; ApplyDist must accept exactly
-// when every stepped assignment's distance is within budget, and then
-// return the Step loop's state; the batched goal/viability checks must
-// equal their per-assignment forms on the input and every successor;
-// and the stamped cut check must equal the linear-scan
-// PermCountExceeds. Every input runs every instruction, so a fault in
-// any one op's kernel shows on the first input that exercises it.
+// path and its distance verdict. For a fuzzer-chosen machine, budget,
+// and state, and for every instruction of the machine's set: ApplyRaw
+// must equal the per-assignment Step loop bit for bit; the budget mask
+// of the fused candidate pass (tables.Candidates) must hold the
+// instruction exactly when every stepped assignment's distance is
+// within budget, on the whole state and at each assignment's exact
+// threshold; the batched goal/viability checks must equal their
+// per-assignment forms on the input and every successor; and the
+// stamped cut check must equal the linear-scan PermCountExceeds. Every
+// input runs every instruction, so a fault in any one op's kernel shows
+// on the first input that exercises it. (The name predates the fused
+// apply+prune kernel's removal; the corpus keeps it.)
 func FuzzApplyDistVsStep(f *testing.F) {
-	luts := make([]*state.DistLUT, len(fuzzMachines))
+	tabs := make([]*tables.Table, len(fuzzMachines))
 	for i, m := range fuzzMachines {
-		luts[i] = tables.For(m).DistLUT()
+		tabs[i] = tables.For(m)
 	}
 
 	f.Add([]byte{})
@@ -73,7 +79,7 @@ func FuzzApplyDistVsStep(f *testing.F) {
 		}
 		// data[1] is unused: every instruction runs on every input.
 		mi := int(data[0]) % len(fuzzMachines)
-		m, lut := fuzzMachines[mi], luts[mi]
+		m, tab := fuzzMachines[mi], tabs[mi]
 		budget := int(data[2]) % 24
 		limit := int(data[3]) % 9
 		data = data[4:]
@@ -88,13 +94,14 @@ func FuzzApplyDistVsStep(f *testing.F) {
 		}
 
 		checkPredicates(t, m, s)
+		_, fit := tab.Candidates(s, budget)
 		want := make(state.State, len(s))
-		for _, in := range m.Set.Instrs() {
+		for id, in := range m.Set.Instrs() {
 			// ApplyRaw against the per-assignment Step loop, bit for bit.
 			within := true
 			for i, a := range s {
 				want[i] = m.Step(a, in)
-				if int(lut.Lookup(want[i])) > budget {
+				if tab.Dist(want[i]) > budget {
 					within = false
 				}
 			}
@@ -106,41 +113,31 @@ func FuzzApplyDistVsStep(f *testing.F) {
 				}
 			}
 
-			// Fused apply+prune: the verdict is "every successor within
-			// budget", and an accepted successor is the Step loop's state.
-			gotD, ok := m.ApplyDist(nil, s, in, lut, budget)
-			if ok != within {
-				t.Fatalf("%v %s budget=%d: ApplyDist ok=%v, Step distances within budget=%v",
-					m.Set, in.Format(m.Set.N), budget, ok, within)
-			}
-			if ok {
-				for i := range want {
-					if gotD[i] != want[i] {
-						t.Fatalf("%v %s: ApplyDist asg[%d]=%08x, Step %08x",
-							m.Set, in.Format(m.Set.N), i, gotD[i], want[i])
-					}
-				}
+			// The budget mask's verdict is "every successor within
+			// budget", both ways.
+			if fit.Has(id) != within {
+				t.Fatalf("%v %s budget=%d: budget mask has=%v, Step distances within budget=%v",
+					m.Set, in.Format(m.Set.N), budget, fit.Has(id), within)
 			}
 			// The exact threshold per assignment: a one-assignment state
-			// whose successor has finite distance d passes at budget d,
-			// with the Step successor, and fails at d−1. Random states
-			// rarely have every successor in budget, so this is what
-			// reaches each op's successor on most inputs.
+			// whose successor has finite distance d is admitted at
+			// budget d and dropped at d−1. Random states rarely have
+			// every successor in budget, so this is what reaches each
+			// op's successor on most inputs.
 			for i, a := range s {
-				d := int(lut.Lookup(want[i]))
-				if d >= tables.Infinite-1 {
+				d := tab.Dist(want[i])
+				if d == tables.Infinite {
 					continue
 				}
-				got, ok := m.ApplyDist(nil, s[i:i+1], in, lut, d)
-				if !ok || got[0] != want[i] {
-					t.Fatalf("%v %s asg=%08x budget=%d: ApplyDist (%08x, ok=%v), Step %08x",
-						m.Set, in.Format(m.Set.N), a, d, got[0], ok, want[i])
+				if _, fit := tab.Candidates(s[i:i+1], d); !fit.Has(id) {
+					t.Fatalf("%v %s asg=%08x: budget mask drops at budget %d a successor (%08x) of distance %d",
+						m.Set, in.Format(m.Set.N), a, d, want[i], d)
 				}
 				if d == 0 {
 					continue
 				}
-				if _, ok := m.ApplyDist(nil, s[i:i+1], in, lut, d-1); ok {
-					t.Fatalf("%v %s asg=%08x: ApplyDist accepts at budget %d a successor of distance %d",
+				if _, fit := tab.Candidates(s[i:i+1], d-1); fit.Has(id) {
+					t.Fatalf("%v %s asg=%08x: budget mask admits at budget %d a successor of distance %d",
 						m.Set, in.Format(m.Set.N), a, d-1, d)
 				}
 			}

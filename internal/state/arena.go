@@ -1,32 +1,43 @@
 package state
 
-// Arena is an append-only slab of packed assignments. The search engine
-// stores every open-list state in one arena and addresses it by a compact
-// (offset, length) pair instead of holding a heap-allocated clone per
-// entry: pushes become a bulk copy into one growing backing array, pops a
-// constant-time reslice, and the garbage collector sees a single pointer
-// per arena rather than hundreds of thousands of small State slices.
+// chunkBits sizes the arena's chunks: 1<<chunkBits assignments (256 KB)
+// each, far more than the largest state a packed machine can hold (at
+// most 7 registers, so n ≤ 6: 720 permutations, 4,683 weak orders).
+const chunkBits = 16
+
+// Arena is an append-only store of packed assignments in fixed-size
+// chunks. The search engine stores every open-list state in one arena
+// and addresses it by a compact (offset, length) pair instead of holding
+// a heap-allocated clone per entry: pushes become a bulk copy into the
+// current chunk, pops a constant-time reslice, and the garbage collector
+// sees one pointer per chunk rather than hundreds of thousands of small
+// State slices. A full chunk is never grown, so a saved state is copied
+// exactly once, by Save, and never moved afterwards.
 //
 // The zero value is an empty arena ready for use.
 type Arena struct {
-	slab []Asg
+	chunks [][]Asg
 }
 
-// Len returns the number of assignments currently stored.
-func (a *Arena) Len() int32 { return int32(len(a.slab)) }
-
-// Save appends a copy of s and returns its (offset, length) address.
+// Save appends a copy of s and returns its (offset, length) address. A
+// state that does not fit the current chunk's tail starts a new chunk;
+// the tail stays unused. s must hold at most 1<<chunkBits assignments.
 func (a *Arena) Save(s State) (off, n int32) {
-	off = int32(len(a.slab))
-	a.slab = append(a.slab, s...)
+	last := len(a.chunks) - 1
+	if last < 0 || len(a.chunks[last])+len(s) > 1<<chunkBits {
+		a.chunks = append(a.chunks, make([]Asg, 0, 1<<chunkBits))
+		last++
+	}
+	c := a.chunks[last]
+	off = int32(last<<chunkBits | len(c))
+	a.chunks[last] = append(c, s...)
 	return off, int32(len(s))
 }
 
 // At returns the state stored at (off, n). The slice is capped at its own
 // length, so appending to it cannot clobber neighbouring entries; it
-// aliases the arena and stays valid across later Saves (a growth
-// reallocation copies the slab, and slices taken before it keep the old
-// backing array alive until they are dropped).
+// aliases the arena and stays valid, unchanged, across later Saves.
 func (a *Arena) At(off, n int32) State {
-	return State(a.slab[off : off+n : off+n])
+	c, i := a.chunks[off>>chunkBits], off&(1<<chunkBits-1)
+	return State(c[i : i+n : i+n])
 }

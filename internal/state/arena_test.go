@@ -2,6 +2,7 @@ package state
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sortsynth/internal/isa"
@@ -24,8 +25,7 @@ func TestArenaSaveAt(t *testing.T) {
 		want = append(want, s)
 		addrs = append(addrs, [2]int32{off, n})
 	}
-	// Every saved state must read back intact even though the slab has
-	// been reallocated many times by later Saves.
+	// Every saved state must read back intact after all later Saves.
 	for i, ad := range addrs {
 		got := a.At(ad[0], ad[1])
 		if len(got) != len(want[i]) {
@@ -37,8 +37,44 @@ func TestArenaSaveAt(t *testing.T) {
 			}
 		}
 	}
-	if a.Len() == 0 {
-		t.Fatal("Len() = 0 after 200 saves")
+}
+
+// TestArenaChunkBoundary saves states until one no longer fits the first
+// chunk's tail: it must start a new chunk and read back intact, and a
+// slice taken by At before the crossing must still alias the stored
+// state, unchanged.
+func TestArenaChunkBoundary(t *testing.T) {
+	var a Arena
+	st := func(seed int) State {
+		s := make(State, 7)
+		for j := range s {
+			s[j] = Asg(seed*31 + j)
+		}
+		return s
+	}
+	first := a.At(a.Save(st(0)))
+	var addrs [][2]int32
+	for i := 1; len(addrs) == 0 || addrs[len(addrs)-1][0]>>chunkBits == 0; i++ {
+		off, n := a.Save(st(i))
+		addrs = append(addrs, [2]int32{off, n})
+	}
+	if last := addrs[len(addrs)-1]; last[0] != 1<<chunkBits {
+		t.Fatalf("state crossing the chunk boundary saved at offset %#x, want %#x", last[0], 1<<chunkBits)
+	}
+	if prev := addrs[len(addrs)-2]; prev[0]+7 > 1<<chunkBits || prev[0]+14 <= 1<<chunkBits {
+		t.Fatalf("last state of the first chunk at offset %#x leaves room for another", prev[0])
+	}
+	for i, ad := range addrs {
+		want := st(i + 1)
+		if got := a.At(ad[0], ad[1]); !slices.Equal(got, want) {
+			t.Fatalf("state %d at %#x reads back %v, want %v", i+1, ad[0], got, want)
+		}
+	}
+	if !slices.Equal(first, st(0)) {
+		t.Fatalf("earlier At slice changed to %v", first)
+	}
+	if &first[0] != &a.At(0, 7)[0] {
+		t.Fatal("earlier At slice no longer aliases the arena")
 	}
 }
 

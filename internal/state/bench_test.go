@@ -8,13 +8,14 @@ import (
 	"sortsynth/internal/tables"
 )
 
-// External test package: the ApplyDist benchmark needs the distance LUT
-// from internal/tables, which imports state.
+// External test package: the candidate-pass benchmark and alloc check
+// need the distance tables from internal/tables, which imports state.
 
 var (
 	sinkKey   state.Key128
 	sinkBool  bool
 	sinkState state.State
+	sinkMask  tables.Mask
 )
 
 func BenchmarkHashKey(b *testing.B) {
@@ -27,20 +28,17 @@ func BenchmarkHashKey(b *testing.B) {
 	}
 }
 
-func BenchmarkApplyDist(b *testing.B) {
-	set := isa.NewCmov(4, 1)
-	m := state.NewMachine(set)
+// BenchmarkCandidates times the search's per-parent candidate pass (the
+// guide and budget masks in one walk) on the full n=4 initial state.
+func BenchmarkCandidates(b *testing.B) {
+	m := state.NewMachine(isa.NewCmov(4, 1))
 	tab := tables.For(m)
-	lut := tab.DistLUT()
-	instrs := set.Instrs()
 	s := m.Initial()
-	var dst state.State
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst, _ = m.ApplyDist(dst, s, instrs[i%len(instrs)], lut, 20)
+		_, sinkMask = tab.Candidates(s, 19)
 	}
-	sinkState = dst
 }
 
 // opInstr returns the first instruction of the set with the given op.
@@ -175,7 +173,7 @@ func BenchmarkPermCountExceedsSetHashed(b *testing.B) {
 func TestHotPathsAllocFree(t *testing.T) {
 	set := isa.NewCmov(4, 1)
 	m := state.NewMachine(set)
-	lut := tables.For(m).DistLUT()
+	tab := tables.For(m)
 	in := opInstr(set, isa.Cmovl)
 	s := m.Initial()
 	dst := make(state.State, len(s))
@@ -186,7 +184,7 @@ func TestHotPathsAllocFree(t *testing.T) {
 		fn   func()
 	}{
 		{"ApplyRaw", func() { dst = m.ApplyRaw(dst, s, in) }},
-		{"ApplyDist", func() { dst, _ = m.ApplyDist(dst, s, in, lut, 20) }},
+		{"Candidates", func() { _, sinkMask = tab.Candidates(s, 19) }},
 		{"PermCountExceedsSet", func() { sinkBool = m.PermCountExceedsSet(s, 12, &ps) }},
 	}
 	for _, c := range checks {

@@ -13,6 +13,11 @@
 // sorted ascending with duplicates merged (paper §3.6). Two partial
 // programs with equal canonical states behave identically under any
 // completion, so the search deduplicates on them.
+//
+// The package executes (ApplyRaw), checks (AllSorted, AllViable, the §3.5
+// cut's projection counts), canonicalizes, hashes and stores (Arena)
+// states. The distance-based checks — the §3.3 budget and the §3.2 action
+// guide — are decided per state, before any apply, by internal/tables.
 package state
 
 import (
@@ -459,139 +464,6 @@ func (m *Machine) PermCount(s State) int {
 		}
 	}
 	return count
-}
-
-// DistLUT is the per-assignment distance table together with its
-// byte-wise index decomposition, built by the tables package. The table
-// index of a packed assignment is linear over its disjoint bit fields,
-// so it splits into three byte lookups:
-//
-//	index(a) = B0[a&0xFF] + B1[a>>8&0xFF] + B2[a>>16]
-//
-// B0 and B1 are 256 entries each and B2 covers the packed bits above 16
-// (64 entries for the n=4 cmov machine), so the whole decomposition
-// (~2.5 KB) plus the distance table (12.5 KB at n=4) stays L1-resident.
-// The previous 16/16 split's low table was 256 KB — every lookup in the
-// search's innermost loop paid an L2 round trip.
-type DistLUT struct {
-	Dist []uint8
-	B0   []uint32 // index contribution of bits 0..7
-	B1   []uint32 // index contribution of bits 8..15
-	B2   []uint32 // index contribution of bits 16..PackedBits-1
-}
-
-// Index returns the distance-table index of packed assignment a.
-func (l *DistLUT) Index(a Asg) uint32 {
-	return l.B0[a&0xFF] + l.B1[a>>8&0xFF] + l.B2[a>>16]
-}
-
-// Lookup returns the sorting distance of packed assignment a.
-func (l *DistLUT) Lookup(a Asg) uint8 {
-	return l.Dist[l.Index(a)]
-}
-
-// ApplyDist fuses ApplyRaw with the distance-budget prune: it executes
-// in on every assignment of s and, as each successor assignment is
-// produced, looks its sorting distance up in lut. The moment an
-// assignment's distance exceeds budget the whole candidate is dead, so
-// ApplyDist returns ok=false without touching the remaining assignments
-// — for the majority of generated candidates this skips roughly half
-// the apply work and the entire re-scan a separate MaxDist pass
-// would do. budget must be nonnegative and below the table's dead
-// markers (the search's depth budget always is); dead assignments then
-// fail the same comparison.
-//
-// On ok=true the result is exactly ApplyRaw's (raw order, duplicates
-// kept) and MaxDist(result) ≤ budget. A sorted assignment has distance
-// zero, so solution states always pass.
-func (m *Machine) ApplyDist(dst State, s State, in isa.Instr, lut *DistLUT, budget int) (State, bool) {
-	if cap(dst) < len(s) {
-		dst = make(State, len(s))
-	} else {
-		dst = dst[:len(s)]
-	}
-	dist, b2 := lut.Dist, lut.B2
-	b0 := (*[256]uint32)(lut.B0)
-	b1 := (*[256]uint32)(lut.B1)
-	b := uint8(budget)
-	shD, shS := m.shift[in.Dst], m.shift[in.Src]
-	switch in.Op {
-	case isa.Mov:
-		for i, a := range s {
-			v := (a >> shS) & 0xF
-			a = a&^(0xF<<shD) | v<<shD
-			if dist[b0[a&0xFF]+b1[a>>8&0xFF]+b2[a>>16]] > b {
-				return dst, false
-			}
-			dst[i] = a
-		}
-	case isa.Cmp:
-		for i, a := range s {
-			va := (a >> shD) & 0xF
-			vb := (a >> shS) & 0xF
-			a &^= flagLT | flagGT
-			if va < vb {
-				a |= flagLT
-			} else if va > vb {
-				a |= flagGT
-			}
-			if dist[b0[a&0xFF]+b1[a>>8&0xFF]+b2[a>>16]] > b {
-				return dst, false
-			}
-			dst[i] = a
-		}
-	case isa.Cmovl:
-		for i, a := range s {
-			if a&flagLT != 0 {
-				v := (a >> shS) & 0xF
-				a = a&^(0xF<<shD) | v<<shD
-			}
-			if dist[b0[a&0xFF]+b1[a>>8&0xFF]+b2[a>>16]] > b {
-				return dst, false
-			}
-			dst[i] = a
-		}
-	case isa.Cmovg:
-		for i, a := range s {
-			if a&flagGT != 0 {
-				v := (a >> shS) & 0xF
-				a = a&^(0xF<<shD) | v<<shD
-			}
-			if dist[b0[a&0xFF]+b1[a>>8&0xFF]+b2[a>>16]] > b {
-				return dst, false
-			}
-			dst[i] = a
-		}
-	case isa.Min:
-		for i, a := range s {
-			if vb := (a >> shS) & 0xF; vb < (a>>shD)&0xF {
-				a = a&^(0xF<<shD) | vb<<shD
-			}
-			if dist[b0[a&0xFF]+b1[a>>8&0xFF]+b2[a>>16]] > b {
-				return dst, false
-			}
-			dst[i] = a
-		}
-	case isa.Max:
-		for i, a := range s {
-			if vb := (a >> shS) & 0xF; vb > (a>>shD)&0xF {
-				a = a&^(0xF<<shD) | vb<<shD
-			}
-			if dist[b0[a&0xFF]+b1[a>>8&0xFF]+b2[a>>16]] > b {
-				return dst, false
-			}
-			dst[i] = a
-		}
-	default:
-		for i, a := range s {
-			a = m.Step(a, in)
-			if dist[b0[a&0xFF]+b1[a>>8&0xFF]+b2[a>>16]] > b {
-				return dst, false
-			}
-			dst[i] = a
-		}
-	}
-	return dst, true
 }
 
 // PermCountExceeds reports whether s has more than limit distinct

@@ -4,26 +4,29 @@
 //
 // The single-assignment space is tiny (at most 3·(n+1)^(n+m) entries), so
 // the distances are tabulated once per machine by fixpoint relaxation over
-// the instruction step function. The table yields four search
+// the instruction step function. The table yields three search
 // ingredients:
 //
 //   - an admissible A* heuristic: max over the assignments of a state of
 //     the assignment's distance is a lower bound on the remaining program
 //     length (paper §3.1, third heuristic);
-//   - the per-assignment viability budget check: if any assignment cannot
-//     be sorted within the remaining instruction budget, the partial
-//     program cannot be completed (paper §3.3);
-//   - the budget masks: for every viable assignment, the instructions
-//     whose successor still fits a budget of slack 0, 1, 2 or more, so
-//     the search can drop a state's over-budget candidates before
-//     applying them (BudgetMask, DESIGN.md §10);
+//   - the budget masks, which decide the per-assignment viability budget
+//     check (paper §3.3): for every viable assignment, the instructions
+//     whose successor still fits each slack up to the machine's largest
+//     one-step distance rise, so the search drops a state's over-budget
+//     candidates exactly, before applying any of them (DESIGN.md §10);
 //   - the first-optimal-instruction guide that drives the
 //     non-optimality-preserving action guide (paper §3.2), read off the
-//     slack-0 budget masks (GuideMask).
+//     slack-0 budget masks.
+//
+// Candidates builds both masks of a state in one walk over its
+// assignments.
 package tables
 
 import (
+	"encoding/binary"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"sortsynth/internal/isa"
@@ -113,13 +116,6 @@ func MaskOf(n int) Mask {
 	return m
 }
 
-// budgetSlacks is the number of budget masks kept per viable assignment:
-// slack 0, 1, 2, and 3-or-more.
-const budgetSlacks = 4
-
-// budgetRec is one assignment's budget masks, indexed by slack.
-type budgetRec [budgetSlacks]Mask
-
 // Table holds the precomputed per-assignment data for one machine.
 type Table struct {
 	m    *state.Machine
@@ -127,28 +123,30 @@ type Table struct {
 	base uint32    // (n+1)^regs
 	dist []uint8
 
-	// Budget masks: rec maps a table index to its record in recs, whose
-	// k-th mask holds the instructions whose successor has distance
-	// ≤ d−1+k (k = 0..2) or any finite distance (k = 3), d being the
-	// assignment's own distance. Records are built for the viable
-	// assignments only and interned — assignments with equal masks share
-	// one — and record 0 is the all-empty record of every assignment
-	// without a finite distance. A dense mask array over the whole
-	// assignment space would cost 24 bytes per entry per slack, most of
-	// them dead assignments; the index costs 4.
-	rec     []uint32
-	recs    []budgetRec
-	cmpMask Mask
-
 	// index(a) is linear over the bits of a (each packed field contributes
-	// weight(bit)·bitvalue), so it splits into precomputed per-byte
-	// lookups — the per-register decomposition loop is far too hot for
-	// the search's per-candidate MaxDist and GuideMask calls. The
-	// decomposition lives in a state.DistLUT (two 256-entry byte tables
-	// plus the high remainder, ~2.5 KB total) so the search's fused
-	// apply+prune kernels index it straight out of L1; lut.Dist aliases
-	// t.dist once the fixpoint has run.
-	lut state.DistLUT
+	// weight(bit)·bitvalue), so it splits into per-byte lookups: b0 and b1
+	// cover bits 0..15 and b2 the packed bits above them. The whole
+	// decomposition (~2.5 KB) plus the distance table (12.5 KB at n=4)
+	// stays L1-resident; the per-register decomposition loop is far too
+	// hot for the search's per-parent Candidates and per-child MaxDist.
+	b0, b1 [256]uint32
+	b2     []uint32
+
+	// Budget masks. Every record is levels consecutive masks in masks,
+	// and rec maps a table index to the offset of its record. Mask k of
+	// the record of an assignment with distance d holds the instructions
+	// whose successor has distance ≤ d−1+k; the last level, k = levels−1,
+	// holds every instruction with a finite-distance successor (see build
+	// for why levels suffices). Records are built for the viable
+	// assignments only and interned — assignments with equal masks share
+	// one — and the record at offset 0 is the all-empty record of every
+	// assignment without a finite distance. A dense mask array over the
+	// whole assignment space would cost 24 bytes per entry per level,
+	// most of them dead assignments; the index costs 4.
+	rec     []uint32
+	masks   []Mask
+	levels  int
+	cmpMask Mask
 }
 
 var (
@@ -173,7 +171,7 @@ func For(m *state.Machine) *Table {
 // index maps a packed assignment to its compact table index via the
 // bit-decomposition lookup tables.
 func (t *Table) index(a state.Asg) uint32 {
-	return t.lut.B0[a&0xFF] + t.lut.B1[a>>8&0xFF] + t.lut.B2[a>>16]
+	return t.b0[a&0xFF] + t.b1[a>>8&0xFF] + t.b2[a>>16]
 }
 
 // slowIndex is the reference index computation: decompose the packed
@@ -191,32 +189,21 @@ func (t *Table) slowIndex(a state.Asg) uint32 {
 // buildLUT tabulates the per-byte index decomposition. slowIndex is
 // linear over disjoint bit fields with slowIndex(0) = 0, so the weight
 // of bit b is slowIndex(1<<b) and each byte table is a subset-sum table
-// over its bits. Bytes beyond PackedBits contribute only the zero entry
-// of their (size-1 or garbage-free) tables, so indexing with any valid
-// packed assignment stays in range.
+// over its bits. Entries of b0 and b1 for bits beyond PackedBits stay
+// zero and are never reached by a valid packed assignment; b2 keeps the
+// full width of the high remainder (at most PackedBits-16 bits, 14 for
+// the largest supported machine).
 func (t *Table) buildLUT() {
 	bits := t.m.PackedBits()
-	// B0 and B1 are always full 256-entry tables (the consumers convert
-	// them to *[256]uint32 for bounds-check-free indexing); entries for
-	// bytes beyond PackedBits stay zero and are never reached by a valid
-	// packed assignment.
-	bytTab := func(shift int) []uint32 {
-		width := min(max(bits-shift, 0), 8)
-		tab := make([]uint32, 256)
+	bytTab := func(tab []uint32, shift, width int) {
 		for x := 1; x < 1<<width; x++ {
 			tab[x] = tab[x&(x-1)] + t.slowIndex(state.Asg(x&-x)<<shift)
 		}
-		return tab
 	}
-	t.lut.B0 = bytTab(0)
-	t.lut.B1 = bytTab(8)
-	// The high remainder keeps its full width (at most PackedBits-16
-	// bits, 14 for the largest supported machine).
-	hiWidth := max(bits-16, 0)
-	t.lut.B2 = make([]uint32, 1<<hiWidth)
-	for x := 1; x < len(t.lut.B2); x++ {
-		t.lut.B2[x] = t.lut.B2[x&(x-1)] + t.slowIndex(state.Asg(x&-x)<<16)
-	}
+	bytTab(t.b0[:], 0, min(bits, 8))
+	bytTab(t.b1[:], 8, min(max(bits-8, 0), 8))
+	t.b2 = make([]uint32, 1<<max(bits-16, 0))
+	bytTab(t.b2, 16, max(bits-16, 0))
 }
 
 func build(m *state.Machine) *Table {
@@ -233,7 +220,6 @@ func build(m *state.Machine) *Table {
 	// block per goal tag.
 	size := int(t.base) * 4 * m.NumTags()
 	t.dist = make([]uint8, size)
-	t.lut.Dist = t.dist
 
 	// Seed the fixpoint from every assignment.
 	asgs := assignments(m)
@@ -274,34 +260,63 @@ func build(m *state.Machine) *Table {
 
 	// Budget masks. Every instruction moves an assignment at most one
 	// step closer to sorted (d ≤ 1 + dist(step), by the fixpoint), so a
-	// successor's distance is d−1+k for some k ≥ 0 and the masks for k =
-	// 0..2 nest inside each other and inside the finite mask.
+	// successor's finite distance is d−1+k for some k ≥ 0. The largest
+	// k over every (assignment, instruction) pair, J, sets the record
+	// depth: levels k = 0..J, where level J already holds every finite
+	// successor. A successor fits budget b = d−1+slack exactly when
+	// k ≤ slack, so level min(slack, J) is exact at every slack. Each
+	// record is first built to its own largest k, top, and padded to J
+	// once J is known; level top already holds every finite successor,
+	// so records of different tops never pad to the same masks and
+	// interning by the unpadded masks stays exact.
 	t.rec = make([]uint32, size)
-	t.recs = []budgetRec{{}}
-	interned := map[budgetRec]uint32{{}: 0}
+	recs := [][]Mask{nil} // record 0: the all-empty record
+	interned := map[string]uint32{"": 0}
+	var key []byte
+	var r []Mask
+	ks := make([]int, len(instrs))
+	rise := 0
 	for _, a := range asgs {
 		idx := t.index(a)
 		d := int(t.dist[idx])
 		if d >= Infinite-1 {
 			continue
 		}
-		var r budgetRec
+		top := -1
 		for id, in := range instrs {
-			nd := int(t.dist[t.index(m.Step(a, in))])
-			if nd >= Infinite-1 {
-				continue
+			ks[id] = -1
+			if nd := int(t.dist[t.index(m.Step(a, in))]); nd < Infinite-1 {
+				ks[id] = nd - (d - 1)
+				top = max(top, ks[id])
 			}
-			for k := max(nd-(d-1), 0); k < budgetSlacks; k++ {
+		}
+		r = slices.Grow(r[:0], top+1)[:top+1]
+		clear(r)
+		for id, k := range ks {
+			for ; k >= 0 && k <= top; k++ {
 				r[k].Set(id)
 			}
 		}
-		ri, ok := interned[r]
+		key = appendRecord(key[:0], r)
+		ri, ok := interned[string(key)]
 		if !ok {
-			ri = uint32(len(t.recs))
-			interned[r] = ri
-			t.recs = append(t.recs, r)
+			ri = uint32(len(recs))
+			interned[string(key)] = ri
+			recs = append(recs, slices.Clone(r))
 		}
 		t.rec[idx] = ri
+		rise = max(rise, top)
+	}
+	t.levels = rise + 1
+	t.masks = make([]Mask, len(recs)*t.levels)
+	for i, r := range recs[1:] {
+		lv := t.masks[(i+1)*t.levels:][:t.levels]
+		for k := range lv {
+			lv[k] = r[min(k, len(r)-1)]
+		}
+	}
+	for i := range t.rec {
+		t.rec[i] *= uint32(t.levels)
 	}
 
 	// The paper's action guide restricts the search to instructions that
@@ -387,48 +402,54 @@ func (t *Table) MaxDist(s state.State) int {
 	return max
 }
 
-// DistLUT exposes the distance table and its byte-wise index
-// decomposition for state.ApplyDist, the search's fused apply+prune
-// kernel. The returned value aliases the table's storage and must be
-// treated as read-only.
-func (t *Table) DistLUT() *state.DistLUT {
-	return &t.lut
-}
-
-// GuideMask returns the union over the assignments of s of the
-// first-optimal-instruction masks — the slack-0 budget masks — plus all
-// cmp instructions (see build) when any assignment contributed one. An
-// assignment with distance d > 0 always has a distance-d−1 successor, so
-// the cmp instructions join exactly when some assignment of s is viable
-// and unsorted.
-func (t *Table) GuideMask(s state.State) Mask {
-	var m Mask
+// Candidates returns, in one walk over the assignments of s, the two
+// instruction masks the search filters a state's candidates with.
+//
+// guide is the action guide (paper §3.2): the union of the assignments'
+// first-optimal-instruction masks — their slack-0 budget masks — plus
+// all cmp instructions (see build) when any assignment contributed one.
+// An assignment with distance d > 0 always has a distance-d−1
+// successor, so the cmp instructions join exactly when some assignment
+// of s is viable and unsorted.
+//
+// fit is the budget check (paper §3.3): exactly the instructions whose
+// successor of s has every assignment within budget further
+// instructions of sorted. Each assignment contributes the level of its
+// record picked by its slack budget−d+1, capped at the deepest level;
+// a negative slack, or an assignment without a finite distance, admits
+// no instruction. s must hold assignments the search can reach — in
+// particular never lt and gt together, a flag code the table leaves
+// dead although its cmp successors are not — and budget must be below
+// the table's dead markers (the search's depth budget always is).
+func (t *Table) Candidates(s state.State, budget int) (guide, fit Mask) {
+	fit = Mask{^uint64(0), ^uint64(0), ^uint64(0)}
+	deepest := t.levels - 1
 	for _, a := range s {
-		m.Or(t.recs[t.rec[t.index(a)]][0])
+		idx := t.index(a)
+		r := t.masks[t.rec[idx]:]
+		guide.Or(r[0])
+		switch slack := budget + 1 - int(t.dist[idx]); {
+		case slack < 0:
+			fit = Mask{}
+		case slack < deepest:
+			fit = fit.And(r[slack])
+		default:
+			fit = fit.And(r[deepest])
+		}
 	}
-	if m != (Mask{}) {
-		m.Or(t.cmpMask)
+	if guide != (Mask{}) {
+		guide.Or(t.cmpMask)
 	}
-	return m
+	return guide, fit
 }
 
-// BudgetMask returns the instructions whose successor of a state can
-// pass the distance budget (every successor assignment within budget
-// further instructions). pidx holds the state's distance-table indices
-// (DistLUT.Index of each assignment). Each assignment picks its mask by
-// its slack budget−d+1: over-budget candidates of slack 0..2 are exactly
-// those outside the mask, and slack ≥ 3 drops only the candidates with
-// a dead successor assignment. A negative slack, or an assignment
-// without a finite distance, admits no candidate. The result is a sound
-// superset of the candidates ApplyDist accepts at this budget.
-func (t *Table) BudgetMask(pidx []uint32, budget int) Mask {
-	m := Mask{^uint64(0), ^uint64(0), ^uint64(0)}
-	for _, idx := range pidx {
-		slack := budget + 1 - int(t.dist[idx])
-		if slack < 0 {
-			return Mask{}
+// appendRecord appends the byte image of record r, its interning key,
+// to b.
+func appendRecord(b []byte, r []Mask) []byte {
+	for _, m := range r {
+		for _, w := range m {
+			b = binary.LittleEndian.AppendUint64(b, w)
 		}
-		m = m.And(t.recs[t.rec[idx]][min(slack, budgetSlacks-1)])
 	}
-	return m
+	return b
 }

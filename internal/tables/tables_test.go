@@ -135,7 +135,7 @@ func TestGuideMaskIncludesCmpAndOptimalMoves(t *testing.T) {
 	set := isa.NewCmov(3, 1)
 	m := state.NewMachine(set)
 	tab := For(m)
-	mask := tab.GuideMask(m.Initial())
+	mask, _ := tab.Candidates(m.Initial(), 10)
 	hasCmp, hasMove := false, false
 	for id, in := range set.Instrs() {
 		if !mask.Has(id) {
@@ -201,7 +201,7 @@ func TestMaskOps(t *testing.T) {
 }
 
 // maskMachines are the cmov and minmax machines for n = 2..4 under both
-// test suites.
+// test suites, plus two-scratch-register machines.
 func maskMachines() []*state.Machine {
 	var ms []*state.Machine
 	for _, suite := range []state.Suite{state.SuitePermutations, state.SuiteWeakOrders} {
@@ -211,9 +211,13 @@ func maskMachines() []*state.Machine {
 				state.NewMachineSuite(isa.NewMinMax(n, 1), suite))
 		}
 	}
-	return ms
+	return append(ms, state.NewMachine(isa.NewCmov(3, 2)), state.NewMachine(isa.NewMinMax(3, 2)))
 }
 
+// TestBudgetMaskSoundAndExact checks the budget mask of every
+// single-assignment state at every budget from 0 to one past the
+// largest distance: it holds exactly the instructions whose successor
+// has distance ≤ budget.
 func TestBudgetMaskSoundAndExact(t *testing.T) {
 	for _, m := range maskMachines() {
 		tab := For(m)
@@ -239,44 +243,54 @@ func TestBudgetMaskSoundAndExact(t *testing.T) {
 						fits.Set(id)
 					}
 				}
-				got := tab.BudgetMask([]uint32{idx}, budget)
+				_, got := tab.Candidates(state.State{a}, budget)
 				if lost := fits.AndNot(got); lost != (Mask{}) {
 					t.Fatalf("%v %v: asg %v (dist %d) budget %d: mask drops in-budget instruction %d",
 						m.Set, m.Suite, m.Unpack(a), d, budget, lost.First())
 				}
-				if slack := budget - d + 1; d < Infinite-1 && slack <= 2 && got != fits {
-					t.Fatalf("%v %v: asg %v (dist %d) budget %d (slack %d): mask keeps over-budget instruction %d",
-						m.Set, m.Suite, m.Unpack(a), d, budget, slack, got.AndNot(fits).First())
+				if extra := got.AndNot(fits); extra != (Mask{}) {
+					t.Fatalf("%v %v: asg %v (dist %d) budget %d: mask keeps over-budget instruction %d",
+						m.Set, m.Suite, m.Unpack(a), d, budget, extra.First())
 				}
 			}
 		}
 	}
 }
 
-func TestBudgetMaskCoversApplyDist(t *testing.T) {
-	// A state's mask is the intersection of its assignments' masks, so
-	// every candidate the fused apply+prune accepts must survive it.
-	for _, set := range []*isa.Set{isa.NewCmov(3, 1), isa.NewMinMax(3, 1)} {
-		m := state.NewMachine(set)
+// TestBudgetMaskExactOnStates checks whole states, both ways: an
+// instruction is in a state's budget mask exactly when every stepped
+// assignment's distance is within budget. States are random walks from
+// the initial state, so they are the kind the search expands.
+func TestBudgetMaskExactOnStates(t *testing.T) {
+	for _, m := range []*state.Machine{
+		state.NewMachine(isa.NewCmov(3, 1)),
+		state.NewMachine(isa.NewMinMax(3, 1)),
+		state.NewMachine(isa.NewCmov(3, 2)),
+		state.NewMachine(isa.NewMinMax(3, 2)),
+		state.NewMachine(isa.NewMinMax(5, 1)),
+		state.NewMachineSuite(isa.NewCmov(3, 1), state.SuiteWeakOrders),
+	} {
 		tab := For(m)
-		lut := tab.DistLUT()
 		rng := rand.New(rand.NewSource(5))
-		instrs := set.Instrs()
+		instrs := m.Set.Instrs()
 		for trial := 0; trial < 300; trial++ {
-			// A random walk from the initial state keeps it realistic.
 			st := m.Initial()
-			for step := rng.Intn(6); step > 0; step-- {
+			for step := rng.Intn(8); step > 0; step-- {
 				st = m.ApplyRaw(nil, st, instrs[rng.Intn(len(instrs))])
 			}
-			pidx := make([]uint32, len(st))
-			for i, a := range st {
-				pidx[i] = lut.Index(a)
-			}
-			for budget := 0; budget <= 12; budget++ {
-				mask := tab.BudgetMask(pidx, budget)
+			for budget := 0; budget <= 14; budget++ {
+				_, fit := tab.Candidates(st, budget)
 				for id, in := range instrs {
-					if _, ok := m.ApplyDist(nil, st, in, lut, budget); ok && !mask.Has(id) {
-						t.Fatalf("%v: budget %d drops instruction %v that ApplyDist accepts", set, budget, in)
+					within := true
+					for _, a := range st {
+						if tab.Dist(m.Step(a, in)) > budget {
+							within = false
+							break
+						}
+					}
+					if fit.Has(id) != within {
+						t.Fatalf("%v %v budget %d, %s: mask has=%v, every successor within budget=%v",
+							m.Set, m.Suite, budget, in.Format(m.Set.N), fit.Has(id), within)
 					}
 				}
 			}
@@ -287,7 +301,7 @@ func TestBudgetMaskCoversApplyDist(t *testing.T) {
 func TestGuideMaskMatchesFirstOptimalDefinition(t *testing.T) {
 	// The guide's definition for a single assignment (paper §3.2): for
 	// 0 < d < ∞, every cmp plus every instruction whose successor has
-	// distance d−1; empty otherwise. GuideMask reads it off the slack-0
+	// distance d−1; empty otherwise. Candidates reads it off the slack-0
 	// budget masks instead of a table of its own.
 	for _, m := range maskMachines() {
 		tab := For(m)
@@ -301,9 +315,20 @@ func TestGuideMaskMatchesFirstOptimalDefinition(t *testing.T) {
 					}
 				}
 			}
-			if got := tab.GuideMask(state.State{a}); got != want {
-				t.Fatalf("%v %v: GuideMask(%v) = %x, want %x", m.Set, m.Suite, m.Unpack(a), got, want)
+			if got, _ := tab.Candidates(state.State{a}, 0); got != want {
+				t.Fatalf("%v %v: guide of %v = %x, want %x", m.Set, m.Suite, m.Unpack(a), got, want)
 			}
+		}
+	}
+}
+
+// TestBudgetLevelsFromRise pins the record depth: on every machine here
+// a finite successor is at most one step further from sorted than its
+// parent, so three levels (slack 0, 1, and 2-or-more) are exact.
+func TestBudgetLevelsFromRise(t *testing.T) {
+	for _, m := range maskMachines() {
+		if got := For(m).levels; got != 3 {
+			t.Errorf("%v %v: %d budget levels, want 3", m.Set, m.Suite, got)
 		}
 	}
 }
