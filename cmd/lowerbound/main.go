@@ -1,8 +1,8 @@
 // Command lowerbound certifies minimal kernel lengths by exhaustive
 // search with only optimality-preserving pruning (deduplication,
-// admissible distance bounds, viability) — the method behind the paper's
-// new n=4 result: no length-19 kernel exists, so the length-20 kernels
-// are optimal (§5.3).
+// admissible single-assignment and pair distance bounds, viability) —
+// the method behind the paper's new n=4 result: no length-19 kernel
+// exists, so the length-20 kernels are optimal (§5.3).
 //
 // Examples:
 //
@@ -66,8 +66,8 @@ func main() {
 		os.Exit(1)
 	case res.Proof:
 		fmt.Printf("PROVED: no %s kernel of length ≤ %d exists.\n", set, *length)
-		fmt.Printf("states expanded: %d, generated: %d, deduplicated: %d, pruned: %d, time: %v\n",
-			res.Expanded, res.Generated, res.Deduped, res.Pruned, elapsed)
+		fmt.Printf("states expanded: %d, generated: %d, deduplicated: %d, pruned: %d (pair bound: %d), time: %v\n",
+			res.Expanded, res.Generated, res.Deduped, res.Pruned, res.PairPruned, elapsed)
 	default:
 		fmt.Printf("INCONCLUSIVE: stopped before exhaustion (expanded %d states in %v).\n", res.Expanded, elapsed)
 		fmt.Printf("Re-run without -budget/-timeout for a certified bound.\n")

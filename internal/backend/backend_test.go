@@ -315,3 +315,20 @@ func TestEnumProofBudgetCertifiesRefutation(t *testing.T) {
 		}
 	}
 }
+
+// TestEnumProofBudgetCertifiesDupSafeRefutation pins the last case a
+// portfolio fallback could matter for: a duplicate-safe refutation. One
+// below the cmov n=3 optimum, the certifying proof search fits the
+// portfolio's 2^18-state cap only because the pair bound prunes it
+// (without it the search stops at the cap, unproven).
+func TestEnumProofBudgetCertifiesDupSafeRefutation(t *testing.T) {
+	b := &Enum{Opt: enum.ConfigBest(), ProofBudget: 1 << 18}
+	res, err := Run(context.Background(), b, isa.NewCmov(3, 1), Spec{MaxLen: 10, DuplicateSafe: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusNoProgram {
+		t.Fatalf("status %v after %d nodes, want %v", res.Status, res.Stats.Nodes, StatusNoProgram)
+	}
+	t.Logf("certified after %d nodes", res.Stats.Nodes)
+}

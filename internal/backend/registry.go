@@ -121,8 +121,9 @@ func Default() *Registry {
 		// The portfolio's enum certifies an empty-handed search, so a
 		// budget below the optimum ends the race with a sound
 		// refutation instead of waiting out smt. The cap covers every
-		// n ≤ 3 budget (cmov n=3 at length 10 takes 131,694 states)
-		// and bounds the extra work everywhere else.
+		// n ≤ 3 budget (with the pair bound, cmov n=3 at length 10
+		// takes 2,625 states, 4,315 duplicate-safe) and bounds the
+		// extra work everywhere else.
 		smtB, _ := r.Get("smt")
 		stokeB, _ := r.Get("stoke")
 		r.Register(NewPortfolio(&Enum{Opt: enum.ConfigBest(), ProofBudget: 1 << 18}, smtB, stokeB))

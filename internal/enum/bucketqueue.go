@@ -4,14 +4,16 @@ import "math/bits"
 
 // openEntry is one open-list element: the node id plus the arena address
 // of its canonical state. The f-value is implicit in the bucket index and
-// g rides along for the staleness check on pop. cost is the accumulated
-// §5.3 instruction weight of the path, used only in cost-ordered mode.
+// g rides along for the staleness check on pop, bound (the length bound
+// at the push) for the pop-time pair check. cost is the accumulated §5.3
+// instruction weight of the path, used only in cost-ordered mode.
 type openEntry struct {
-	id   int32
-	off  int32 // state = arena.At(off, n)
-	n    int32
-	cost int32
-	g    uint8
+	id    int32
+	off   int32 // state = arena.At(off, n)
+	n     int32
+	cost  int32
+	g     uint8
+	bound uint8
 }
 
 // depthSlots is the number of g sub-buckets per f-value: depths run

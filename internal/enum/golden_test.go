@@ -17,10 +17,13 @@ import (
 // length, whose bound drops partway through an expansion when the first
 // solution turns up.
 // The budget mask drops candidates before they are applied and books
-// them with popcounts; these values were recorded with every candidate
-// applied, so any drift in what the engine generates, prunes, cuts or
-// deduplicates — or in which kernel it returns — fails here. The
-// subtest names keep the workers=1 suffix the rows were recorded under.
+// them with popcounts; the cmov4-w1 row was recorded with every
+// candidate applied, and the exact-search rows were re-recorded when the
+// pair bound came in (DESIGN.md §10), with their lengths, solution
+// counts, kernels and digests unchanged. Any drift in what the engine
+// generates, prunes, cuts or deduplicates — or in which kernel it
+// returns — fails here. The subtest names keep the workers=1 suffix the
+// rows were recorded under.
 func TestSearchGoldenCounters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs an n=3 enumeration, an n=3 proof and an n=4 synthesis")
@@ -55,12 +58,12 @@ func TestSearchGoldenCounters(t *testing.T) {
 		first3W1   = "mov s1 r1; cmp r2 s1; cmovl s1 r2; cmovl r2 r1; cmp r2 r3; cmovg r1 r3; cmovg r3 r2; cmp r1 s1; cmovg r2 r1; cmovg r1 s1; cmovl r2 s1"
 	)
 	cases := []golden{
-		{"cmov3-all", cmov3, all3, 11, 5602, counters{500501, 21021042, 1805915, 0, 18702187}, all3W1, all3Digest},
-		{"cmov3-proof10", cmov3, ConfigProof(10), -1, 0, counters{131694, 5531148, 420900, 0, 4977366}, "", ""},
+		{"cmov3-all", cmov3, all3, 11, 5602, counters{15550, 653100, 196686, 0, 440667}, all3W1, all3Digest},
+		{"cmov3-proof10", cmov3, ConfigProof(10), -1, 0, counters{2625, 110250, 33698, 0, 73919}, "", ""},
 		{"cmov4-w1", cmov4, best4, 20, 1, counters{130702, 3602143, 253447, 2138139, 1078421}, best4W1, ""},
-		{"cmov3-distmax-first", cmov3, first3, 11, 1, counters{131826, 5536674, 1729139, 0, 3319343}, first3W1, ""},
-		{"cmov3-all-len13", cmov3, all3Slack, 11, 5602, counters{548739, 23047038, 2040713, 0, 20439127}, all3W1, all3Digest},
-		{"minmax3-all-len12", mm3, mm3Slack, 8, 604, counters{718, 25848, 4516, 0, 20537}, mm3W1, "9b601512ec7b91e6"},
+		{"cmov3-distmax-first", cmov3, first3, 11, 1, counters{15302, 642666, 195841, 0, 431272}, first3W1, ""},
+		{"cmov3-all-len13", cmov3, all3Slack, 11, 5602, counters{36757, 1543794, 519025, 0, 932297}, all3W1, all3Digest},
+		{"minmax3-all-len12", mm3, mm3Slack, 8, 604, counters{272, 9792, 3421, 0, 5848}, mm3W1, "9b601512ec7b91e6"},
 	}
 	// orderDigest pins Programs in the order the engine returns them
 	// (sha256 prefix, one program per line): that order decides the
@@ -70,12 +73,25 @@ func TestSearchGoldenCounters(t *testing.T) {
 		"cmov3-all-len13":   all3Order,
 		"minmax3-all-len12": "ab8a09b7f5e69556",
 	}
+	// pairPruned pins Result.PairPruned, the share of pruned the pair
+	// bound dropped; it is 0 on the rows not listed (ConfigBest's cut
+	// and guide keep the pair bound off).
+	pairPruned := map[string]int64{
+		"cmov3-all":           59053,
+		"cmov3-proof10":       11388,
+		"cmov3-distmax-first": 58133,
+		"cmov3-all-len13":     72270,
+		"minmax3-all-len12":   89,
+	}
 	for _, tc := range cases {
 		t.Run(tc.name+"/workers=1", func(t *testing.T) {
 			r := Run(tc.set, tc.opt)
 			got := counters{r.Expanded, r.Generated, r.Deduped, r.CutCount, r.Pruned}
 			if got != tc.c {
 				t.Errorf("counters (expanded, generated, deduped, cut, pruned) = %v, want %v", got, tc.c)
+			}
+			if r.PairPruned != pairPruned[tc.name] {
+				t.Errorf("pair-pruned %d, want %d", r.PairPruned, pairPruned[tc.name])
 			}
 			if r.Length != tc.length || r.SolutionCount != tc.solutions {
 				t.Errorf("length %d, %d solutions; want %d, %d", r.Length, r.SolutionCount, tc.length, tc.solutions)

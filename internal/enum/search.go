@@ -43,12 +43,21 @@ type Result struct {
 	RerankCandidates int
 	RerankTruncated  bool
 
-	// Search statistics.
+	// Search statistics. Every generated successor is counted once:
+	// deduplicated, cut, pruned, or kept (queued or a solution).
 	Expanded  int64 // states popped and expanded
 	Generated int64 // successor states produced
 	Deduped   int64 // successors merged into an existing state
 	CutCount  int64 // successors discarded by the §3.5 cut
 	Pruned    int64 // successors discarded by viability/budget checks
+	// PairPruned counts the successors, a subset of Pruned, that the
+	// pair bound dropped (exact searches only, DESIGN.md §10): g plus
+	// the largest pair distance of the state exceeds the bound. A
+	// queued state the pair bound drops when popped, because a solution
+	// lowered the bound after it was queued, was already counted as
+	// kept; like a stale entry it is skipped without being counted
+	// again, here or in Expanded.
+	PairPruned int64
 
 	// Exhausted reports that the open list ran empty (no timeout or
 	// budget stop). Proof additionally asserts that only
@@ -87,9 +96,11 @@ func (e *DepthLimitError) Error() string {
 // node is one vertex of the search DAG: its primary parent edge (the
 // first optimal path found to it), its depth, and whether its state is
 // sorted. In AllSolutions mode extra indexes the newest of the node's
-// additional optimal parents in searcher.extras, or is -1. The node
-// holds no pointer, so the garbage collector never scans the nodes
-// slice.
+// additional optimal parents in searcher.extras, or is -1. It is
+// deadNode once the pair bound has dropped the node: further parents at
+// its depth are not recorded, and only a strictly shorter path revives
+// it. The node holds no pointer, so the garbage collector never scans
+// the nodes slice.
 type node struct {
 	parent int32
 	extra  int32
@@ -97,6 +108,9 @@ type node struct {
 	g      uint8
 	sorted bool
 }
+
+// deadNode marks a node the pair bound dropped (node.extra).
+const deadNode = -2
 
 // extraEdge is one additional optimal parent of a node. next links a
 // node's extra parents into a circular list: the node indexes the
@@ -109,10 +123,11 @@ type extraEdge struct {
 }
 
 type searcher struct {
-	m   *state.Machine
-	set *isa.Set
-	tab *tables.Table
-	opt Options
+	m     *state.Machine
+	set   *isa.Set
+	tab   *tables.Table
+	pairs *tables.Pairs // the pair bound, in exact searches only
+	opt   Options
 
 	nodes    []node
 	extras   []extraEdge
@@ -215,6 +230,13 @@ func newSearcher(ctx context.Context, set *isa.Set, opt Options) *searcher {
 	if opt.UseDistPrune || opt.UseActionGuide || opt.Heuristic == HeurDistMax {
 		s.tab = tables.For(m)
 	}
+	// The pair bound only drops states no program within the bound
+	// completes, so it runs in exactly the searches whose exhaustion is
+	// a proof; ConfigBest's cut and guide keep today's bound, and with
+	// them its kernels.
+	if opt.UseDistPrune && opt.Cut == CutNone && !opt.UseActionGuide {
+		s.pairs = s.tab.Pairs()
+	}
 	instrs := set.Instrs()
 	s.instrMask = tables.MaskOf(len(instrs))
 	for id, in := range instrs {
@@ -240,7 +262,7 @@ func newSearcher(ctx context.Context, set *isa.Set, opt Options) *searcher {
 	s.dedup.getOrPut(state.HashKey(init), 0)
 	s.open.costOrder = opt.Objective != ObjectiveShortest
 	off, n := s.arena.Save(init)
-	s.open.Push(s.priority(0, init, 0, false), openEntry{id: 0, off: off, n: n, g: 0})
+	s.open.Push(s.priority(0, init, 0, false), openEntry{id: 0, off: off, n: n, g: 0, bound: uint8(s.bound)})
 	return s
 }
 
@@ -295,6 +317,10 @@ func (s *searcher) search() {
 			continue // no extension can stay within the bound
 		}
 		st := s.arena.At(it.off, it.n)
+		if s.pairs != nil && s.bound < int(it.bound) && s.pairs.Exceeds(st, s.bound-g) {
+			nd.extra = deadNode
+			continue // the bound dropped below its pair bound since the push
+		}
 		s.res.Expanded++
 
 		// The cut reference bestPerm[g] can only move when depth-g+1
@@ -434,7 +460,7 @@ func (s *searcher) expandChild(parentID int32, g int, parentCost int32, st state
 			s.res.Deduped++
 		case cg == int(exn.g):
 			s.res.Deduped++
-			if s.opt.AllSolutions {
+			if s.opt.AllSolutions && exn.extra != deadNode {
 				s.addExtra(ex, parentID, instrID)
 			}
 		default: // strictly better path to a known state (guided orders only)
@@ -443,7 +469,7 @@ func (s *searcher) expandChild(parentID int32, g int, parentCost int32, st state
 			if exn.sorted {
 				s.recordSolution(ex, cg)
 			} else {
-				s.pushOpen(ex, cg, childCost, child, pc, havePC)
+				s.queue(ex, cg, childCost, child, pc, havePC)
 			}
 		}
 		return
@@ -460,7 +486,21 @@ func (s *searcher) expandChild(parentID int32, g int, parentCost int32, st state
 		s.recordSolution(id, cg)
 		return
 	}
-	s.pushOpen(id, cg, childCost, child, pc, havePC)
+	s.queue(id, cg, childCost, child, pc, havePC)
+}
+
+// queue pushes an unsorted node reached at depth g, unless the pair
+// bound shows that no completion fits the bound: then the node stays in
+// the dedup table, so later paths of depth ≥ g are deduplicated
+// against it, but is marked dead and never expanded.
+func (s *searcher) queue(id int32, g int, cost int32, st state.State, pc int, havePC bool) {
+	if s.pairs != nil && s.pairs.Exceeds(st, s.bound-g) {
+		s.nodes[id].extra = deadNode
+		s.res.Pruned++
+		s.res.PairPruned++
+		return
+	}
+	s.pushOpen(id, g, cost, st, pc, havePC)
 }
 
 // addExtra appends an additional optimal parent edge to node v.
@@ -492,7 +532,7 @@ func (s *searcher) extraParents(v int32) iter.Seq[extraEdge] {
 // pushOpen copies the state into the arena and queues the node.
 func (s *searcher) pushOpen(id int32, g int, cost int32, st state.State, pc int, havePC bool) {
 	off, n := s.arena.Save(st)
-	s.open.Push(s.priority(g, st, pc, havePC), openEntry{id: id, off: off, n: n, cost: cost, g: uint8(g)})
+	s.open.Push(s.priority(g, st, pc, havePC), openEntry{id: id, off: off, n: n, cost: cost, g: uint8(g), bound: uint8(s.bound)})
 }
 
 // recordSolution registers a sorted state found at depth g and tightens

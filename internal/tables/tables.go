@@ -21,6 +21,16 @@
 //
 // Candidates builds both masks of a state in one walk over its
 // assignments.
+//
+// A second table, over pairs of viable assignments, is built lazily by
+// Pairs on first use — For never builds it — and only while V² ≤ 2^24
+// for the machine's V viable assignments. A program sorting a state
+// sorts every pair of its assignments, so the largest pair distance is
+// a stronger admissible bound than MaxDist (8 against 4 at the cmov n=3
+// root); the exact searches of internal/enum prune with it.
+//
+// Both tables share one domain: the assignments with a flag code cmp
+// can leave (see Dist).
 package tables
 
 import (
@@ -147,6 +157,10 @@ type Table struct {
 	masks   []Mask
 	levels  int
 	cmpMask Mask
+
+	// The pair-distance table, built on first use by Pairs.
+	pairOnce sync.Once
+	pairs    *Pairs
 }
 
 var (
@@ -377,6 +391,17 @@ func flagCodes(set *isa.Set) []uint8 {
 
 // Dist returns the length of the shortest program sorting assignment a
 // alone, or Infinite if a can never be sorted.
+//
+// The table's domain is the machine's packed assignments whose flag
+// code is one cmp can leave: 0..2 on cmov machines (lt and gt never both
+// set) and 0 on min/max machines. Every instruction keeps an assignment
+// in that domain, so it holds every assignment the search reaches.
+// Outside it Dist, MaxDist and Candidates answer without a check: an
+// assignment with lt and gt both set reads as dead, although one cmp
+// makes it sortable (covering that code measured +50–75% cmov build
+// time), and one with a value above n or a goal tag out of range
+// reads another assignment's entry or indexes out of range. The pair
+// lookup, Pairs.Dist, checks its arguments and panics instead.
 func (t *Table) Dist(a state.Asg) int {
 	d := t.dist[t.index(a)]
 	if d >= Infinite-1 {
@@ -387,7 +412,8 @@ func (t *Table) Dist(a state.Asg) int {
 
 // MaxDist returns the maximum assignment distance in s — an admissible
 // lower bound on the number of instructions any completion still needs.
-// It returns Infinite if some assignment is dead.
+// It returns Infinite if some assignment is dead. s must lie in the
+// table's domain (see Dist).
 func (t *Table) MaxDist(s state.State) int {
 	max := 0
 	for _, a := range s {
@@ -417,7 +443,7 @@ func (t *Table) MaxDist(s state.State) int {
 // instructions of sorted. Each assignment contributes the level of its
 // record picked by its slack budget−d+1, capped at the deepest level;
 // a negative slack, or an assignment without a finite distance, admits
-// no instruction. s must hold assignments the search can reach — in
+// no instruction. s must lie in the table's domain (see Dist) — in
 // particular never lt and gt together, a flag code the table leaves
 // dead although its cmp successors are not — and budget must be below
 // the table's dead markers (the search's depth budget always is).
