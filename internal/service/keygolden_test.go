@@ -8,7 +8,8 @@ import (
 
 // TestCacheKeyGolden pins the content address of representative
 // production keys: the enum configs a request can name, the reduced key
-// of a non-enum backend, and a generated sorter's key. Every persisted
+// of a non-enum backend, the seeded and seedless keys of a portfolio
+// request, and a generated sorter's key. Every persisted
 // artifact — disk-tier entries, baked universes — is filed under these
 // hashes, so a change to the option surface or the canonical writer
 // that moves one silently orphans the stores. Moving a key on purpose
@@ -50,6 +51,10 @@ func TestCacheKeyGolden(t *testing.T) {
 			"7852d284db91cc5a3593bcc617d7289ce9d4c96d8546d49dfe1df31d88712b50"},
 		{"stoke/seeded", synthesizeRequest{ISA: "minmax", N: 4, Backend: "stoke", Seed: 7},
 			"835a707b354be4333611e0b0c373c9bf32157521e069ed284c3aadcedb726ee6"},
+		{"portfolio/seeded", synthesizeRequest{N: 3, Backend: "portfolio", Seed: 5},
+			"1b213dd75b25b1384dcb35cf52868c304fba63d53a2b75285266ab197d290c5f"},
+		{"portfolio/max-len", synthesizeRequest{ISA: "minmax", N: 4, MaxLen: 15, Backend: "portfolio"},
+			"175fbe3fb9a5278dba00af5b39ed4e5ee287605aa9f6491b9b5e799deb84e59e"},
 	}
 	for _, tc := range cases {
 		p, err := s.prepareSynthesize(&tc.req)
