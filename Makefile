@@ -4,12 +4,11 @@ GOFMT ?= gofmt
 # check is the tier-1 gate: everything builds (cmd/ included), vets
 # clean, every Go file is gofmt-clean, and the full test suite passes
 # under the race detector. That suite includes the sortsynthd service
-# tests, the portfolio's fake-clock dispatch battery, the pinned
-# cache-key hashes, and the objective properties: the fastest pick never
-# model-costs more than the shortest pick, objectives mint distinct
-# cache keys, and pre-v3 kernel stores are rejected with a "re-bake"
-# message. On top of it: the backend portfolio smoke test (n=3, enum vs
-# stoke) runs explicitly under -race, the cross-backend conformance
+# tests, the portfolio's answer gate (byte-identical to certifying
+# enum), the pinned cache-key hashes, and the objective properties: the
+# fastest pick never model-costs more than the shortest pick, objectives
+# mint distinct cache keys, and pre-v3 kernel stores are rejected with a
+# "re-bake" message. On top of it: the cross-backend conformance
 # harness reports zero divergences, the baked-universe gate proves a
 # miniature bake identical to live synthesis and serveable with zero
 # searches, every fuzz target survives a short -race fuzzing budget, the
@@ -20,7 +19,7 @@ GOFMT ?= gofmt
 # packing, table, cache, sortgen and universe packages under GOARCH=386
 # (including the pinned mini-bake content ID).
 .PHONY: check
-check: build vet fmt-check race smoke conformance bake-check cross-arch fuzz-smoke sortgen-check bench-compare sortgen-compare
+check: build vet fmt-check race conformance bake-check cross-arch fuzz-smoke sortgen-check bench-compare sortgen-compare
 
 # cross-arch is the same-answer-on-every-host gate: vet the whole tree
 # and run the short tests of the packages whose results depend on word
@@ -84,10 +83,6 @@ sortgen-check:
 fuzz: FUZZTIME = 5m
 fuzz: fuzz-smoke
 
-.PHONY: smoke
-smoke:
-	$(GO) test -race -run TestPortfolioSmoke ./internal/backend
-
 .PHONY: build
 build:
 	$(GO) build ./...
@@ -113,9 +108,8 @@ race:
 	$(GO) test -race ./...
 
 # bench runs the kernel microbenchmarks plus the synthesis-throughput
-# benchmark (n=3 and n=4, best configuration, plus a portfolio race
-# row), which writes backend-labelled
-# measurements to BENCH_enum.json at the repository root, and the
+# benchmark (n=3 and n=4, best configuration), which writes
+# backend-labelled measurements to BENCH_enum.json at the repository root, and the
 # shortest-vs-fastest objective latency rows, which land in the same
 # file (each table preserves the other's half on rewrite).
 .PHONY: bench

@@ -234,36 +234,4 @@ func init() {
 		c.printf("\nAlphaDev couples this search with learned policy/value networks; bare UCT\nstalling on n=3 is the expected shape of the substitution (DESIGN.md §4.4).\n")
 		return nil
 	})
-
-	register("portfolio", "backend portfolio race (first verified kernel wins, losers cancelled)", false, func(c *ctx) error {
-		c.section("Portfolio race over the backend registry, n=3 cmov, length ≤ 11")
-		reg := backend.Default()
-		var members []backend.Backend
-		for _, name := range []string{"enum", "smt", "stoke"} {
-			b, err := reg.Get(name)
-			if err != nil {
-				return err
-			}
-			members = append(members, b)
-		}
-		set := isa.NewCmov(3, 1)
-		res, status := runVerified(backend.NewPortfolio(members...), set,
-			backend.Spec{MaxLen: 11, Seed: 1}, 2*time.Minute)
-		if res == nil {
-			return fmt.Errorf("portfolio race failed: %s", status)
-		}
-		var t tableWriter
-		t.row("backend", "status", "time", "nodes")
-		for _, e := range res.Race {
-			t.row(e.Backend, e.Status.String(), ms(e.Stats.Elapsed), fmt.Sprint(e.Stats.Nodes))
-		}
-		t.flush(c.w)
-		if res.Status == backend.StatusFound {
-			c.printf("\nWinner: %s (length %d in %s). The race cancels the losing backends through\ntheir contexts; every candidate win passes the central verifier first.\n",
-				res.Winner, res.Length, ms(res.Stats.Elapsed))
-		} else {
-			c.printf("\nNo backend found a kernel: %s.\n", status)
-		}
-		return nil
-	})
 }

@@ -40,9 +40,6 @@ func init() {
 		worst := 0.0
 		failed := 0
 		for _, m := range rep.Measurements {
-			if m.Backend != "enum" || m.ISA != "cmov" {
-				continue // portfolio rows race a stochastic backend; skip
-			}
 			opt := enum.ConfigBest()
 			opt.MaxLen = m.MaxLen
 			// Re-measure with the same best-of-N the enumbench table used

@@ -5,13 +5,10 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"time"
 
-	"sortsynth/internal/backend"
 	"sortsynth/internal/bench"
 	"sortsynth/internal/enum"
 	"sortsynth/internal/isa"
-	"sortsynth/internal/stoke"
 )
 
 // enumBenchReport is the BENCH_enum.json payload.
@@ -97,28 +94,7 @@ func init() {
 				fmt.Sprintf("%.0f", m.ExpandedPerSec),
 				fmt.Sprint(m.Length))
 		}
-		// Portfolio row: enum, then stoke one stagger later, at n=3. The
-		// enum engine is deterministic and usually wins inside its solo
-		// window, so the row (winner, kernel, length) regenerates
-		// identically run to run; only the wall time wiggles.
-		pf := backend.NewPortfolio(
-			backend.NewEnum(enum.ConfigBest()),
-			backend.NewStoke(stoke.Options{}),
-		)
-		pm, err := bench.MeasureBackend(pf, isa.NewCmov(3, 1),
-			backend.Spec{MaxLen: 11, Seed: 1}, time.Minute, 3)
-		if err != nil {
-			return fmt.Errorf("portfolio n=3: %w", err)
-		}
-		rep.Measurements = append(rep.Measurements, pm)
-		t.row("3", fmt.Sprintf("race(%d)", len(pf.Backends())),
-			fmt.Sprintf("%.1fms", pm.WallMS),
-			fmt.Sprint(pm.Expanded),
-			fmt.Sprintf("%.0f", pm.ExpandedPerSec),
-			fmt.Sprint(pm.Length))
-
 		t.flush(c.w)
-		c.printf("\nportfolio (enum vs stoke) winner at n=3: %s\n", pm.Winner)
 
 		if err := writeBenchReport(rep); err != nil {
 			return err

@@ -9,7 +9,6 @@
 //	sortsynth -n 3 -prove 10             # prove no kernel of length ≤ 10
 //	sortsynth -verify "mov s1 r2; ..." -n 2
 //	sortsynth -n 3 -backend smt          # synthesize through the SMT backend
-//	sortsynth -n 3 -portfolio enum,stoke # launch in order 25 ms apart, keep the first verified win
 //	sortsynth -emit-sorter -n 13         # emit a full branchless Sort13 as Go source
 package main
 
@@ -51,8 +50,6 @@ func main() {
 
 		backendName = flag.String("backend", "enum",
 			"synthesis backend: one of the registry names ("+strings.Join(backend.Default().Names(), ", ")+")")
-		portfolioList = flag.String("portfolio", "",
-			"run a comma-separated list of backends (or \"all\") as a portfolio: members launch in list order, 25 ms apart, and the first verified kernel wins")
 		seed = flag.Int64("seed", 0, "seed for the randomized backends (stoke, mcts)")
 
 		emitSorter = flag.Bool("emit-sorter", false,
@@ -164,11 +161,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *portfolioList != "" || *backendName != "enum" {
+	if *backendName != "enum" {
 		if *all {
 			log.Fatal("-all applies only to the default enum backend")
 		}
-		runBackend(set, *n, bound, *backendName, *portfolioList, *seed, *dupsafe, obj, *profile, *timeout, *asm, *quiet)
+		runBackend(set, *n, bound, *backendName, *seed, *dupsafe, obj, *profile, *timeout, *asm, *quiet)
 		return
 	}
 
@@ -239,11 +236,10 @@ func main() {
 	fmt.Print(emit(res.Program))
 }
 
-// runBackend synthesizes through the backend registry: a single named
-// backend, or a portfolio race over a comma-separated list ("all" races
-// every non-portfolio backend). Correctness is checked centrally by
-// backend.Run; a printed kernel is always verified.
-func runBackend(set *sortsynth.Set, n, bound int, name, portfolio string, seed int64, dupsafe bool, obj enum.Objective, profile string, timeout time.Duration, asm, quiet bool) {
+// runBackend synthesizes through the named registry backend.
+// Correctness is checked centrally by backend.Run; a printed kernel is
+// always verified.
+func runBackend(set *sortsynth.Set, n, bound int, name string, seed int64, dupsafe bool, obj enum.Objective, profile string, timeout time.Duration, asm, quiet bool) {
 	reg := backend.Default()
 	spec := backend.Spec{MaxLen: bound, Seed: seed, DuplicateSafe: dupsafe, Objective: obj, Profile: profile}
 
@@ -254,55 +250,22 @@ func runBackend(set *sortsynth.Set, n, bound int, name, portfolio string, seed i
 		defer cancel()
 	}
 
-	var res *backend.Result
-	var err error
-	if portfolio != "" {
-		var members []backend.Backend
-		names := strings.Split(portfolio, ",")
-		if portfolio == "all" {
-			names = nil
-			for _, bn := range reg.Names() {
-				if bn != "portfolio" {
-					names = append(names, bn)
-				}
-			}
-		}
-		for _, bn := range names {
-			b, gerr := reg.Get(strings.TrimSpace(bn))
-			if gerr != nil {
-				log.Fatal(gerr)
-			}
-			members = append(members, b)
-		}
-		res, err = backend.Run(ctx, backend.NewPortfolio(members...), set, spec)
-	} else {
-		res, err = reg.Synthesize(ctx, name, set, spec)
-	}
+	res, err := reg.Synthesize(ctx, name, set, spec)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	if res.Status != backend.StatusFound {
-		for _, e := range res.Race {
-			log.Printf("  %-6s %-10s %v", e.Backend, e.Status, e.Stats.Elapsed.Round(time.Millisecond))
-		}
 		log.Fatalf("%s: %s after %v (no kernel of length ≤ %d)",
 			res.Backend, res.Status, res.Stats.Elapsed.Round(time.Millisecond), bound)
 	}
 	if !quiet {
-		who := res.Backend
-		if res.Winner != "" {
-			who = res.Winner + " (won the race)"
-		}
 		opt := ""
 		if res.Optimal {
 			opt = ", minimality certified"
 		}
 		fmt.Printf("# length %d via %s, %v%s\n",
-			res.Length, who, res.Stats.Elapsed.Round(time.Millisecond), opt)
-		for _, e := range res.Race {
-			fmt.Printf("#   %-6s %-10s %v\n", e.Backend, e.Status, e.Stats.Elapsed.Round(time.Millisecond))
-		}
+			res.Length, res.Backend, res.Stats.Elapsed.Round(time.Millisecond), opt)
 	}
 	if asm {
 		fmt.Print(sortsynth.AsmX86(set, res.Program))

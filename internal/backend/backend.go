@@ -1,8 +1,7 @@
 // Package backend defines the common interface over the repository's
 // seven synthesis engines (enum, smt, cp, ilp, stoke, mcts, plan): a
 // shared Spec/Result/Stats vocabulary, a registry keyed by backend name,
-// central correctness verification, and a Portfolio that races several
-// backends under one context and returns the first verified kernel.
+// and central correctness verification.
 //
 // The engines themselves keep their native options and result types;
 // adapters in this package translate to and from the shared vocabulary.
@@ -60,7 +59,7 @@ type Status uint8
 // Outcomes.
 const (
 	// StatusFound: a program satisfying the spec was synthesized (and,
-	// when returned by Run or Portfolio, centrally verified).
+	// when returned by Run, centrally verified).
 	StatusFound Status = iota
 	// StatusNoProgram: proven — no program exists within the budget
 	// length. Sound refutation, not a resource stop.
@@ -73,15 +72,6 @@ const (
 	// StatusTimedOut: a deadline (context or engine timeout) expired
 	// before an outcome.
 	StatusTimedOut
-	// StatusError: the backend failed (bad spec, incorrect program,
-	// internal error). Used in Portfolio race tables; direct calls
-	// surface the error itself.
-	StatusError
-	// StatusSkipped: a Portfolio race ended (a verified winner or a
-	// sound refutation arrived, or the context died) before this
-	// member's launch slot, so it never ran. Only ever appears in race tables — a skipped member
-	// claims nothing and never becomes an aggregate verdict.
-	StatusSkipped
 )
 
 func (s Status) String() string {
@@ -96,10 +86,6 @@ func (s Status) String() string {
 		return "cancelled"
 	case StatusTimedOut:
 		return "timed-out"
-	case StatusError:
-		return "error"
-	case StatusSkipped:
-		return "skipped"
 	}
 	return "status?"
 }
@@ -120,19 +106,9 @@ type Stats struct {
 	Iterations int64
 }
 
-// RaceEntry is one backend's outcome inside a Portfolio race.
-type RaceEntry struct {
-	Backend string
-	Status  Status
-	// Err holds the error text for StatusError entries.
-	Err   string
-	Stats Stats
-}
-
 // Result is the backend-independent synthesis outcome.
 type Result struct {
-	// Backend is the name of the backend that produced this result
-	// ("portfolio" for a race; see Winner for the racer that won).
+	// Backend is the name of the backend that produced this result.
 	Backend string
 	Status  Status
 	// Program is the synthesized kernel (nil unless Status is
@@ -153,35 +129,6 @@ type Result struct {
 	// objectives (see enum.Result.Cost); 0 under shortest.
 	Cost  float64
 	Stats Stats
-
-	// Winner and Race are set by Portfolio: the name of the backend
-	// whose result this is, and the per-backend outcome table.
-	Winner string
-	Race   []RaceEntry
-
-	// Sched reports the Portfolio's dispatch accounting; nil for every
-	// other backend.
-	Sched *SchedStats
-}
-
-// SchedStats is a Portfolio race's dispatch accounting: how the
-// staggered launch order paid off on this request. The serving layer
-// aggregates these into the /metrics scheduler counters.
-type SchedStats struct {
-	// FirstPickWin reports that the first member in launch order
-	// produced the verified winner.
-	FirstPickWin bool
-	// FallbackStarts counts members beyond the first pick that actually
-	// launched (because their stagger slot, deadline pressure, or an
-	// earlier member's failure triggered them).
-	FallbackStarts int
-	// FallbackWin reports that a launched fallback — not the first
-	// pick — produced the verified winner.
-	FallbackWin bool
-	// SavedLaunches counts members the race finished without ever
-	// launching: the CPU launching every member at once would have
-	// burned and thrown away.
-	SavedLaunches int
 }
 
 // Backend is one synthesis engine behind the common vocabulary.
@@ -242,11 +189,10 @@ func (e *IncorrectError) Error() string {
 }
 
 // Run invokes b and centrally verifies any claimed program: the single
-// place correctness is checked, for direct calls, registry calls, and
-// every Portfolio racer alike. A StatusFound result is checked against
-// the full permutation suite (and the weak-order suite when
-// spec.DuplicateSafe); a counterexample turns it into an
-// *IncorrectError.
+// place correctness is checked, for direct calls and registry calls
+// alike. A StatusFound result is checked against the full permutation
+// suite (and the weak-order suite when spec.DuplicateSafe); a
+// counterexample turns it into an *IncorrectError.
 func Run(ctx context.Context, b Backend, set *isa.Set, spec Spec) (*Result, error) {
 	res, err := b.Synthesize(ctx, set, spec)
 	if err != nil {

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-	"time"
 
 	"sortsynth/internal/enum"
 	"sortsynth/internal/isa"
-	"sortsynth/internal/stoke"
 	"sortsynth/internal/verify"
 )
 
@@ -80,6 +78,8 @@ func TestRegistryUnknownNameTypedError(t *testing.T) {
 	}
 }
 
+// TestDefaultRegistryHasAllSevenBackends lists the seven engines plus
+// "portfolio", the name clients and cache keys use for certifying enum.
 func TestDefaultRegistryHasAllSevenBackends(t *testing.T) {
 	want := []string{"cp", "enum", "ilp", "mcts", "plan", "portfolio", "smt", "stoke"}
 	got := Default().Names()
@@ -90,129 +90,6 @@ func TestDefaultRegistryHasAllSevenBackends(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Names() = %v, want %v", got, want)
 		}
-	}
-}
-
-// TestPortfolioCancelsLosers launches a slow member first and the
-// winner one stagger later: the winner's verified kernel must cancel
-// the still-running first member promptly.
-func TestPortfolioCancelsLosers(t *testing.T) {
-	set := isa.NewCmov(2, 1)
-	good := correctKernel(t, set)
-	winner := &fakeBackend{name: "win", fn: func(ctx context.Context, _ *isa.Set, _ Spec) (*Result, error) {
-		return &Result{Backend: "win", Status: StatusFound, Program: good, Length: len(good)}, nil
-	}}
-	observed := make(chan time.Duration, 1)
-	loser := &fakeBackend{name: "lose", fn: func(ctx context.Context, _ *isa.Set, _ Spec) (*Result, error) {
-		start := time.Now()
-		select {
-		case <-ctx.Done():
-			observed <- time.Since(start)
-			return &Result{Backend: "lose", Status: stopStatus(ctx)}, nil
-		case <-time.After(5 * time.Second):
-			return &Result{Backend: "lose", Status: StatusExhausted}, nil
-		}
-	}}
-	res, err := Run(context.Background(), NewPortfolio(loser, winner), set, Spec{MaxLen: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != StatusFound || res.Winner != "win" {
-		t.Fatalf("want win by %q, got status %v winner %q", "win", res.Status, res.Winner)
-	}
-	select {
-	case wait := <-observed:
-		if wait > time.Second {
-			t.Fatalf("loser saw cancellation only after %v", wait)
-		}
-	default:
-		t.Fatal("loser never observed cancellation")
-	}
-	if len(res.Race) != 2 || res.Race[0].Status != StatusCancelled {
-		t.Fatalf("race table %+v, want loser cancelled", res.Race)
-	}
-	if want := (SchedStats{FallbackStarts: 1, FallbackWin: true}); *res.Sched != want {
-		t.Fatalf("sched = %+v, want %+v", *res.Sched, want)
-	}
-}
-
-func TestPortfolioAllTimeoutNoGoroutineLeak(t *testing.T) {
-	set := isa.NewCmov(2, 1)
-	block := func(name string) *fakeBackend {
-		return &fakeBackend{name: name, fn: func(ctx context.Context, _ *isa.Set, _ Spec) (*Result, error) {
-			<-ctx.Done()
-			return &Result{Backend: name, Status: stopStatus(ctx)}, nil
-		}}
-	}
-	before := runtime.NumGoroutine()
-	// Long enough that both fallback slots (one and two staggers) come
-	// well before the deadline, so every member launches and times out.
-	ctx, cancel := context.WithTimeout(context.Background(), 8*fallbackStagger)
-	defer cancel()
-	res, err := Run(ctx, NewPortfolio(block("a"), block("b"), block("c")), set, Spec{MaxLen: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != StatusTimedOut {
-		t.Fatalf("status %v, want %v", res.Status, StatusTimedOut)
-	}
-	for _, e := range res.Race {
-		if e.Status != StatusTimedOut {
-			t.Fatalf("race entry %+v, want timed-out", e)
-		}
-	}
-	// Synthesize waits for every racer before returning, so the
-	// goroutine count settles back immediately; poll briefly to absorb
-	// unrelated runtime churn.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before race, %d after", before, runtime.NumGoroutine())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestPortfolioAggregateRefutationWins(t *testing.T) {
-	set := isa.NewCmov(2, 1)
-	refuter := &fakeBackend{name: "refute", fn: func(context.Context, *isa.Set, Spec) (*Result, error) {
-		return &Result{Backend: "refute", Status: StatusNoProgram}, nil
-	}}
-	spent := &fakeBackend{name: "spent", fn: func(context.Context, *isa.Set, Spec) (*Result, error) {
-		return &Result{Backend: "spent", Status: StatusExhausted}, nil
-	}}
-	res, err := Run(context.Background(), NewPortfolio(refuter, spent), set, Spec{MaxLen: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != StatusNoProgram {
-		t.Fatalf("aggregate status %v, want %v (a sound refutation beats a spent budget)",
-			res.Status, StatusNoProgram)
-	}
-}
-
-// TestPortfolioSmoke races two real engines (enum vs stoke) at n=3 —
-// the `make check` smoke test, run under -race there.
-func TestPortfolioSmoke(t *testing.T) {
-	set := isa.NewCmov(3, 1)
-	pf := NewPortfolio(NewEnum(enum.ConfigBest()), NewStoke(stoke.Options{}))
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	res, err := Run(ctx, pf, set, Spec{MaxLen: 11, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != StatusFound {
-		t.Fatalf("race found nothing: %v (race %+v)", res.Status, res.Race)
-	}
-	if res.Winner == "" || len(res.Program) == 0 || res.Length != len(res.Program) {
-		t.Fatalf("malformed winning result: %+v", res)
-	}
-	if ce := verify.Counterexample(set, res.Program); ce != nil {
-		t.Fatalf("winner fails on %v", ce)
 	}
 }
 
@@ -240,19 +117,14 @@ func TestEnumDupSlackBudgetOptimal(t *testing.T) {
 	}
 }
 
-// TestDefaultPortfolioAnswersMatchEnum is the portfolio's answer gate
-// over a mixed workload (both ISAs, n = 2 and 3, three seeds each, at
-// the certified optimal budget), at GOMAXPROCS 1 and 2. The staggered
-// launches decide which engine answers, never what the answer is: when
-// enum wins, its kernel is byte-identical to a direct enum synthesis;
-// any other winner must still land on the optimal length.
+// TestDefaultPortfolioAnswersMatchEnum is the portfolio's answer gate,
+// at GOMAXPROCS 1 and 2: on a mixed workload (both ISAs, n = 2 and 3,
+// three seeds each, at the certified optimal budget) and one budget
+// below the optimum per ISA, "portfolio" returns the status, length and
+// kernel bytes of a direct certifying enum synthesis, whatever the seed.
 func TestDefaultPortfolioAnswersMatchEnum(t *testing.T) {
-	reg := Default()
-	enumB, err := reg.Get("enum")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf, err := reg.Get("portfolio")
+	ref := &Enum{Opt: enum.ConfigBest(), ProofBudget: 1 << 18}
+	pf, err := Default().Get("portfolio")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,31 +132,40 @@ func TestDefaultPortfolioAnswersMatchEnum(t *testing.T) {
 		isa.KindCmov:   {2: 4, 3: 11},
 		isa.KindMinMax: {2: 3, 3: 8},
 	}
+	type row struct {
+		kind isa.Kind
+		n    int
+		spec Spec
+		want Status
+	}
+	var rows []row
+	for _, kind := range []isa.Kind{isa.KindCmov, isa.KindMinMax} {
+		for _, n := range []int{2, 3} {
+			for seed := int64(1); seed <= 3; seed++ {
+				rows = append(rows, row{kind, n, Spec{MaxLen: optimum[kind][n], Seed: seed}, StatusFound})
+			}
+		}
+		rows = append(rows, row{kind, 3, Spec{MaxLen: optimum[kind][3] - 1}, StatusNoProgram})
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2} {
 		runtime.GOMAXPROCS(procs)
-		for _, kind := range []isa.Kind{isa.KindCmov, isa.KindMinMax} {
-			for _, n := range []int{2, 3} {
-				set := isa.New(kind, n, 1)
-				for seed := int64(1); seed <= 3; seed++ {
-					spec := Spec{MaxLen: optimum[kind][n], Seed: seed}
-					ref, err := Run(context.Background(), enumB, set, spec)
-					if err != nil || ref.Status != StatusFound {
-						t.Fatalf("enum reference %v seed %d: %v %+v", set, seed, err, ref)
-					}
-					got, err := Run(context.Background(), pf, set, spec)
-					if err != nil || got.Status != StatusFound {
-						t.Fatalf("portfolio %v seed %d: %v %+v", set, seed, err, got)
-					}
-					label := fmt.Sprintf("GOMAXPROCS=%d %v seed=%d", procs, set, seed)
-					switch {
-					case got.Winner == "enum" && got.Program.Format(n) != ref.Program.Format(n):
-						t.Errorf("%s: enum won with a different kernel\nref:\n%s\ngot:\n%s",
-							label, ref.Program.Format(n), got.Program.Format(n))
-					case got.Length != ref.Length:
-						t.Errorf("%s: length %d (winner %s), optimum %d", label, got.Length, got.Winner, ref.Length)
-					}
-				}
+		for _, r := range rows {
+			set := isa.New(r.kind, r.n, 1)
+			label := fmt.Sprintf("GOMAXPROCS=%d %v len=%d seed=%d", procs, set, r.spec.MaxLen, r.spec.Seed)
+			want, err := Run(context.Background(), ref, set, r.spec)
+			if err != nil || want.Status != r.want {
+				t.Fatalf("%s: enum reference %v %+v, want %v", label, err, want, r.want)
+			}
+			got, err := Run(context.Background(), pf, set, r.spec)
+			if err != nil {
+				t.Fatalf("%s: portfolio: %v", label, err)
+			}
+			if got.Backend != "portfolio" || got.Status != want.Status || got.Length != want.Length ||
+				got.Program.Format(r.n) != want.Program.Format(r.n) {
+				t.Errorf("%s: portfolio %s %v length %d\n%s\nenum %v length %d\n%s", label,
+					got.Backend, got.Status, got.Length, got.Program.Format(r.n),
+					want.Status, want.Length, want.Program.Format(r.n))
 			}
 		}
 	}
@@ -316,11 +197,10 @@ func TestEnumProofBudgetCertifiesRefutation(t *testing.T) {
 	}
 }
 
-// TestEnumProofBudgetCertifiesDupSafeRefutation pins the last case a
-// portfolio fallback could matter for: a duplicate-safe refutation. One
-// below the cmov n=3 optimum, the certifying proof search fits the
-// portfolio's 2^18-state cap only because the pair bound prunes it
-// (without it the search stops at the cap, unproven).
+// TestEnumProofBudgetCertifiesDupSafeRefutation pins a duplicate-safe
+// refutation: one below the cmov n=3 optimum, the certifying proof
+// search fits the portfolio's 2^18-state cap only because the pair
+// bound prunes it (without it the search stops at the cap, unproven).
 func TestEnumProofBudgetCertifiesDupSafeRefutation(t *testing.T) {
 	b := &Enum{Opt: enum.ConfigBest(), ProofBudget: 1 << 18}
 	res, err := Run(context.Background(), b, isa.NewCmov(3, 1), Spec{MaxLen: 10, DuplicateSafe: true})

@@ -88,11 +88,9 @@ var (
 )
 
 // Default returns the shared registry with all seven synthesizers in
-// their paper-best configurations, plus a "portfolio" backend over the
-// three engines that cover the practical spectrum, in launch order:
-// enum for optimality (certifying its refutations), smt for
-// fixed-length completeness, stoke for stochastic luck. The instances
-// are stateless per call, so sharing is safe.
+// their paper-best configurations, plus "portfolio": the enum engine in
+// its best configuration with a certifying proof budget (see
+// portfolio). The instances are stateless per call, so sharing is safe.
 func Default() *Registry {
 	defaultOnce.Do(func() {
 		r := NewRegistry()
@@ -118,16 +116,34 @@ func Default() *Registry {
 			Heuristic: plan.HAdd,
 			MaxNodes:  2_000_000,
 		}))
-		// The portfolio's enum certifies an empty-handed search, so a
-		// budget below the optimum ends the race with a sound
-		// refutation instead of waiting out smt. The cap covers every
-		// n ≤ 3 budget (with the pair bound, cmov n=3 at length 10
-		// takes 2,625 states, 4,315 duplicate-safe) and bounds the
-		// extra work everywhere else.
-		smtB, _ := r.Get("smt")
-		stokeB, _ := r.Get("stoke")
-		r.Register(NewPortfolio(&Enum{Opt: enum.ConfigBest(), ProofBudget: 1 << 18}, smtB, stokeB))
+		r.Register(&portfolio{Enum{Opt: enum.ConfigBest(), ProofBudget: 1 << 18}})
 		defaultReg = r
 	})
 	return defaultReg
+}
+
+// portfolio is the registry's "portfolio" backend: enum with a
+// ProofBudget, so a search that comes up empty below the optimum still
+// certifies its refutation. The 2^18-state cap covers every n ≤ 3
+// budget (with the pair bound, cmov n=3 at length 10 takes 2,625
+// states, 4,315 duplicate-safe) and bounds the extra work everywhere
+// else. The name stays because clients and cache keys use it (DESIGN.md
+// §16). Like the single-solution backends it accepts the shortest
+// objective only.
+type portfolio struct{ Enum }
+
+// Name implements Backend.
+func (b *portfolio) Name() string { return "portfolio" }
+
+// Synthesize implements Backend.
+func (b *portfolio) Synthesize(ctx context.Context, set *isa.Set, spec Spec) (*Result, error) {
+	if err := requireShortest(b.Name(), spec); err != nil {
+		return nil, err
+	}
+	res, err := b.Enum.Synthesize(ctx, set, spec)
+	if err != nil {
+		return nil, err
+	}
+	res.Backend = b.Name()
+	return res, nil
 }

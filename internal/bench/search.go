@@ -1,12 +1,10 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"time"
 
-	"sortsynth/internal/backend"
 	"sortsynth/internal/enum"
 	"sortsynth/internal/isa"
 )
@@ -22,9 +20,6 @@ type SearchMeasurement struct {
 	// Backend is the registry name that produced the row ("enum" for
 	// the direct engine measurements).
 	Backend string `json:"backend"`
-	// Winner is the racing backend that produced the kernel when
-	// Backend is a portfolio; empty otherwise.
-	Winner string `json:"winner,omitempty"`
 	// GOMAXPROCS is the runtime's parallelism ceiling when this row was
 	// measured (recorded per row, not once per report, so a row taken
 	// under an env-pinned or host-limited runtime is visible as such).
@@ -72,53 +67,6 @@ func MeasureSearch(set *isa.Set, opt enum.Options, rounds int) (SearchMeasuremen
 	}
 	if sec := best.Elapsed.Seconds(); sec > 0 {
 		m.ExpandedPerSec = float64(best.Expanded) / sec
-	}
-	return m, nil
-}
-
-// MeasureBackend runs one registry backend through backend.Run rounds
-// times and reports the fastest winning run, so BENCH rows produced by
-// non-enum backends (including portfolio races) carry the same shape as
-// the direct engine measurements. Expanded aggregates the backend's
-// Stats.Nodes (expanded states, conflicts, or proposals, per backend).
-func MeasureBackend(b backend.Backend, set *isa.Set, spec backend.Spec, timeout time.Duration, rounds int) (SearchMeasurement, error) {
-	if rounds < 1 {
-		rounds = 1
-	}
-	var best *backend.Result
-	for r := 0; r < rounds; r++ {
-		ctx := context.Background()
-		cancel := context.CancelFunc(func() {})
-		if timeout > 0 {
-			ctx, cancel = context.WithTimeout(ctx, timeout)
-		}
-		res, err := backend.Run(ctx, b, set, spec)
-		cancel()
-		if err != nil {
-			return SearchMeasurement{}, err
-		}
-		if res.Status != backend.StatusFound {
-			return SearchMeasurement{}, fmt.Errorf("%v: backend %s: %s (no kernel within %d)",
-				set, b.Name(), res.Status, spec.MaxLen)
-		}
-		if best == nil || res.Stats.Elapsed < best.Stats.Elapsed {
-			best = res
-		}
-	}
-	m := SearchMeasurement{
-		ISA:        set.Kind.String(),
-		N:          set.N,
-		Backend:    b.Name(),
-		Winner:     best.Winner,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		MaxLen:     spec.MaxLen,
-		Length:     best.Length,
-		Kernel:     best.Program.FormatInline(set.N),
-		Expanded:   best.Stats.Nodes,
-		WallMS:     float64(best.Stats.Elapsed) / float64(time.Millisecond),
-	}
-	if sec := best.Stats.Elapsed.Seconds(); sec > 0 {
-		m.ExpandedPerSec = float64(best.Stats.Nodes) / sec
 	}
 	return m, nil
 }

@@ -119,14 +119,12 @@ func (o Options) resolved() Options {
 
 // dupCapable are the backends that can honour Spec.DuplicateSafe: enum
 // searches the weak-order suite directly, smt switches CEGIS to
-// arbitrary-input counterexamples, and the portfolio inherits soundness
-// from central verification (a merely permutation-correct winner is
-// rejected before it can win). The universe store replays enum-baked
-// records keyed on the duplicate-safe flag, so its answers carry the
-// same guarantee. The other engines synthesize against the permutation
-// suite only, so running them on duplicate-safe specs would manufacture
-// IncorrectError "divergences" that are really just an unsupported
-// capability.
+// arbitrary-input counterexamples, and the portfolio is enum under
+// another name. The universe store replays enum-baked records keyed on
+// the duplicate-safe flag, so its answers carry the same guarantee. The
+// other engines synthesize against the permutation suite only, so
+// running them on duplicate-safe specs would manufacture IncorrectError
+// "divergences" that are really just an unsupported capability.
 var dupCapable = map[string]bool{
 	"enum": true, "smt": true, "portfolio": true, "universe": true,
 }

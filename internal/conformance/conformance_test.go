@@ -48,7 +48,7 @@ func TestRunCleanOnRealBackends(t *testing.T) {
 
 // TestPortfolioJudged runs a small conformance roll and checks the
 // portfolio was actually judged: present in the status matrix, clean of
-// divergences, and answering specs through its staggered launches.
+// divergences, and finding kernels.
 func TestPortfolioJudged(t *testing.T) {
 	opt := smallOptions()
 	opt.BackendTimeout = 2 * time.Second

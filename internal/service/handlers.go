@@ -224,12 +224,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			"coalesced":      m.coalesced.Load(),
 			"nodes_expanded": m.nodesExpanded.Load(),
 		},
-		"scheduler": map[string]any{
-			"first_pick_wins":          m.firstPickWins.Load(),
-			"fallback_starts":          m.fallbackStarts.Load(),
-			"fallbacks_won":            m.fallbacksWon.Load(),
-			"staggered_saved_launches": m.staggeredSavedLaunches.Load(),
-		},
 		"backends": m.backendsSnapshot(),
 		"latency":  latency,
 	})

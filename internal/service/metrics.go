@@ -81,12 +81,6 @@ type metrics struct {
 	// universe.Stats and are merged into the /metrics payload).
 	universeNegatives atomic.Int64
 
-	// Portfolio dispatch outcomes (see backend.SchedStats).
-	firstPickWins          atomic.Int64
-	fallbackStarts         atomic.Int64
-	fallbacksWon           atomic.Int64
-	staggeredSavedLaunches atomic.Int64
-
 	searchesStarted   atomic.Int64
 	searchesCompleted atomic.Int64
 	searchesCancelled atomic.Int64

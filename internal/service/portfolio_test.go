@@ -1,94 +1,18 @@
 package service
 
 import (
-	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
 
-// TestPortfolioStaggersByDefault drives a portfolio request through a
-// default-Config server: enum, launched first, wins inside its solo
-// window, both fallbacks stay parked, the answer is byte-identical to a
-// direct enum synthesis, and the scheduler counters say exactly that.
-func TestPortfolioStaggersByDefault(t *testing.T) {
-	_, ts := newTestServer(t)
-
-	viaPortfolio := synthesize(t, ts.URL, `{"isa":"cmov","n":2,"backend":"portfolio"}`)
-	if viaPortfolio.Cached || viaPortfolio.Length != 4 {
-		t.Fatalf("portfolio response %+v, want fresh length-4 kernel", viaPortfolio)
-	}
-	viaEnum := synthesize(t, ts.URL, `{"isa":"cmov","n":2}`)
-	if viaPortfolio.Kernel != viaEnum.Kernel {
-		t.Fatalf("portfolio kernel diverges from enum:\n%s\nvs\n%s", viaPortfolio.Kernel, viaEnum.Kernel)
-	}
-
-	want := map[string]float64{
-		"first_pick_wins":          1,
-		"staggered_saved_launches": 2,
-		"fallback_starts":          0,
-		"fallbacks_won":            0,
-	}
-	var m struct {
-		Scheduler map[string]float64 `json:"scheduler"`
-	}
-	if resp := getJSON(t, ts.URL+"/metrics", &m); resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status %d", resp.StatusCode)
-	}
-	sched := m.Scheduler
-	for name, v := range want {
-		if sched[name] != v {
-			t.Fatalf("%s = %v, want %v (scheduler %v)", name, sched[name], v, sched)
-		}
-	}
-}
-
-// TestPortfolioSchedulerCountersReconcile runs N fresh portfolio
-// requests and checks the scheduler counters add up: every found answer
-// was won either by the first member or by a fallback, and each of the
-// two fallbacks of every request either launched or was parked.
-func TestPortfolioSchedulerCountersReconcile(t *testing.T) {
-	_, ts := newTestServer(t)
-
-	const seeds = 3
-	n := 0
-	for _, size := range []int{2, 3} {
-		for seed := 1; seed <= seeds; seed++ {
-			res := synthesize(t, ts.URL, fmt.Sprintf(`{"isa":"cmov","n":%d,"backend":"portfolio","seed":%d}`, size, seed))
-			if res.Cached {
-				t.Fatalf("n=%d seed=%d served from cache, want a fresh race", size, seed)
-			}
-			n++
-		}
-	}
-
-	var m struct {
-		Scheduler map[string]float64 `json:"scheduler"`
-		Backends  map[string]struct {
-			Started int64 `json:"started"`
-			Found   int64 `json:"found"`
-		} `json:"backends"`
-	}
-	getJSON(t, ts.URL+"/metrics", &m)
-	pf := m.Backends["portfolio"]
-	if pf.Started != int64(n) || pf.Found != int64(n) {
-		t.Fatalf("portfolio counters %+v, want %d started and found", pf, n)
-	}
-	sc := m.Scheduler
-	if got := sc["first_pick_wins"] + sc["fallbacks_won"]; got != float64(pf.Found) {
-		t.Fatalf("first_pick_wins + fallbacks_won = %v, want the portfolio's found count %d (scheduler %v)", got, pf.Found, sc)
-	}
-	if got := sc["fallback_starts"] + sc["staggered_saved_launches"]; got != float64(2*n) {
-		t.Fatalf("fallback_starts + staggered_saved_launches = %v, want 2 × %d (scheduler %v)", got, n, sc)
-	}
-}
-
 // TestPortfolioRefutationEndsRace asks the portfolio for a cmov n=3
-// kernel within 10 instructions, one below the optimum. Enum, launched
-// first, certifies that no such kernel exists in a few hundred
-// milliseconds; the refutation must end the race and answer 422 at once
-// instead of holding the search slot until smt gives up at the
-// two-minute search timeout.
+// kernel within 10 instructions, one below the optimum. The certifying
+// enum search proves that no such kernel exists in about 20 ms,
+// so the request answers 422 at once instead of holding the search slot
+// until the two-minute search timeout.
 func TestPortfolioRefutationEndsRace(t *testing.T) {
 	_, ts := newTestServer(t)
 
@@ -104,5 +28,34 @@ func TestPortfolioRefutationEndsRace(t *testing.T) {
 	}
 	if elapsed >= limit {
 		t.Fatalf("refuted portfolio request took %v, want under %v", elapsed, limit)
+	}
+}
+
+// TestPortfolioSpentBudgetAnswersPromptly asks for a cmov n=4 kernel
+// within 19 instructions, one below the optimum. Neither the search nor
+// its capped proof search can settle that budget, so the request must
+// answer 422 "exhausted its budget" as soon as enum gives up (about
+// 5 s on a 2-vCPU host), not hold its search slot until the search
+// timeout.
+func TestPortfolioSpentBudgetAnswersPromptly(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("a multi-second cmov n=4 search; skipped under -race and -short")
+	}
+	s, err := New(Config{CacheDir: t.TempDir(), SearchTimeout: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	start := time.Now()
+	resp, blob := postJSON(t, ts.URL+"/v1/synthesize", `{"isa":"cmov","n":4,"max_len":19,"backend":"portfolio"}`)
+	elapsed := time.Since(start)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(blob), "exhausted its budget") {
+		t.Fatalf("status = %d, want 422 \"exhausted its budget\": %s", resp.StatusCode, blob)
+	}
+	if limit := 20 * time.Second; elapsed >= limit {
+		t.Fatalf("spent-budget portfolio request took %v, want under %v", elapsed, limit)
 	}
 }

@@ -31,8 +31,9 @@ type synthesizeRequest struct {
 	// the cache key, so different backends never share an artifact.
 	Backend string `json:"backend"`
 
-	// Seed seeds the randomized backends (stoke, mcts, portfolio);
-	// ignored (and excluded from the cache key) for deterministic ones.
+	// Seed seeds the randomized backends (stoke, mcts). "portfolio"
+	// accepts it and keeps it in the cache key, though its answer no
+	// longer depends on it; other backends reject a non-zero seed.
 	Seed int64 `json:"seed"`
 
 	// Config selects the search configuration: "best" (default, paper
@@ -379,8 +380,9 @@ func (s *Server) buildSpec(set *isa.Set, beName string, req *synthesizeRequest) 
 	return spec, nil
 }
 
-// randomizedBackend reports whether the backend's artifact depends on
-// Spec.Seed ("portfolio" races randomized members).
+// randomizedBackend reports whether the seed is part of the backend's
+// cache key. "portfolio" answers as deterministic enum now, but its
+// seed stays in the key so existing keys hash byte-identically.
 func randomizedBackend(name string) bool {
 	switch name {
 	case "stoke", "mcts", "portfolio":
@@ -460,9 +462,9 @@ func (s *Server) runSearch(ctx context.Context, key kcache.Key, set *isa.Set, op
 }
 
 // runBackend executes one coalesced non-enum synthesis through the
-// backend registry under the bounded worker pool. Correctness of the
-// winner is checked centrally inside backend.Run — no verification
-// happens here.
+// backend registry under the bounded worker pool. Correctness of a
+// found program is checked centrally inside backend.Run — no
+// verification happens here.
 func (s *Server) runBackend(ctx context.Context, key kcache.Key, set *isa.Set, beName string, spec backend.Spec) (*kcache.Entry, error) {
 	select {
 	case s.sem <- struct{}{}:
@@ -491,16 +493,6 @@ func (s *Server) runBackend(ctx context.Context, key kcache.Key, set *isa.Set, b
 	}
 	bc.latency.observe(res.Stats.Elapsed)
 	s.metrics.nodesExpanded.Add(res.Stats.Nodes)
-	if sc := res.Sched; sc != nil {
-		if sc.FirstPickWin {
-			s.metrics.firstPickWins.Add(1)
-		}
-		if sc.FallbackWin {
-			s.metrics.fallbacksWon.Add(1)
-		}
-		s.metrics.fallbackStarts.Add(int64(sc.FallbackStarts))
-		s.metrics.staggeredSavedLaunches.Add(int64(sc.SavedLaunches))
-	}
 
 	switch res.Status {
 	case backend.StatusFound:

@@ -65,9 +65,9 @@ func (sp Spec) String() string {
 }
 
 // DeterministicBackends lists the registry backends whose artifact is a
-// pure function of the spec — the only ones worth baking. The
-// randomized backends (stoke, mcts, portfolio) key on a seed and would
-// only ever hit for the exact seed baked.
+// pure function of the spec — the only ones worth baking. The backends
+// whose cache key carries a seed (stoke, mcts, portfolio) would only
+// ever hit for the exact seed baked.
 func DeterministicBackends() []string {
 	return []string{"enum", "smt", "cp", "ilp", "plan"}
 }
