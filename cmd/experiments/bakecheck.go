@@ -15,7 +15,6 @@ import (
 
 	"sortsynth/internal/backend"
 	"sortsynth/internal/conformance"
-	"sortsynth/internal/enum"
 	"sortsynth/internal/kcache"
 	"sortsynth/internal/service"
 	"sortsynth/internal/universe"
@@ -168,47 +167,16 @@ func init() {
 }
 
 // bakecheckLive replays one spec through the registry exactly the way
-// the bake does, returning nil for the no-claim outcomes the bake
-// skips. It must stay in lockstep with universe.Bake's entry mapping —
-// that equivalence is the point of the gate.
+// the bake does, mapping the result with the bake's own entry builder;
+// nil is a no-claim outcome the bake skips.
 func bakecheckLive(reg *backend.Registry, sp universe.Spec) (*kcache.Entry, error) {
 	set := sp.Set()
-	res, err := reg.Synthesize(context.Background(), sp.Backend, set, backend.Spec{
-		MaxLen:        sp.Budget,
-		DuplicateSafe: sp.DuplicateSafe,
-		Objective:     sp.Objective,
-	})
+	spec := backend.Spec{MaxLen: sp.Budget, DuplicateSafe: sp.DuplicateSafe, Objective: sp.Objective}
+	res, err := reg.Synthesize(context.Background(), sp.Backend, set, spec)
 	if err != nil {
 		return nil, err
 	}
-	switch res.Status {
-	case backend.StatusFound:
-		sc := res.Solutions
-		if sc == 0 {
-			sc = 1
-		}
-		var objName string
-		if sp.Objective != enum.ObjectiveShortest {
-			objName = sp.Objective.String()
-		}
-		return &kcache.Entry{
-			Backend:       sp.Backend,
-			Objective:     objName,
-			Cost:          res.Cost,
-			Program:       res.Program.Format(set.N),
-			Length:        res.Length,
-			SolutionCount: sc,
-		}, nil
-	case backend.StatusNoProgram:
-		return &kcache.Entry{Backend: sp.Backend, NoKernel: true, Length: sp.Budget}, nil
-	case backend.StatusExhausted:
-		if sp.Backend == "enum" {
-			return &kcache.Entry{Backend: sp.Backend, NoKernel: true, Length: sp.Budget}, nil
-		}
-		return nil, nil
-	default:
-		return nil, nil
-	}
+	return universe.EntryFor(set, spec, res), nil
 }
 
 // bakecheckIdentity projects an entry onto the fields that must be

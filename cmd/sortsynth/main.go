@@ -161,33 +161,28 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *backendName != "enum" {
+	// Every synthesis runs through backend.Run, which verifies what it
+	// prints. Enum runs as the plain engine under the flag-built options;
+	// every other name runs as registered.
+	spec := backend.Spec{MaxLen: bound, Seed: *seed, DuplicateSafe: *dupsafe, Objective: obj, Profile: *profile}
+	b, err := backend.Default().Get(*backendName)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if *backendName == "enum" {
+		opt := enum.ConfigBest()
 		if *all {
-			log.Fatal("-all applies only to the default enum backend")
+			opt = enum.ConfigAllSolutions()
+			opt.MaxSolutions = *maxSols
 		}
-		runBackend(set, *n, bound, *backendName, *seed, *dupsafe, obj, *profile, *timeout, *asm, *quiet)
-		return
-	}
-
-	opt := enum.ConfigBest()
-	opt.MaxLen = bound
-	opt.DuplicateSafe = *dupsafe
-	if *k == 0 {
-		opt.Cut = enum.CutNone
-	} else {
 		opt.Cut, opt.CutK = enum.CutFactor, *k
-	}
-	if *all {
-		opt = enum.ConfigAllSolutions()
-		opt.MaxLen = bound
-		opt.DuplicateSafe = *dupsafe
-		opt.MaxSolutions = *maxSols
-		if *k > 0 {
-			opt.Cut, opt.CutK = enum.CutFactor, *k
+		if *k == 0 {
+			opt.Cut = enum.CutNone
 		}
+		b = &backend.Enum{Opt: opt}
+	} else if *all {
+		log.Fatal("-all applies only to the default enum backend")
 	}
-	opt.Objective = obj
-	opt.Profile = *profile
 
 	ctx := context.Background()
 	if *timeout > 0 {
@@ -195,26 +190,24 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	res := sortsynth.SynthesizeContext(ctx, set, opt)
-	if res.TimedOut || res.Cancelled {
-		why := "timed out"
-		if res.Cancelled {
-			why = "was cancelled"
-		}
-		if *all && res.Length >= 0 {
-			log.Fatalf("search %s after %v: enumeration incomplete (found kernels of length %d, but the count and set are partial); increase -timeout",
-				why, res.Elapsed.Round(time.Millisecond), res.Length)
-		}
-		log.Fatalf("search %s after %v (expanded %d states, no kernel of length ≤ %d found); increase -timeout",
-			why, res.Elapsed.Round(time.Millisecond), res.Expanded, bound)
+	res, err := backend.Run(ctx, b, set, spec)
+	if err != nil {
+		log.Fatal(err)
 	}
-	if res.Length < 0 {
-		log.Fatalf("no kernel of length ≤ %d found (expanded %d states in %v)", bound, res.Expanded, res.Elapsed)
+	elapsed := res.Stats.Elapsed.Round(time.Millisecond)
+	switch res.Status {
+	case backend.StatusFound:
+	case backend.StatusTimedOut:
+		log.Fatalf("search timed out after %v (%d search nodes, no complete answer of length ≤ %d); increase -timeout",
+			elapsed, res.Stats.Nodes, bound)
+	default:
+		log.Fatalf("%s: %s, no kernel of length ≤ %d found (%d search nodes in %v)",
+			res.Backend, res.Status, bound, res.Stats.Nodes, elapsed)
 	}
 	if *all {
 		if !*quiet {
 			fmt.Printf("# %d optimal kernels of length %d (%v, %d states); showing %d\n",
-				res.SolutionCount, res.Length, res.Elapsed.Round(time.Millisecond), res.Expanded, len(res.Programs))
+				res.Solutions, res.Length, elapsed, res.Stats.Nodes, len(res.Programs))
 		}
 		for i, p := range res.Programs {
 			if i > 0 {
@@ -226,50 +219,15 @@ func main() {
 	}
 	if !*quiet {
 		a := sortsynth.Analyze(set, res.Program)
-		fmt.Printf("# length %d, %v, %d states expanded, score %d, est. throughput %.2f cycles\n",
-			res.Length, res.Elapsed.Round(time.Millisecond), res.Expanded, a.Score, a.Throughput)
+		cert := ""
+		if res.Optimal {
+			cert = ", minimality certified"
+		}
+		fmt.Printf("# length %d via %s, %v, %d search nodes, score %d, est. throughput %.2f cycles%s\n",
+			res.Length, res.Backend, elapsed, res.Stats.Nodes, a.Score, a.Throughput, cert)
 		if obj != enum.ObjectiveShortest {
-			fmt.Printf("# objective %s: ranked %d optimal kernels, winner cost %.3f\n",
-				obj, res.RerankCandidates, res.Cost)
+			fmt.Printf("# objective %s: winner of %d optimal kernels, cost %.3f\n", obj, res.Solutions, res.Cost)
 		}
 	}
 	fmt.Print(emit(res.Program))
-}
-
-// runBackend synthesizes through the named registry backend.
-// Correctness is checked centrally by backend.Run; a printed kernel is
-// always verified.
-func runBackend(set *sortsynth.Set, n, bound int, name string, seed int64, dupsafe bool, obj enum.Objective, profile string, timeout time.Duration, asm, quiet bool) {
-	reg := backend.Default()
-	spec := backend.Spec{MaxLen: bound, Seed: seed, DuplicateSafe: dupsafe, Objective: obj, Profile: profile}
-
-	ctx := context.Background()
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-
-	res, err := reg.Synthesize(ctx, name, set, spec)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if res.Status != backend.StatusFound {
-		log.Fatalf("%s: %s after %v (no kernel of length ≤ %d)",
-			res.Backend, res.Status, res.Stats.Elapsed.Round(time.Millisecond), bound)
-	}
-	if !quiet {
-		opt := ""
-		if res.Optimal {
-			opt = ", minimality certified"
-		}
-		fmt.Printf("# length %d via %s, %v%s\n",
-			res.Length, res.Backend, res.Stats.Elapsed.Round(time.Millisecond), opt)
-	}
-	if asm {
-		fmt.Print(sortsynth.AsmX86(set, res.Program))
-	} else {
-		fmt.Print(res.Program.Format(n) + "\n")
-	}
 }

@@ -29,8 +29,9 @@ type Spec struct {
 	// treat it as an upper bound, with 0 meaning "engine default".
 	MaxLen int
 
-	// Seed seeds the randomized backends (stoke, mcts). Deterministic
-	// backends ignore it.
+	// Seed seeds the randomized backends (stoke, mcts). The other
+	// backends ignore it; Seeded names the ones whose cache key keeps
+	// it.
 	Seed int64
 
 	// DuplicateSafe demands a kernel that sorts arbitrary inputs
@@ -114,6 +115,10 @@ type Result struct {
 	// Program is the synthesized kernel (nil unless Status is
 	// StatusFound).
 	Program isa.Program
+	// Programs lists the enumerated optimal kernels, ranked under a
+	// non-shortest objective, when the backend enumerated the solution
+	// set for the caller (enum under AllSolutions); nil otherwise.
+	Programs []isa.Program
 	// Length is len(Program) for StatusFound, else the length budget
 	// the verdict applies to.
 	Length int
@@ -188,11 +193,21 @@ func (e *IncorrectError) Error() string {
 	return fmt.Sprintf("backend %s: synthesized program fails on input %v", e.Backend, e.Input)
 }
 
-// Run invokes b and centrally verifies any claimed program: the single
-// place correctness is checked, for direct calls and registry calls
-// alike. A StatusFound result is checked against the full permutation
-// suite (and the weak-order suite when spec.DuplicateSafe); a
-// counterexample turns it into an *IncorrectError.
+// Seeded reports whether the named backend's cache key carries
+// Spec.Seed: stoke and mcts seed their search with it, and "portfolio"
+// answers as deterministic enum but keeps the seed in its key so
+// existing keys hash byte-identically. Every other backend's artifact
+// is a pure function of the rest of the spec.
+func Seeded(name string) bool {
+	return name == "stoke" || name == "mcts" || name == "portfolio"
+}
+
+// Run invokes b and centrally verifies every claimed program: the
+// single place correctness is checked, for direct calls and registry
+// calls alike. On StatusFound, Program and each of Programs are checked
+// against the full permutation suite (and the weak-order suite when
+// spec.DuplicateSafe); a counterexample turns the result into an
+// *IncorrectError.
 func Run(ctx context.Context, b Backend, set *isa.Set, spec Spec) (*Result, error) {
 	res, err := b.Synthesize(ctx, set, spec)
 	if err != nil {
@@ -202,11 +217,12 @@ func Run(ctx context.Context, b Backend, set *isa.Set, spec Spec) (*Result, erro
 		return nil, fmt.Errorf("backend %s: nil result without error", b.Name())
 	}
 	if res.Status == StatusFound {
-		if ce := verify.Counterexample(set, res.Program); ce != nil {
-			return nil, &IncorrectError{Backend: b.Name(), Input: ce}
-		}
-		if spec.DuplicateSafe {
-			if ce := verify.DuplicateCounterexample(set, res.Program); ce != nil {
+		for _, p := range append([]isa.Program{res.Program}, res.Programs...) {
+			ce := verify.Counterexample(set, p)
+			if ce == nil && spec.DuplicateSafe {
+				ce = verify.DuplicateCounterexample(set, p)
+			}
+			if ce != nil {
 				return nil, &IncorrectError{Backend: b.Name(), Input: ce}
 			}
 		}

@@ -61,6 +61,26 @@ func TestRunFlagsIncorrectProgram(t *testing.T) {
 	}
 }
 
+// TestRunVerifiesEveryListedProgram: a correct Program does not vouch
+// for the rest of an all-solutions list. A broken second program must
+// turn the whole result into an *IncorrectError.
+func TestRunVerifiesEveryListedProgram(t *testing.T) {
+	set := isa.NewCmov(2, 1)
+	good := correctKernel(t, set)
+	wrong := good[:len(good)-1]
+	lister := &fakeBackend{name: "lister", fn: func(context.Context, *isa.Set, Spec) (*Result, error) {
+		return &Result{Backend: "lister", Status: StatusFound, Program: good, Programs: []isa.Program{good, wrong}, Length: len(good)}, nil
+	}}
+	res, err := Run(context.Background(), lister, set, Spec{MaxLen: 4})
+	var inc *IncorrectError
+	if !errors.As(err, &inc) {
+		t.Fatalf("want *IncorrectError, got %v (result %+v)", err, res)
+	}
+	if inc.Backend != "lister" || inc.Input == nil {
+		t.Fatalf("bad IncorrectError: %+v", inc)
+	}
+}
+
 func TestRegistryUnknownNameTypedError(t *testing.T) {
 	reg := NewRegistry()
 	reg.Register(&fakeBackend{name: "only"})

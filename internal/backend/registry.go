@@ -52,14 +52,6 @@ func (r *Registry) Get(name string) (Backend, error) {
 	return b, nil
 }
 
-// Has reports whether name is registered.
-func (r *Registry) Has(name string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	_, ok := r.backends[name]
-	return ok
-}
-
 // Names returns the registered names, sorted.
 func (r *Registry) Names() []string {
 	r.mu.RLock()
@@ -90,11 +82,12 @@ var (
 // Default returns the shared registry with all seven synthesizers in
 // their paper-best configurations, plus "portfolio": the enum engine in
 // its best configuration with a certifying proof budget (see
-// portfolio). The instances are stateless per call, so sharing is safe.
+// portfolio). Both enum entries probe down on duplicate-safe specs (see
+// probeDown). The instances are stateless per call, so sharing is safe.
 func Default() *Registry {
 	defaultOnce.Do(func() {
 		r := NewRegistry()
-		r.Register(NewEnum(enum.ConfigBest()))
+		r.Register(probeDown{&Enum{Opt: enum.ConfigBest()}})
 		r.Register(NewSMT(smt.Options{
 			Goal:        smt.GoalAscCounts0,
 			Encoding:    smt.EncodingDense,
@@ -116,7 +109,7 @@ func Default() *Registry {
 			Heuristic: plan.HAdd,
 			MaxNodes:  2_000_000,
 		}))
-		r.Register(&portfolio{Enum{Opt: enum.ConfigBest(), ProofBudget: 1 << 18}})
+		r.Register(portfolio{probeDown{&Enum{Opt: enum.ConfigBest(), ProofBudget: 1 << 18}}})
 		defaultReg = r
 	})
 	return defaultReg
@@ -130,17 +123,17 @@ func Default() *Registry {
 // else. The name stays because clients and cache keys use it (DESIGN.md
 // §16). Like the single-solution backends it accepts the shortest
 // objective only.
-type portfolio struct{ Enum }
+type portfolio struct{ probeDown }
 
 // Name implements Backend.
-func (b *portfolio) Name() string { return "portfolio" }
+func (b portfolio) Name() string { return "portfolio" }
 
 // Synthesize implements Backend.
-func (b *portfolio) Synthesize(ctx context.Context, set *isa.Set, spec Spec) (*Result, error) {
+func (b portfolio) Synthesize(ctx context.Context, set *isa.Set, spec Spec) (*Result, error) {
 	if err := requireShortest(b.Name(), spec); err != nil {
 		return nil, err
 	}
-	res, err := b.Enum.Synthesize(ctx, set, spec)
+	res, err := b.probeDown.Synthesize(ctx, set, spec)
 	if err != nil {
 		return nil, err
 	}

@@ -1,11 +1,52 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strings"
 	"testing"
+
+	"sortsynth/internal/backend"
+	"sortsynth/internal/enum"
+	"sortsynth/internal/isa"
+	"sortsynth/internal/kcache"
 )
+
+// listingBackend claims an all-solutions list whose second program is
+// broken.
+type listingBackend struct{ good, wrong isa.Program }
+
+func (listingBackend) Name() string { return "lister" }
+func (b listingBackend) Synthesize(context.Context, *isa.Set, backend.Spec) (*backend.Result, error) {
+	return &backend.Result{Backend: "lister", Status: backend.StatusFound, Program: b.good,
+		Programs: []isa.Program{b.good, b.wrong}, Length: len(b.good), Solutions: 2}, nil
+}
+
+// TestFlightCachesNothingUnverified: every flight runs through
+// backend.Run, so a broken program anywhere in a claimed list fails the
+// flight with *backend.IncorrectError and leaves the cache empty.
+func TestFlightCachesNothingUnverified(t *testing.T) {
+	s, _ := newTestServer(t)
+	set := isa.NewCmov(2, 1)
+	opt := enum.ConfigAllSolutions()
+	opt.MaxLen = 4
+	all := enum.Run(set, opt)
+	if len(all.Programs) == 0 {
+		t.Fatalf("setup enumeration found nothing: %+v", all)
+	}
+	good := all.Programs[0]
+	key := kcache.KeyFor(set, opt)
+	_, err := s.runFlight(context.Background(), key, set, listingBackend{good, good[:len(good)-1]}, backend.Spec{MaxLen: 4})
+	var inc *backend.IncorrectError
+	if !errors.As(err, &inc) {
+		t.Fatalf("flight error %v, want *backend.IncorrectError", err)
+	}
+	if e, ok := s.cache.Get(key); ok {
+		t.Fatalf("the flight cached an unverified artifact: %+v", e)
+	}
+}
 
 func TestSynthesizeUnknownBackend400(t *testing.T) {
 	_, ts := newTestServer(t)

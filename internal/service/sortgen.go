@@ -126,7 +126,7 @@ func (s *Server) handleSortgen(w http.ResponseWriter, r *http.Request) {
 		ElapsedNS:     int64(time.Since(start)),
 	}
 	if err := s.cache.Put(key, entry); err != nil {
-		s.metrics.recordPutError(err) // memory tier still serves it; see runSearch
+		s.metrics.recordPutError(err) // memory tier still serves it; see runFlight
 	}
 	resp, err := sortgenResponseFor(n, elem, obj, entry, hash, false, start)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"sortsynth/internal/enum"
 	"sortsynth/internal/isa"
 	"sortsynth/internal/kcache"
+	"sortsynth/internal/universe"
 )
 
 // synthesizeRequest is the POST /v1/synthesize body.
@@ -33,7 +34,8 @@ type synthesizeRequest struct {
 
 	// Seed seeds the randomized backends (stoke, mcts). "portfolio"
 	// accepts it and keeps it in the cache key, though its answer no
-	// longer depends on it; other backends reject a non-zero seed.
+	// longer depends on it (backend.Seeded); other backends reject a
+	// non-zero seed.
 	Seed int64 `json:"seed"`
 
 	// Config selects the search configuration: "best" (default, paper
@@ -214,32 +216,34 @@ func (s *Server) prepareSynthesize(req *synthesizeRequest) (prepared, error) {
 	if beName == "" {
 		beName = "enum"
 	}
-	if !s.registry.Has(beName) {
-		_, err := s.registry.Get(beName) // *backend.UnknownBackendError
+	b, err := s.registry.Get(beName) // *backend.UnknownBackendError
+	if err != nil {
 		return p, err
 	}
 
-	// The enum backend keeps the full option surface (configs, all-
-	// solutions enumeration); every other backend takes the reduced
-	// Spec and runs through the registry.
+	// Every backend but enum takes the reduced Spec and runs as
+	// registered. Enum keeps the full option surface (configs, all-
+	// solutions enumeration) and runs as the plain engine under the
+	// request's options, without the registry's duplicate-safe
+	// probe-down (the open ROADMAP item "One answer per key"). Both run
+	// the same flight.
+	var spec backend.Spec
 	if beName == "enum" {
 		opt, err := s.buildOptions(set, req)
 		if err != nil {
 			return p, err
 		}
 		p.key = kcache.KeyFor(set, opt)
-		p.run = func(fctx context.Context) (*kcache.Entry, error) {
-			return s.runSearch(fctx, p.key, set, opt)
-		}
+		b = &backend.Enum{Opt: opt}
+		spec = backend.Spec{MaxLen: opt.MaxLen, DuplicateSafe: opt.DuplicateSafe, Objective: opt.Objective, Profile: opt.Profile}
 	} else {
-		spec, err := s.buildSpec(set, beName, req)
-		if err != nil {
+		if spec, err = s.buildSpec(set, beName, req); err != nil {
 			return p, err
 		}
 		p.key = kcache.KeyForBackend(set, beName, spec.MaxLen, spec.Seed, spec.DuplicateSafe)
-		p.run = func(fctx context.Context) (*kcache.Entry, error) {
-			return s.runBackend(fctx, p.key, set, beName, spec)
-		}
+	}
+	p.run = func(fctx context.Context) (*kcache.Entry, error) {
+		return s.runFlight(fctx, p.key, set, b, spec)
 	}
 	p.hash = p.key.Hash()
 	return p, nil
@@ -320,20 +324,26 @@ func (s *Server) buildOptions(set *isa.Set, req *synthesizeRequest) (enum.Option
 	// fragment the cache by client whim.
 	opt.Profile = s.cfg.UarchProfile
 	opt.DuplicateSafe = req.DuplicateSafe
-	opt.MaxLen = req.MaxLen
-	if opt.MaxLen > enum.MaxDepth {
-		// Reject up front: the engine would return the same typed error,
-		// but this way it is a plain 400 before any flight is created.
-		return opt, fmt.Errorf("max_len %d exceeds the engine depth limit %d", req.MaxLen, enum.MaxDepth)
+	opt.MaxLen, err = resolveMaxLen(set, req.MaxLen)
+	return opt, err
+}
+
+// resolveMaxLen is the max_len rule every backend shares: 0 means the
+// set's known optimal length, and a bound past the engine depth limit
+// is rejected up front. The engine would return the same typed error,
+// but this way it is a plain 400 before any flight is created.
+func resolveMaxLen(set *isa.Set, maxLen int) (int, error) {
+	if maxLen > enum.MaxDepth {
+		return 0, fmt.Errorf("max_len %d exceeds the engine depth limit %d", maxLen, enum.MaxDepth)
 	}
-	if opt.MaxLen == 0 {
+	if maxLen == 0 {
 		l, ok := isa.KnownOptimalLength(set)
 		if !ok {
-			return opt, fmt.Errorf("no known optimal length for %s; pass max_len", set)
+			return 0, fmt.Errorf("no known optimal length for %s; pass max_len", set)
 		}
-		opt.MaxLen = l
+		return l, nil
 	}
-	return opt, nil
+	return maxLen, nil
 }
 
 // buildSpec maps the request onto a backend.Spec for the non-enum
@@ -359,20 +369,12 @@ func (s *Server) buildSpec(set *isa.Set, beName string, req *synthesizeRequest) 
 	if obj != enum.ObjectiveShortest {
 		return spec, fmt.Errorf("objective %q applies only to the enum backend (backend %q synthesizes a single program)", obj, beName)
 	}
-	spec.MaxLen = req.MaxLen
-	if spec.MaxLen > enum.MaxDepth {
-		return spec, fmt.Errorf("max_len %d exceeds the engine depth limit %d", req.MaxLen, enum.MaxDepth)
-	}
-	if spec.MaxLen == 0 {
-		l, ok := isa.KnownOptimalLength(set)
-		if !ok {
-			return spec, fmt.Errorf("no known optimal length for %s; pass max_len", set)
-		}
-		spec.MaxLen = l
+	if spec.MaxLen, err = resolveMaxLen(set, req.MaxLen); err != nil {
+		return spec, err
 	}
 	// A seed only changes the artifact for the randomized backends;
 	// normalizing it to 0 elsewhere keeps the cache unfragmented.
-	if randomizedBackend(beName) {
+	if backend.Seeded(beName) {
 		spec.Seed = req.Seed
 	} else if req.Seed != 0 {
 		return spec, fmt.Errorf("seed applies only to the randomized backends (got backend %q)", beName)
@@ -380,20 +382,11 @@ func (s *Server) buildSpec(set *isa.Set, beName string, req *synthesizeRequest) 
 	return spec, nil
 }
 
-// randomizedBackend reports whether the seed is part of the backend's
-// cache key. "portfolio" answers as deterministic enum now, but its
-// seed stays in the key so existing keys hash byte-identically.
-func randomizedBackend(name string) bool {
-	switch name {
-	case "stoke", "mcts", "portfolio":
-		return true
-	}
-	return false
-}
-
-// runSearch executes one coalesced synthesis under the bounded worker
-// pool and stores the artifact in the cache on success.
-func (s *Server) runSearch(ctx context.Context, key kcache.Key, set *isa.Set, opt enum.Options) (*kcache.Entry, error) {
+// runFlight executes one coalesced synthesis through backend.Run, the
+// central verification choke point, under the bounded worker pool, and
+// stores the artifact in the cache on success. No verification happens
+// here, and nothing backend.Run rejects is cached.
+func (s *Server) runFlight(ctx context.Context, key kcache.Key, set *isa.Set, b backend.Backend, spec backend.Spec) (*kcache.Entry, error) {
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
@@ -408,81 +401,9 @@ func (s *Server) runSearch(ctx context.Context, key kcache.Key, set *isa.Set, op
 
 	s.metrics.searchesStarted.Add(1)
 	s.metrics.inFlight.Add(1)
-	bc := s.metrics.backendFor("enum")
+	bc := s.metrics.backendFor(b.Name())
 	bc.started.Add(1)
-	res := enum.RunContext(ctx, set, opt)
-	s.metrics.inFlight.Add(-1)
-	s.metrics.searchesCompleted.Add(1)
-	s.metrics.nodesExpanded.Add(res.Expanded)
-	bc.completed.Add(1)
-	bc.latency.observe(res.Elapsed)
-
-	switch {
-	case res.Err != nil:
-		bc.errors.Add(1)
-		return nil, res.Err
-	case res.Cancelled:
-		s.metrics.searchesCancelled.Add(1)
-		bc.cancelled.Add(1)
-		return nil, errShuttingDown
-	case res.TimedOut:
-		s.metrics.searchesTimedOut.Add(1)
-		bc.timedOut.Add(1)
-		return nil, errSearchTimeout
-	case res.Length < 0:
-		bc.noKernel.Add(1)
-		return nil, noKernelError{bound: opt.MaxLen}
-	}
-	bc.found.Add(1)
-
-	var objName string
-	if opt.Objective != enum.ObjectiveShortest {
-		objName = opt.Objective.String()
-	}
-	entry := &kcache.Entry{
-		Backend:       "enum",
-		Objective:     objName,
-		Cost:          res.Cost,
-		Program:       res.Program.Format(set.N),
-		Length:        res.Length,
-		SolutionCount: res.SolutionCount,
-		Expanded:      res.Expanded,
-		Generated:     res.Generated,
-		ElapsedNS:     int64(res.Elapsed),
-	}
-	for _, p := range res.Programs {
-		entry.Programs = append(entry.Programs, p.Format(set.N))
-	}
-	if err := s.cache.Put(key, entry); err != nil {
-		// A failed disk write only costs a future re-synthesis; the
-		// entry is still served from memory and to this request.
-		s.metrics.recordPutError(err)
-	}
-	return entry, nil
-}
-
-// runBackend executes one coalesced non-enum synthesis through the
-// backend registry under the bounded worker pool. Correctness of a
-// found program is checked centrally inside backend.Run — no
-// verification happens here.
-func (s *Server) runBackend(ctx context.Context, key kcache.Key, set *isa.Set, beName string, spec backend.Spec) (*kcache.Entry, error) {
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-s.sem }()
-
-	// The registry engines bound their own budgets; the server-side
-	// wall cap applies uniformly, as on the enum path.
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.SearchTimeout)
-	defer cancel()
-
-	s.metrics.searchesStarted.Add(1)
-	s.metrics.inFlight.Add(1)
-	bc := s.metrics.backendFor(beName)
-	bc.started.Add(1)
-	res, err := s.registry.Synthesize(ctx, beName, set, spec)
+	res, err := backend.Run(ctx, b, set, spec)
 	s.metrics.inFlight.Add(-1)
 	s.metrics.searchesCompleted.Add(1)
 	bc.completed.Add(1)
@@ -494,39 +415,32 @@ func (s *Server) runBackend(ctx context.Context, key kcache.Key, set *isa.Set, b
 	bc.latency.observe(res.Stats.Elapsed)
 	s.metrics.nodesExpanded.Add(res.Stats.Nodes)
 
-	switch res.Status {
-	case backend.StatusFound:
-		// fall through to the entry below
-	case backend.StatusCancelled:
+	entry := universe.EntryFor(set, spec, res)
+	switch {
+	case entry != nil && entry.NoKernel:
+		bc.noKernel.Add(1)
+		return nil, noKernelError{bound: entry.Length}
+	case entry != nil:
+		bc.found.Add(1)
+		entry.ElapsedNS = int64(res.Stats.Elapsed)
+		if err := s.cache.Put(key, entry); err != nil {
+			// A failed disk write only costs a future re-synthesis; the
+			// entry is still served from memory and to this request.
+			s.metrics.recordPutError(err)
+		}
+		return entry, nil
+	case res.Status == backend.StatusCancelled:
 		s.metrics.searchesCancelled.Add(1)
 		bc.cancelled.Add(1)
 		return nil, errShuttingDown
-	case backend.StatusTimedOut:
+	case res.Status == backend.StatusTimedOut:
 		s.metrics.searchesTimedOut.Add(1)
 		bc.timedOut.Add(1)
 		return nil, errSearchTimeout
-	case backend.StatusNoProgram:
+	default: // a spent budget that proves nothing
 		bc.noKernel.Add(1)
-		return nil, noKernelError{bound: spec.MaxLen}
-	default: // StatusExhausted
-		bc.noKernel.Add(1)
-		return nil, budgetExhaustedError{backend: beName, bound: spec.MaxLen}
+		return nil, budgetExhaustedError{backend: res.Backend, bound: spec.MaxLen}
 	}
-	bc.found.Add(1)
-
-	entry := &kcache.Entry{
-		Backend:       beName,
-		Program:       res.Program.Format(set.N),
-		Length:        res.Length,
-		SolutionCount: 1,
-		Expanded:      res.Stats.Nodes,
-		Generated:     res.Stats.Generated,
-		ElapsedNS:     int64(res.Stats.Elapsed),
-	}
-	if err := s.cache.Put(key, entry); err != nil {
-		s.metrics.recordPutError(err) // memory tier still serves it; see runSearch
-	}
-	return entry, nil
 }
 
 // budgetExhaustedError reports a backend that spent its search budget

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"sortsynth/internal/enum"
 	"sortsynth/internal/universe"
 )
 
@@ -24,10 +25,13 @@ var miniBake = universe.Options{
 }
 
 // bakeMini writes the miniBake universe and returns its path.
-func bakeMini(t *testing.T) string {
+func bakeMini(t *testing.T) string { return bake(t, miniBake) }
+
+// bake writes the universe opt spans and returns its path.
+func bake(t *testing.T, opt universe.Options) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "mini.ssuniv")
-	_, stats, err := universe.Bake(context.Background(), path, nil, miniBake)
+	_, stats, err := universe.Bake(context.Background(), path, nil, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,13 +85,27 @@ func TestUniverseServesBakedSpecWithZeroSearches(t *testing.T) {
 }
 
 // TestBakedEqualsLiveUnderDefaultConfig pins one artifact per cache key
-// across the answer tiers: on a multi-core runtime, a server built with
-// the default Config and no universe must synthesize, for every baked
-// positive spec, the byte-identical kernel the bake recorded, with the
-// same cost, solution count and search effort.
+// across the answer tiers. The bake is the pinned mini universe (enum,
+// both ISAs, n=2..3, budgets L*±2, duplicate-safe variants, shortest and
+// fastest). On a multi-core runtime, a server built with the default
+// Config and no universe must synthesize, for every baked positive spec,
+// the byte-identical kernel the bake recorded, with the same cost and
+// solution count. Search effort is equal on the permutation suite; on
+// duplicate-safe keys the bake's count also holds the registry's
+// probe-down below the find, so it is never smaller.
+//
+// Two keys differ, and are pinned as the known divergence (the open
+// ROADMAP item "One answer per key"): cmov n=3, duplicate-safe,
+// shortest, max_len 12 and 13. The live tier runs the plain engine,
+// whose first find there is 12 long; the bake's probe-down finds 11.
 func TestBakedEqualsLiveUnderDefaultConfig(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	store, err := universe.Open(bakeMini(t))
+	opt := universe.Options{
+		ISAs: []string{"cmov", "minmax"}, MinN: 2, MaxN: 3, Slack: 2,
+		Backends: []string{"enum"}, DuplicateSafe: true,
+		Workers: 2, SpecTimeout: time.Minute,
+	}
+	store, err := universe.Open(bake(t, opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +117,8 @@ func TestBakedEqualsLiveUnderDefaultConfig(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer func() { ts.Close(); s.Close() }()
 
-	checked := 0
-	for _, sp := range universe.EnumerateSpecs(miniBake) {
+	checked, diverged := 0, 0
+	for _, sp := range universe.EnumerateSpecs(opt) {
 		baked, ok := store.Lookup(sp.Key())
 		if !ok {
 			t.Fatalf("%v: not in the baked universe", sp)
@@ -108,22 +126,33 @@ func TestBakedEqualsLiveUnderDefaultConfig(t *testing.T) {
 		if baked.NoKernel {
 			continue
 		}
-		live := synthesize(t, ts.URL, fmt.Sprintf(`{"isa":%q,"n":%d,"max_len":%d,"objective":%q}`,
-			sp.ISA, sp.N, sp.Budget, sp.Objective))
+		checked++
+		live := synthesize(t, ts.URL, fmt.Sprintf(`{"isa":%q,"n":%d,"max_len":%d,"objective":%q,"duplicate_safe":%v}`,
+			sp.ISA, sp.N, sp.Budget, sp.Objective, sp.DuplicateSafe))
 		if live.Source != sourceSearch || live.Key != sp.Key().Hash() {
 			t.Fatalf("%v: source %q key %s, want a live search for key %s", sp, live.Source, live.Key, sp.Key().Hash())
+		}
+		if sp.DuplicateSafe && live.Stats.Expanded > baked.Expanded ||
+			!sp.DuplicateSafe && live.Stats.Expanded != baked.Expanded {
+			t.Errorf("%v: live expanded %d, baked %d", sp, live.Stats.Expanded, baked.Expanded)
+		}
+		if sp.ISA == "cmov" && sp.N == 3 && sp.DuplicateSafe && sp.Objective == enum.ObjectiveShortest && sp.Budget >= 12 {
+			diverged++
+			if live.Length != 12 || baked.Length != 11 {
+				t.Errorf("%v: live length %d, baked %d; the known divergence is 12 against 11", sp, live.Length, baked.Length)
+			}
+			continue
 		}
 		if live.Kernel != baked.Program {
 			t.Errorf("%v: live kernel\n  %s\nbaked\n  %s", sp, live.Kernel, baked.Program)
 		}
-		if live.Cost != baked.Cost || live.SolutionCount != baked.SolutionCount || live.Stats.Expanded != baked.Expanded {
-			t.Errorf("%v: live cost %v, %d solutions, %d expanded; baked %v, %d, %d", sp,
-				live.Cost, live.SolutionCount, live.Stats.Expanded, baked.Cost, baked.SolutionCount, baked.Expanded)
+		if live.Cost != baked.Cost || live.SolutionCount != baked.SolutionCount {
+			t.Errorf("%v: live cost %v, %d solutions; baked %v, %d", sp,
+				live.Cost, live.SolutionCount, baked.Cost, baked.SolutionCount)
 		}
-		checked++
 	}
-	if checked == 0 {
-		t.Fatal("the mini bake holds no positive record")
+	if checked != 48 || diverged != 2 {
+		t.Fatalf("checked %d positive keys (%d diverging), want 48 (2)", checked, diverged)
 	}
 }
 

@@ -65,11 +65,17 @@ func (sp Spec) String() string {
 }
 
 // DeterministicBackends lists the registry backends whose artifact is a
-// pure function of the spec — the only ones worth baking. The backends
-// whose cache key carries a seed (stoke, mcts, portfolio) would only
-// ever hit for the exact seed baked.
+// pure function of the spec, the only ones worth baking. A backend whose
+// cache key carries a seed (backend.Seeded) would only ever hit for the
+// exact seed baked.
 func DeterministicBackends() []string {
-	return []string{"enum", "smt", "cp", "ilp", "plan"}
+	var names []string
+	for _, name := range backend.Default().Names() {
+		if !backend.Seeded(name) {
+			names = append(names, name)
+		}
+	}
+	return names
 }
 
 // Options configures a bake. The zero value is completed by defaults():
@@ -281,57 +287,54 @@ func bakeOne(ctx context.Context, registry *backend.Registry, sp Spec, opt Optio
 	defer cancel()
 
 	set := sp.Set()
-	res, err := registry.Synthesize(ctx, sp.Backend, set, backend.Spec{
-		MaxLen:        sp.Budget,
-		DuplicateSafe: sp.DuplicateSafe,
-		Objective:     sp.Objective,
-	})
+	spec := backend.Spec{MaxLen: sp.Budget, DuplicateSafe: sp.DuplicateSafe, Objective: sp.Objective}
+	res, err := registry.Synthesize(ctx, sp.Backend, set, spec)
 	if err != nil {
 		return nil, err
 	}
-	switch res.Status {
-	case backend.StatusFound:
-		// ElapsedNS is deliberately not recorded: wall clock is the one
-		// run-dependent field, and dropping it keeps equal bakes
-		// byte-identical (same content ID), so replicas can compare
-		// artifacts by hash. A universe hit therefore reports search_ms 0
-		// — no search ran for this request.
-		sc := res.Solutions
-		if sc == 0 {
-			sc = 1 // single-solution run: the one program it returned
-		}
-		var objName string
-		if sp.Objective != enum.ObjectiveShortest {
-			objName = sp.Objective.String()
-		}
-		return &kcache.Entry{
-			Backend:       sp.Backend,
-			Objective:     objName,
-			Cost:          res.Cost,
-			Program:       res.Program.Format(set.N),
-			Length:        res.Length,
-			SolutionCount: sc,
-			Expanded:      res.Stats.Nodes,
-			Generated:     res.Stats.Generated,
-		}, nil
-	case backend.StatusNoProgram:
-		// A completed refutation: no kernel within the budget.
-		return &kcache.Entry{Backend: sp.Backend, NoKernel: true, Length: sp.Budget}, nil
-	case backend.StatusExhausted:
-		// The live enum path treats any completed empty-handed search as
-		// "no kernel within the bound" (runSearch: Length < 0 →
-		// noKernelError), even when cuts void the exhaustion proof — so a
-		// baked negative reproduces the exact live answer. Other backends
-		// map exhaustion to a non-cacheable 422 and make no claim.
-		if sp.Backend == "enum" {
-			return &kcache.Entry{Backend: sp.Backend, NoKernel: true, Length: sp.Budget}, nil
-		}
-		return nil, nil
-	default: // StatusTimedOut, StatusCancelled
-		// A per-spec timeout is a skip; a bake-wide cancel is an error.
-		if ctx.Err() == context.Canceled {
-			return nil, ctx.Err()
-		}
-		return nil, nil
+	// A per-spec timeout is a skip; a bake-wide cancel is an error.
+	if res.Status == backend.StatusCancelled && ctx.Err() == context.Canceled {
+		return nil, ctx.Err()
 	}
+	// ElapsedNS stays unset: wall clock is the one run-dependent field,
+	// and leaving it out keeps equal bakes byte-identical (same content
+	// ID), so replicas can compare artifacts by hash. A universe hit
+	// therefore reports search_ms 0: no search ran for that request.
+	return EntryFor(set, spec, res), nil
+}
+
+// EntryFor maps a verified synthesis result onto the artifact stored
+// for its key, the same for the bake and for sortsynthd's live tier. It
+// returns nil for outcomes no artifact speaks for: a stopped search, and
+// a non-enum backend's spent budget, which proves nothing. An enum
+// search that exhausts without a proof (the §3.5 cut or the action
+// guide voids it) is recorded as a refutation of spec.MaxLen, as
+// sortsynthd has always answered it. ElapsedNS is left to the caller.
+func EntryFor(set *isa.Set, spec backend.Spec, res *backend.Result) *kcache.Entry {
+	switch {
+	case res.Status == backend.StatusFound:
+	case res.Status == backend.StatusNoProgram,
+		res.Status == backend.StatusExhausted && res.Backend == "enum":
+		return &kcache.Entry{Backend: res.Backend, NoKernel: true, Length: spec.MaxLen}
+	default:
+		return nil
+	}
+	var objName string
+	if spec.Objective != enum.ObjectiveShortest {
+		objName = spec.Objective.String()
+	}
+	e := &kcache.Entry{
+		Backend:       res.Backend,
+		Objective:     objName,
+		Cost:          res.Cost,
+		Program:       res.Program.Format(set.N),
+		Length:        res.Length,
+		SolutionCount: max(res.Solutions, 1), // 0: the one program a single-solution backend returns
+		Expanded:      res.Stats.Nodes,
+		Generated:     res.Stats.Generated,
+	}
+	for _, p := range res.Programs {
+		e.Programs = append(e.Programs, p.Format(set.N))
+	}
+	return e
 }

@@ -88,8 +88,8 @@ func Synthesize(set *Set, opt Options) *Result { return enum.Run(set, opt) }
 
 // SynthesizeContext is Synthesize with cancellation: the search stops
 // promptly when ctx is cancelled (Result.Cancelled) or its deadline
-// expires (Result.TimedOut). This is what sortsynthd uses to abort
-// searches on client disconnect and graceful shutdown.
+// expires (Result.TimedOut). Like Synthesize it does not verify the
+// kernel it returns; see Verify.
 func SynthesizeContext(ctx context.Context, set *Set, opt Options) *Result {
 	return enum.RunContext(ctx, set, opt)
 }
