@@ -49,16 +49,17 @@ func All(n int) [][]int {
 		p := make([]int, n)
 		copy(p, cur)
 		out = append(out, p)
-		if !nextLex(cur) {
+		if !Next(cur) {
 			break
 		}
 	}
 	return out
 }
 
-// nextLex advances p to the next permutation in lexicographic order,
-// returning false if p was the last one.
-func nextLex(p []int) bool {
+// Next advances p in place to the next permutation in lexicographic
+// order, returning false if p was the last one. Starting from 1..n it
+// visits the permutations in the order All lists them.
+func Next(p []int) bool {
 	i := len(p) - 2
 	for i >= 0 && p[i] >= p[i+1] {
 		i--

@@ -567,11 +567,18 @@ func (s State) Clone() State {
 // flags clear. This is the reference interpreter used for verification on
 // values outside 1..n and for kernel benchmarking.
 func RunInts(set *isa.Set, p isa.Program, vals []int) []int {
+	return RunIntsIn(make([]int, set.Regs()), set, p, vals)
+}
+
+// RunIntsIn is RunInts on the caller's register file regs (length
+// set.Regs()), which it overwrites; the result aliases regs. Checking a
+// program on many inputs with one regs allocates nothing.
+func RunIntsIn(regs []int, set *isa.Set, p isa.Program, vals []int) []int {
 	if len(vals) != set.N {
 		panic(fmt.Sprintf("state: RunInts got %d values, want %d", len(vals), set.N))
 	}
-	regs := make([]int, set.Regs())
 	copy(regs, vals)
+	clear(regs[set.N:])
 	var lt, gt bool
 	for _, in := range p {
 		switch in.Op {

@@ -10,26 +10,23 @@ import (
 	"sortsynth/internal/state"
 )
 
-// naiveSorts is the independent fuzz oracle: the literal n!-loop over
-// permutations through the reference integer interpreter, with its own
-// sortedness + multiset check. It shares nothing with Sorts, which runs
-// the packed 32-bit machine, nor with outputValid.
-func naiveSorts(set *isa.Set, p isa.Program) bool {
+// naiveCounterexample is the independent fuzz oracle: the literal
+// n!-loop over permutations through the reference integer interpreter,
+// with its own sortedness + multiset check, returning the first failing
+// permutation in lexicographic order or nil. It shares nothing with
+// Sorts, which runs the packed 32-bit machine, nor with the buffer-reusing
+// walk of Counterexample.
+func naiveCounterexample(set *isa.Set, p isa.Program) []int {
 	for _, in := range perm.All(set.N) {
 		out := state.RunInts(set, p, in)
-		for i := 1; i < len(out); i++ {
-			if out[i-1] > out[i] {
-				return false
-			}
-		}
 		a, b := slices.Clone(in), slices.Clone(out)
 		slices.Sort(a)
 		slices.Sort(b)
-		if !slices.Equal(a, b) {
-			return false
+		if !slices.IsSorted(out) || !slices.Equal(a, b) {
+			return in
 		}
 	}
-	return true
+	return nil
 }
 
 // FuzzVerifySorts cross-checks every verifier in this package against
@@ -58,13 +55,14 @@ func FuzzVerifySorts(f *testing.F) {
 			p = append(p, instrs[int(binary.BigEndian.Uint16(code[i:]))%len(instrs)])
 		}
 
-		want := naiveSorts(set, p)
+		naive := naiveCounterexample(set, p)
+		want := naive == nil
 		if got := Sorts(set, p); got != want {
 			t.Fatalf("Sorts = %v, naive oracle says %v for %q", got, want, p.FormatInline(n))
 		}
 		ce := Counterexample(set, p)
-		if (ce == nil) != want {
-			t.Fatalf("Counterexample = %v, oracle says sorts=%v", ce, want)
+		if !slices.Equal(ce, naive) {
+			t.Fatalf("Counterexample = %v, oracle's first failing permutation is %v", ce, naive)
 		}
 		if ce != nil {
 			out := state.RunInts(set, p, ce)

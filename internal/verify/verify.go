@@ -64,12 +64,13 @@ func SortsDuplicates(set *isa.Set, p isa.Program) bool {
 // correctly (ascending and multiset-preserving), or nil.
 func DuplicateCounterexample(set *isa.Set, p isa.Program) []int {
 	orders := perm.WeakOrders(set.N)
+	r := newRunner(set, p)
 	if !ReadsInitialScratch(set, p) {
 		// No initial scratch value can flow into the computation, so p is
 		// comparison-only over its inputs and one representative per weak
 		// order decides every integer input.
 		for _, in := range orders {
-			if !outputValid(in, state.RunInts(set, p, in)) {
+			if !r.sorts(in) {
 				return in
 			}
 		}
@@ -82,18 +83,18 @@ func DuplicateCounterexample(set *isa.Set, p isa.Program) []int {
 	// distinct value equal 0, s=2j+1 puts 0 strictly between the j-th and
 	// j+1-th, and s=2k+1 puts every input below 0 — one representative
 	// per ordering class of inputs ∪ {0}.
+	shifted := make([]int, set.N)
 	for _, in := range orders {
 		k := 0
 		for _, v := range in {
 			k = max(k, v)
 		}
-		shifted := make([]int, len(in))
 		for s := 0; s <= 2*k+1; s++ {
 			for i, v := range in {
 				shifted[i] = 2*v - s
 			}
-			if !outputValid(shifted, state.RunInts(set, p, shifted)) {
-				return slices.Clone(shifted)
+			if !r.sorts(shifted) {
+				return shifted
 			}
 		}
 	}
@@ -154,15 +155,22 @@ func ReadsInitialScratch(set *isa.Set, p isa.Program) bool {
 // equal, which is trivially ordered), so the multiset check is part of
 // the criterion, exactly as in SortsRandom.
 func Counterexample(set *isa.Set, p isa.Program) []int {
-	for _, in := range perm.All(set.N) {
+	in := make([]int, set.N)
+	for i := range in {
+		in[i] = i + 1
+	}
+	regs := make([]int, set.Regs())
+	for {
 		// The ascending rearrangement of a permutation of 1..n is 1..n.
-		for i, v := range state.RunInts(set, p, in) {
+		for i, v := range state.RunIntsIn(regs, set, p, in) {
 			if v != i+1 {
 				return in
 			}
 		}
+		if !perm.Next(in) {
+			return nil
+		}
 	}
-	return nil
 }
 
 // SortsRandom checks p on count random inputs drawn from [-bound, bound]
@@ -186,28 +194,36 @@ func SortsRandom(set *isa.Set, p isa.Program, count int, bound int, seed int64) 
 		bound = (math.MaxInt - 1) / 2
 	}
 	rng := rand.New(rand.NewSource(seed))
+	r := newRunner(set, p)
+	in := make([]int, set.N)
 	for t := 0; t < count; t++ {
-		in := make([]int, set.N)
 		for i := range in {
 			in[i] = rng.Intn(2*bound+1) - bound
 		}
-		out := state.RunInts(set, p, in)
-		if !outputValid(in, out) {
+		if !r.sorts(in) {
 			return in
 		}
 	}
 	return nil
 }
 
-func outputValid(in, out []int) bool {
-	if !perm.IsSorted(out) {
-		return false
-	}
-	a := slices.Clone(in)
-	b := slices.Clone(out)
-	sort.Ints(a)
-	sort.Ints(b)
-	return slices.Equal(a, b)
+// runner checks one program on many inputs, reusing its buffers.
+type runner struct {
+	set        *isa.Set
+	p          isa.Program
+	regs, want []int
+}
+
+func newRunner(set *isa.Set, p isa.Program) *runner {
+	return &runner{set: set, p: p, regs: make([]int, set.Regs()), want: make([]int, set.N)}
+}
+
+// sorts reports whether p leaves r1..rn holding the ascending
+// rearrangement of in: ascending and multiset-preserving.
+func (r *runner) sorts(in []int) bool {
+	copy(r.want, in)
+	slices.Sort(r.want)
+	return slices.Equal(state.RunIntsIn(r.regs, r.set, r.p, in), r.want)
 }
 
 // Equivalent reports whether p and q compute the same r1..rn outputs on
