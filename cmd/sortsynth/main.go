@@ -162,7 +162,7 @@ func main() {
 	}
 
 	// Every synthesis runs through backend.Run, which verifies what it
-	// prints. Enum runs as the plain engine under the flag-built options;
+	// prints. Enum runs as a backend.Enum under the flag-built options;
 	// every other name runs as registered.
 	spec := backend.Spec{MaxLen: bound, Seed: *seed, DuplicateSafe: *dupsafe, Objective: obj, Profile: *profile}
 	b, err := backend.Default().Get(*backendName)

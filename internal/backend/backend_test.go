@@ -113,27 +113,75 @@ func TestDefaultRegistryHasAllSevenBackends(t *testing.T) {
 	}
 }
 
-// TestEnumDupSlackBudgetOptimal is the regression pin for the
-// weak-order probe-down: ConfigBest's inadmissible permutation-count
-// heuristic used to return a length-12 kernel for cmov n=3
-// duplicate-safe specs whenever the budget had slack (MaxLen 12 or 13),
-// one instruction over the certified optimum of 11. The adapter now
-// probes below every first find on duplicate-safe specs until a
-// tighter budget refutes.
-func TestEnumDupSlackBudgetOptimal(t *testing.T) {
-	b, err := Default().Get("enum")
+// TestEnumSlackBudgetAnswersKnownOptimum pins the budget rule on the
+// rows where ConfigBest's first find under a slack budget (MaxLen > L*)
+// is longer than L*: min/max n=4 at 16, 17 and 30 finds 16 (18
+// duplicate-safe at 30), cmov n=4 at 23 finds 23, cmov n=3
+// duplicate-safe at 12 and 13 finds 12, min/max n=5 at 26 finds 26.
+// Both registry enum entries search L* first and answer L*.
+func TestEnumSlackBudgetAnswersKnownOptimum(t *testing.T) {
+	type row struct {
+		kind   isa.Kind
+		n      int
+		budget int
+		dup    bool
+		want   int
+	}
+	var rows []row
+	for _, dup := range []bool{false, true} {
+		for _, budget := range []int{15, 16, 17, 30} {
+			rows = append(rows, row{isa.KindMinMax, 4, budget, dup, 15})
+		}
+	}
+	for _, budget := range []int{11, 12, 13} {
+		rows = append(rows, row{isa.KindCmov, 3, budget, true, 11})
+	}
+	rows = append(rows, row{isa.KindMinMax, 5, 26, false, 23})
+	if !testing.Short() {
+		rows = append(rows, row{isa.KindCmov, 4, 23, false, 20})
+	}
+	for _, name := range []string{"enum", "portfolio"} {
+		b, err := Default().Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			res, err := Run(context.Background(), b, isa.New(r.kind, r.n, 1), Spec{MaxLen: r.budget, DuplicateSafe: r.dup})
+			if err != nil {
+				t.Fatalf("%s %v n=%d budget %d dup=%v: %v", name, r.kind, r.n, r.budget, r.dup, err)
+			}
+			if res.Status != StatusFound || res.Length != r.want {
+				t.Errorf("%s %v n=%d budget %d dup=%v: %s length %d, want found length %d",
+					name, r.kind, r.n, r.budget, r.dup, res.Status, res.Length, r.want)
+			}
+		}
+	}
+}
+
+// TestEnumSlackFallback: when the search at L* comes up empty without
+// a context stop (here its StateBudget runs out), the requested budget
+// is searched and its find returned, never a refutation of the budget,
+// with the effort of both searches reported. A context stop during the
+// L* search is reported for the requested budget, without a fallback.
+func TestEnumSlackFallback(t *testing.T) {
+	set, spec := isa.NewMinMax(4, 1), Spec{MaxLen: 30, DuplicateSafe: true}
+	opt := enum.ConfigBest()
+	opt.StateBudget = 500
+	res, err := Run(context.Background(), &Enum{Opt: opt}, set, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := isa.NewCmov(3, 1)
-	for _, budget := range []int{11, 12, 13} {
-		res, err := Run(context.Background(), b, set, Spec{MaxLen: budget, DuplicateSafe: true})
-		if err != nil {
-			t.Fatalf("budget %d: %v", budget, err)
-		}
-		if res.Status != StatusFound || res.Length != 11 {
-			t.Fatalf("budget %d: %s length %d, want found length 11", budget, res.Status, res.Length)
-		}
+	if res.Status != StatusFound || res.Length != 18 || res.Stats.Nodes != 540 {
+		t.Fatalf("%s length %d after %d states, want the slack find: length 18 after 500+40 states",
+			res.Status, res.Length, res.Stats.Nodes)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err = Run(ctx, &Enum{Opt: enum.ConfigBest()}, set, spec); err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusCancelled || res.Length != 30 {
+		t.Fatalf("cancelled: %s length %d, want %s length 30", res.Status, res.Length, StatusCancelled)
 	}
 }
 

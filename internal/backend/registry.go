@@ -82,12 +82,13 @@ var (
 // Default returns the shared registry with all seven synthesizers in
 // their paper-best configurations, plus "portfolio": the enum engine in
 // its best configuration with a certifying proof budget (see
-// portfolio). Both enum entries probe down on duplicate-safe specs (see
-// probeDown). The instances are stateless per call, so sharing is safe.
+// portfolio). Both enum entries search a budget above the known optimum
+// at the optimum first (see Enum), as sortsynthd and cmd/sortsynth do.
+// The instances are stateless per call, so sharing is safe.
 func Default() *Registry {
 	defaultOnce.Do(func() {
 		r := NewRegistry()
-		r.Register(probeDown{&Enum{Opt: enum.ConfigBest()}})
+		r.Register(&Enum{Opt: enum.ConfigBest()})
 		r.Register(NewSMT(smt.Options{
 			Goal:        smt.GoalAscCounts0,
 			Encoding:    smt.EncodingDense,
@@ -109,7 +110,7 @@ func Default() *Registry {
 			Heuristic: plan.HAdd,
 			MaxNodes:  2_000_000,
 		}))
-		r.Register(portfolio{probeDown{&Enum{Opt: enum.ConfigBest(), ProofBudget: 1 << 18}}})
+		r.Register(portfolio{&Enum{Opt: enum.ConfigBest(), ProofBudget: 1 << 18}})
 		defaultReg = r
 	})
 	return defaultReg
@@ -123,7 +124,7 @@ func Default() *Registry {
 // else. The name stays because clients and cache keys use it (DESIGN.md
 // §16). Like the single-solution backends it accepts the shortest
 // objective only.
-type portfolio struct{ probeDown }
+type portfolio struct{ *Enum }
 
 // Name implements Backend.
 func (b portfolio) Name() string { return "portfolio" }
@@ -133,7 +134,7 @@ func (b portfolio) Synthesize(ctx context.Context, set *isa.Set, spec Spec) (*Re
 	if err := requireShortest(b.Name(), spec); err != nil {
 		return nil, err
 	}
-	res, err := b.probeDown.Synthesize(ctx, set, spec)
+	res, err := b.Enum.Synthesize(ctx, set, spec)
 	if err != nil {
 		return nil, err
 	}

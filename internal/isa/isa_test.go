@@ -204,7 +204,10 @@ func TestKnownOptimalLength(t *testing.T) {
 		{NewMinMax(2, 1), 3, true},
 		{NewMinMax(3, 1), 8, true},
 		{NewMinMax(4, 1), 15, true},
-		{NewMinMax(5, 1), 26, true},
+		// 23, not the paper's 26: ConfigBest finds a 23-instruction
+		// kernel at budget 23 that also sorts the weak-order suite
+		// (EXPERIMENTS.md T18 lists it).
+		{NewMinMax(5, 1), 23, true},
 		{NewCmov(3, 2), 0, false},
 		{NewMinMax(6, 1), 0, false},
 	} {

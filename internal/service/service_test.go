@@ -84,9 +84,10 @@ func counter(t *testing.T, m map[string]map[string]any, section, name string) in
 func TestSynthesizeMissThenCachedHit(t *testing.T) {
 	_, ts := newTestServer(t)
 
-	// distmax on n=3 expands ~130k states (~1s): slow enough that the
-	// ≥100× cached speedup is unambiguous, fast enough for the suite.
-	body := `{"n": 3, "config": "distmax"}`
+	// Duplicate-safe min/max n=5 at its default budget takes over a
+	// second: slow enough that the ≥100× cached speedup holds on a
+	// loaded host, fast enough for the suite.
+	body := `{"isa": "minmax", "n": 5, "duplicate_safe": true}`
 
 	t0 := time.Now()
 	first := synthesize(t, ts.URL, body)
@@ -94,10 +95,10 @@ func TestSynthesizeMissThenCachedHit(t *testing.T) {
 	if first.Cached {
 		t.Fatal("first request reported cached=true")
 	}
-	if first.Length != 11 {
-		t.Fatalf("length = %d, want 11", first.Length)
+	if first.Length != 23 {
+		t.Fatalf("length = %d, want 23", first.Length)
 	}
-	if !strings.Contains(first.Kernel, "mov") {
+	if !strings.Contains(first.Kernel, "min") {
 		t.Fatalf("kernel = %q", first.Kernel)
 	}
 

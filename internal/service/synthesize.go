@@ -23,7 +23,9 @@ type synthesizeRequest struct {
 	M   *int   `json:"m"` // scratch registers; default 1
 
 	// MaxLen bounds the program length; 0 means the known optimal length
-	// for the set (an error if none is known).
+	// for the set (an error if none is known). The enum backends search
+	// a bound above the known optimal length at that length first, so
+	// slack does not lengthen the kernel (backend.Enum).
 	MaxLen int `json:"max_len"`
 
 	// Backend selects the synthesizer from the backend registry:
@@ -223,9 +225,8 @@ func (s *Server) prepareSynthesize(req *synthesizeRequest) (prepared, error) {
 
 	// Every backend but enum takes the reduced Spec and runs as
 	// registered. Enum keeps the full option surface (configs, all-
-	// solutions enumeration) and runs as the plain engine under the
-	// request's options, without the registry's duplicate-safe
-	// probe-down (the open ROADMAP item "One answer per key"). Both run
+	// solutions enumeration) and runs as a backend.Enum under the
+	// request's options, the adapter the registry registers. Both run
 	// the same flight.
 	var spec backend.Spec
 	if beName == "enum" {

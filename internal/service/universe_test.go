@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"sortsynth/internal/enum"
 	"sortsynth/internal/universe"
 )
 
@@ -89,15 +88,8 @@ func TestUniverseServesBakedSpecWithZeroSearches(t *testing.T) {
 // both ISAs, n=2..3, budgets L*±2, duplicate-safe variants, shortest and
 // fastest). On a multi-core runtime, a server built with the default
 // Config and no universe must synthesize, for every baked positive spec,
-// the byte-identical kernel the bake recorded, with the same cost and
-// solution count. Search effort is equal on the permutation suite; on
-// duplicate-safe keys the bake's count also holds the registry's
-// probe-down below the find, so it is never smaller.
-//
-// Two keys differ, and are pinned as the known divergence (the open
-// ROADMAP item "One answer per key"): cmov n=3, duplicate-safe,
-// shortest, max_len 12 and 13. The live tier runs the plain engine,
-// whose first find there is 12 long; the bake's probe-down finds 11.
+// the byte-identical kernel the bake recorded, with the same cost,
+// solution count and search effort.
 func TestBakedEqualsLiveUnderDefaultConfig(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	opt := universe.Options{
@@ -117,7 +109,7 @@ func TestBakedEqualsLiveUnderDefaultConfig(t *testing.T) {
 	ts := httptest.NewServer(s)
 	defer func() { ts.Close(); s.Close() }()
 
-	checked, diverged := 0, 0
+	checked := 0
 	for _, sp := range universe.EnumerateSpecs(opt) {
 		baked, ok := store.Lookup(sp.Key())
 		if !ok {
@@ -132,27 +124,21 @@ func TestBakedEqualsLiveUnderDefaultConfig(t *testing.T) {
 		if live.Source != sourceSearch || live.Key != sp.Key().Hash() {
 			t.Fatalf("%v: source %q key %s, want a live search for key %s", sp, live.Source, live.Key, sp.Key().Hash())
 		}
-		if sp.DuplicateSafe && live.Stats.Expanded > baked.Expanded ||
-			!sp.DuplicateSafe && live.Stats.Expanded != baked.Expanded {
-			t.Errorf("%v: live expanded %d, baked %d", sp, live.Stats.Expanded, baked.Expanded)
-		}
-		if sp.ISA == "cmov" && sp.N == 3 && sp.DuplicateSafe && sp.Objective == enum.ObjectiveShortest && sp.Budget >= 12 {
-			diverged++
-			if live.Length != 12 || baked.Length != 11 {
-				t.Errorf("%v: live length %d, baked %d; the known divergence is 12 against 11", sp, live.Length, baked.Length)
-			}
-			continue
-		}
 		if live.Kernel != baked.Program {
 			t.Errorf("%v: live kernel\n  %s\nbaked\n  %s", sp, live.Kernel, baked.Program)
 		}
-		if live.Cost != baked.Cost || live.SolutionCount != baked.SolutionCount {
-			t.Errorf("%v: live cost %v, %d solutions; baked %v, %d", sp,
-				live.Cost, live.SolutionCount, baked.Cost, baked.SolutionCount)
+		if live.Cost != baked.Cost || live.SolutionCount != baked.SolutionCount || live.Stats.Expanded != baked.Expanded {
+			t.Errorf("%v: live cost %v, %d solutions, %d expanded; baked %v, %d, %d", sp,
+				live.Cost, live.SolutionCount, live.Stats.Expanded, baked.Cost, baked.SolutionCount, baked.Expanded)
 		}
 	}
-	if checked != 48 || diverged != 2 {
-		t.Fatalf("checked %d positive keys (%d diverging), want 48 (2)", checked, diverged)
+	if checked != 48 {
+		t.Fatalf("checked %d positive keys, want 48", checked)
+	}
+	// Past the mini bake's n: a slack budget on a live miss answers the
+	// known optimum, as the registry does (the first find at 30 is 18).
+	if live := synthesize(t, ts.URL, `{"isa":"minmax","n":4,"max_len":30,"duplicate_safe":true}`); live.Length != 15 {
+		t.Errorf("min/max n=4 duplicate-safe max_len 30: live length %d, want 15", live.Length)
 	}
 }
 

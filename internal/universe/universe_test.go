@@ -337,7 +337,7 @@ func TestBakeMini(t *testing.T) {
 //
 // It is the same on amd64 and 386 and at any worker count. A change
 // that alters any baked artifact must update it and say why.
-const miniContentID = "a6d83a7a55330becf6170eed89b1ce3c4a7cc4e1a2143f245773e00fadbe1238"
+const miniContentID = "9d7648df62046914a1e5acfafe9a494430068a5c6e304ca43ffca432465dadd1"
 
 // TestBakeMiniContentID pins one artifact per key: the mini universe
 // (enum, both ISAs, n=2..3, slack 2, duplicate-safe variants, default

@@ -77,10 +77,10 @@ func NewCmovSet(n, m int) *Set { return isa.NewCmov(n, m) }
 func NewMinMaxSet(n, m int) *Set { return isa.NewMinMax(n, m) }
 
 // KnownOptimalLength returns the established minimal kernel length for
-// the given set, when one is known: cmov 4/11/20/33 and min/max 3/8/15/26
+// the given set, when one is known: cmov 4/11/20/33 and min/max 3/8/15/23
 // for n = 2..5 with one scratch register (paper §2.3, §5.4; the n=4 bound
 // is proved by this repository's exhaustion mode, the n=5 values are the
-// best known).
+// best known; min/max n=5 is 23 here against the paper's 26).
 func KnownOptimalLength(set *Set) (int, bool) { return isa.KnownOptimalLength(set) }
 
 // Synthesize runs the enumerative search with explicit options.
