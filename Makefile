@@ -16,7 +16,7 @@ GOFMT ?= gofmt
 # differential gate, the enum and sortgen rows of the committed
 # BENCH_*.json files are re-measured without -race as throughput
 # regression gates, and the cross-architecture gate vets and tests the
-# packing, table, cache, sortgen, universe and backend packages under GOARCH=386
+# packing, table, cache, sortgen, universe, backend and root packages under GOARCH=386
 # (including the pinned mini-bake content ID and the service's pinned
 # cache keys).
 .PHONY: check
@@ -29,12 +29,14 @@ check: build vet fmt-check race conformance bake-check cross-arch fuzz-smoke sor
 # int exercises the size assumptions, TestBakeMiniContentID checks that
 # the mini bake hashes to the same content ID as on amd64,
 # TestCacheKeyGolden that the keys sortsynthd builds hash as on amd64,
-# and the backend tests that slack budgets answer the known optimum.
+# the backend tests that slack budgets answer the known optimum, and the
+# root package's tests that the public API answers the registry's enum
+# kernel byte for byte.
 # An x86-64 Linux kernel runs 386 binaries natively.
 .PHONY: cross-arch
 cross-arch:
 	GOARCH=386 $(GO) vet ./...
-	GOARCH=386 $(GO) test -short -count=1 -cpu 1,2 ./internal/state ./internal/tables ./internal/kcache ./internal/sortgen ./internal/universe ./internal/backend
+	GOARCH=386 $(GO) test -short -count=1 -cpu 1,2 ./internal/state ./internal/tables ./internal/kcache ./internal/sortgen ./internal/universe ./internal/backend .
 	GOARCH=386 $(GO) test -short -count=1 -cpu 1,2 -run '^TestCacheKeyGolden$$' ./internal/service
 
 # conformance runs the differential + metamorphic harness: 200 random

@@ -22,6 +22,7 @@ import (
 
 	"sortsynth"
 	"sortsynth/internal/enum"
+	"sortsynth/internal/verify"
 )
 
 func main() {
@@ -56,11 +57,20 @@ func main() {
 		defer cancel()
 	}
 	start := time.Now()
-	res := sortsynth.SynthesizeContext(ctx, set, opt)
+	res := enum.RunContext(ctx, set, opt)
 	elapsed := time.Since(start).Round(time.Millisecond)
+	if res.Err != nil {
+		log.Fatal(res.Err)
+	}
 
 	switch {
 	case res.Length >= 0:
+		// The engine is run directly for its prune counters, so its
+		// kernel has not been through backend.Run: verify it here.
+		if ce := verify.Counterexample(set, res.Program); ce != nil {
+			log.Fatalf("engine bug: the length-%d kernel it found fails on input %v:\n%s",
+				res.Length, ce, res.Program.Format(*n))
+		}
 		fmt.Printf("DISPROVED: a length-%d kernel exists (%d optimal programs found, %v):\n%s\n",
 			res.Length, res.SolutionCount, elapsed, res.Program.Format(*n))
 		os.Exit(1)

@@ -110,13 +110,15 @@ func main() {
 	}
 
 	if *prove > 0 {
-		start := time.Now()
-		ok, res := sortsynth.ProveNoKernel(set, *prove)
-		switch {
-		case ok:
+		res, err := sortsynth.ProveNoKernel(set, *prove)
+		if err != nil {
+			log.Fatal(err)
+		}
+		switch res.Status {
+		case sortsynth.StatusNoProgram:
 			fmt.Printf("PROVED: no %s kernel of length ≤ %d exists (%d states, %v)\n",
-				set, *prove, res.Expanded, time.Since(start).Round(time.Millisecond))
-		case res.Length >= 0:
+				set, *prove, res.Stats.Nodes, res.Stats.Elapsed.Round(time.Millisecond))
+		case sortsynth.StatusFound:
 			fmt.Printf("DISPROVED: found a length-%d kernel:\n%s\n", res.Length, res.Program.Format(*n))
 		default:
 			fmt.Printf("INCONCLUSIVE: search stopped before exhaustion (timeout/budget)\n")
@@ -133,13 +135,16 @@ func main() {
 	}
 
 	if *minimal {
-		res := sortsynth.SynthesizeMinimal(set, *timeout)
-		if res.Length < 0 {
-			log.Fatal("no kernel found below the sorting-network bound")
+		res, err := sortsynth.SynthesizeMinimal(set, *timeout)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if res.Status != sortsynth.StatusFound {
+			log.Fatalf("no kernel found below the sorting-network bound (%s)", res.Status)
 		}
 		if !*quiet {
 			cert := "minimality certified"
-			if !res.Proof {
+			if !res.Optimal {
 				cert = "minimality NOT certified (budget); shortest found"
 			}
 			fmt.Printf("# length %d, %s\n", res.Length, cert)

@@ -21,9 +21,9 @@ func main() {
 		set := sortsynth.NewMinMaxSet(n, 1)
 		bound, _ := sortsynth.KnownOptimalLength(set)
 		start := time.Now()
-		res := sortsynth.SynthesizeBest(set, bound)
-		if res.Length < 0 || !sortsynth.Verify(set, res.Program) {
-			log.Fatalf("n=%d synthesis failed", n)
+		res, err := sortsynth.SynthesizeBest(set, bound)
+		if err != nil || res.Status != sortsynth.StatusFound {
+			log.Fatalf("n=%d synthesis failed: %v", n, err)
 		}
 		elapsed := time.Since(start)
 
@@ -40,16 +40,19 @@ func main() {
 
 	fmt.Println()
 	set := sortsynth.NewMinMaxSet(3, 1)
-	res := sortsynth.SynthesizeBest(set, 8)
+	res, err := sortsynth.SynthesizeBest(set, 8)
+	if err != nil || res.Status != sortsynth.StatusFound {
+		log.Fatalf("n=3 synthesis failed: %v", err)
+	}
 	fmt.Println("the 8-instruction n=3 kernel (one movdqa shorter than the 9-instruction network):")
 	fmt.Println()
 	fmt.Println(res.Program.Format(3))
 
 	// The §5.4 minimality claim, certified by exhaustion.
-	ok, proof := sortsynth.ProveNoKernel(set, 7)
-	if !ok {
-		log.Fatal("lower-bound proof failed")
+	proof, err := sortsynth.ProveNoKernel(set, 7)
+	if err != nil || proof.Status != sortsynth.StatusNoProgram {
+		log.Fatalf("lower-bound proof failed: %v", err)
 	}
 	fmt.Printf("\n✓ proved minimal: no 7-instruction min/max kernel exists (%d states, %v)\n",
-		proof.Expanded, proof.Elapsed.Round(time.Millisecond))
+		proof.Stats.Nodes, proof.Stats.Elapsed.Round(time.Millisecond))
 }

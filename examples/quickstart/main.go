@@ -20,18 +20,18 @@ func main() {
 	// (one shorter than a sorting-network implementation).
 	bound, _ := sortsynth.KnownOptimalLength(set)
 
-	res := sortsynth.SynthesizeBest(set, bound)
-	if res.Length < 0 {
-		log.Fatal("synthesis failed")
+	// Every returned kernel is verified on all 3! permutations (the
+	// paper's §2.3 criterion); a kernel that fails would be an error.
+	res, err := sortsynth.SynthesizeBest(set, bound)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if res.Status != sortsynth.StatusFound {
+		log.Fatalf("synthesis failed: %s", res.Status)
 	}
 	fmt.Printf("synthesized a %d-instruction kernel in %v (%d states expanded):\n\n",
-		res.Length, res.Elapsed.Round(1000), res.Expanded)
+		res.Length, res.Stats.Elapsed.Round(1000), res.Stats.Nodes)
 	fmt.Println(res.Program.Format(set.N))
-
-	// Verify on all 3! permutations (the paper's §2.3 criterion) …
-	if !sortsynth.Verify(set, res.Program) {
-		log.Fatal("kernel failed verification")
-	}
 	fmt.Println("\n✓ sorts all 6 permutations of distinct values")
 
 	// … and check duplicate handling, which permutations cannot cover.
@@ -40,7 +40,10 @@ func main() {
 	} else {
 		ce := sortsynth.Counterexample(set, res.Program)
 		fmt.Printf("✗ mis-sorts ties (e.g. %v) — synthesize with SynthesizeDuplicateSafe\n", ce)
-		safe := sortsynth.SynthesizeDuplicateSafe(set, bound)
+		safe, err := sortsynth.SynthesizeDuplicateSafe(set, bound)
+		if err != nil || safe.Status != sortsynth.StatusFound {
+			log.Fatalf("duplicate-safe synthesis failed: %v", err)
+		}
 		fmt.Printf("\nduplicate-safe kernel (still %d instructions):\n%s\n",
 			safe.Length, safe.Program.Format(set.N))
 	}

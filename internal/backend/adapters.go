@@ -52,8 +52,8 @@ type Enum struct {
 	// optimality-preserving pruning, capped at ProofBudget expanded
 	// states. If that search exhausts, the result is a sound
 	// refutation (StatusNoProgram); if it finds a kernel the cut had
-	// lost, the kernel is returned. Otherwise the verdict stays
-	// StatusExhausted.
+	// lost, the kernel is returned; if the context stops it, the stop is
+	// reported. Otherwise the verdict stays StatusExhausted.
 	ProofBudget int64
 }
 
@@ -108,6 +108,7 @@ func (b *Enum) Synthesize(ctx context.Context, set *isa.Set, spec Spec) (*Result
 			r, opt = pr, proof
 		} else {
 			r.Expanded, r.Generated, r.Elapsed = pr.Expanded, pr.Generated, pr.Elapsed
+			r.Cancelled, r.TimedOut = pr.Cancelled, pr.TimedOut
 		}
 	}
 	res := &Result{

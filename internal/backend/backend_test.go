@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -279,4 +280,37 @@ func TestEnumProofBudgetCertifiesDupSafeRefutation(t *testing.T) {
 		t.Fatalf("status %v after %d nodes, want %v", res.Status, res.Stats.Nodes, StatusNoProgram)
 	}
 	t.Logf("certified after %d nodes", res.Stats.Nodes)
+}
+
+// deadlineAt is a context whose deadline expires at its k-th Err check:
+// a deterministic stand-in for a wall-clock deadline, since the enum
+// engine checks Err once every 1024 queue pops on one goroutine.
+type deadlineAt struct {
+	context.Context
+	k int
+}
+
+func (c *deadlineAt) Err() error {
+	if c.k--; c.k <= 0 {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
+// TestEnumProofBudgetReportsStop: a deadline that expires during the
+// certifying search is reported as a timeout, not as a spent budget.
+// On min/max n=4 duplicate-safe at 14 the ConfigBest search (4,634
+// states) checks the context 5 times and the certifying search 74
+// times; the deadline falls at the 20th check.
+func TestEnumProofBudgetReportsStop(t *testing.T) {
+	ctx := &deadlineAt{Context: context.Background(), k: 20}
+	b := &Enum{Opt: enum.ConfigBest(), ProofBudget: math.MaxInt64}
+	res, err := Run(ctx, b, isa.NewMinMax(4, 1), Spec{MaxLen: 14, DuplicateSafe: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusTimedOut || res.Stats.Nodes <= 4634 {
+		t.Fatalf("status %v after %d states, want %v during the certifying search (over 4,634 states)",
+			res.Status, res.Stats.Nodes, StatusTimedOut)
+	}
 }

@@ -21,10 +21,14 @@ func TestMinimalLengthsAgreeAcrossTechniques(t *testing.T) {
 		{isa.NewMinMax(2, 2), 3},
 		{isa.NewMinMax(3, 1), 8},
 	} {
-		// Enumerative: certified minimum via RunMinimal.
-		res := enum.RunMinimal(tc.set, 4*tc.want, 0)
-		if res.Length != tc.want || !res.Proof {
-			t.Errorf("%v: enum minimal = %d (certified %v), want %d", tc.set, res.Length, res.Proof, tc.want)
+		// Enumerative: the exhaustive search finds a kernel at want and
+		// certifies that none exists at want-1.
+		if res := enum.Run(tc.set, enum.ConfigProof(tc.want)); res.Length != tc.want {
+			t.Errorf("%v: enum proof search at %d found length %d", tc.set, tc.want, res.Length)
+		}
+		if res := enum.Run(tc.set, enum.ConfigProof(tc.want-1)); res.Length != -1 || !res.Proof {
+			t.Errorf("%v: enum proof search at %d: length %d, certified %v; want a certified refutation",
+				tc.set, tc.want-1, res.Length, res.Proof)
 		}
 		if tc.set.N > 2 {
 			continue // SMT minimality loop gets slow beyond n=2

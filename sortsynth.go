@@ -4,18 +4,22 @@
 //
 // A sorting kernel is a short straight-line program over mov/cmp/cmovl/
 // cmovg (or movdqa/pmin/pmax) that sorts a fixed number of registers and
-// serves as the base case of quicksort/mergesort. The package exposes
-// the paper's enumerative A*/Dijkstra synthesizer with its heuristics and
-// cuts:
+// serves as the base case of quicksort/mergesort. The package runs the
+// paper's enumerative synthesizer, and every kernel it returns has been
+// verified on the complete test suite; a kernel that fails it comes back
+// as an error, never as a result:
 //
-//	set := sortsynth.NewCmovSet(3, 1)           // 3 values, 1 scratch register
-//	res := sortsynth.SynthesizeBest(set, 11)    // paper config (III)
-//	fmt.Println(res.Program.Format(3))
+//	set := sortsynth.NewCmovSet(3, 1)             // 3 values, 1 scratch register
+//	res, err := sortsynth.SynthesizeBest(set, 11) // paper config (III)
+//	if err == nil && res.Status == sortsynth.StatusFound {
+//		fmt.Println(res.Program.Format(3))
+//	}
 //
 // Beyond single-kernel synthesis it can enumerate every optimal kernel
-// (5602 for n=3), prove length lower bounds by exhaustion, verify kernels
-// on the complete permutation and duplicate (weak-order) test suites, and
-// statically score kernels with a microarchitectural cost model.
+// (5602 for n=3), certify minimality and prove length lower bounds by
+// exhaustion, verify kernels on the complete permutation and duplicate
+// (weak-order) test suites, and statically score kernels with a
+// microarchitectural cost model.
 //
 // The solver-based baselines the paper compares against (SMT, CP, ILP,
 // Stoke-style MCMC, planning, MCTS) live in the internal packages and are
@@ -24,8 +28,10 @@ package sortsynth
 
 import (
 	"context"
+	"math"
 	"time"
 
+	"sortsynth/internal/backend"
 	"sortsynth/internal/enum"
 	"sortsynth/internal/isa"
 	"sortsynth/internal/kernels"
@@ -46,26 +52,27 @@ type (
 	Instr = isa.Instr
 	// Program is a straight-line instruction sequence.
 	Program = isa.Program
-	// Options configures the enumerative synthesizer (paper §3).
-	Options = enum.Options
-	// Result reports a synthesis run.
-	Result = enum.Result
-	// Trace collects search-progress samples (Figure 1).
-	Trace = enum.Trace
+	// Result is a verified synthesis outcome; Program, Length and
+	// Optimal describe the kernel when Status is StatusFound.
+	Result = backend.Result
+	// Status classifies a synthesis outcome.
+	Status = backend.Status
 	// Analysis is the static cost-model summary of a kernel.
 	Analysis = uarch.Analysis
 )
 
-// Heuristic and cut selectors (paper §3.1, §3.5).
+// Synthesis outcomes (Result.Status).
 const (
-	HeurNone      = enum.HeurNone
-	HeurPermCount = enum.HeurPermCount
-	HeurAsgCount  = enum.HeurAsgCount
-	HeurDistMax   = enum.HeurDistMax
-
-	CutNone     = enum.CutNone
-	CutFactor   = enum.CutFactor
-	CutAdditive = enum.CutAdditive
+	// StatusFound: a verified kernel within the length bound.
+	StatusFound = backend.StatusFound
+	// StatusNoProgram: proven by exhaustion, no kernel within the length
+	// bound exists.
+	StatusNoProgram = backend.StatusNoProgram
+	// StatusExhausted: the search ended without a kernel, but under
+	// pruning that does not preserve optimality, so nothing is proven.
+	StatusExhausted = backend.StatusExhausted
+	// StatusTimedOut: the step budget expired before an outcome.
+	StatusTimedOut = backend.StatusTimedOut
 )
 
 // NewCmovSet returns the mov/cmp/cmovl/cmovg instruction set for n values
@@ -83,35 +90,27 @@ func NewMinMaxSet(n, m int) *Set { return isa.NewMinMax(n, m) }
 // best known; min/max n=5 is 23 here against the paper's 26).
 func KnownOptimalLength(set *Set) (int, bool) { return isa.KnownOptimalLength(set) }
 
-// Synthesize runs the enumerative search with explicit options.
-func Synthesize(set *Set, opt Options) *Result { return enum.Run(set, opt) }
-
-// SynthesizeContext is Synthesize with cancellation: the search stops
-// promptly when ctx is cancelled (Result.Cancelled) or its deadline
-// expires (Result.TimedOut). Like Synthesize it does not verify the
-// kernel it returns; see Verify.
-func SynthesizeContext(ctx context.Context, set *Set, opt Options) *Result {
-	return enum.RunContext(ctx, set, opt)
-}
-
 // SynthesizeBest synthesizes one minimal kernel with the paper's best
 // configuration (III): permutation-count guidance, per-assignment
 // viability pruning, the action guide, and the cut with k = 1, under the
-// given length bound (pass the known optimal length, or an upper bound
-// such as a sorting-network size).
-func SynthesizeBest(set *Set, maxLen int) *Result {
-	opt := enum.ConfigBest()
-	opt.MaxLen = maxLen
-	return enum.Run(set, opt)
+// given length bound. Pass the known optimal length or an upper bound
+// such as a sorting-network size: a bound above KnownOptimalLength is
+// searched at the known optimum first. The guide and the cut do not
+// preserve optimality, so below the optimum the answer is
+// StatusExhausted, not a proof; see ProveNoKernel.
+func SynthesizeBest(set *Set, maxLen int) (*Result, error) {
+	return backend.Run(context.TODO(), &backend.Enum{Opt: enum.ConfigBest()}, set,
+		backend.Spec{MaxLen: maxLen})
 }
 
 // SynthesizeMinimal synthesizes a kernel of certified minimal length
 // without requiring a known bound: a sorting-network kernel provides the
-// upper bound, then the search alternates between finding shorter
-// kernels and certifying nonexistence by exhaustion. Result.Proof
-// reports whether minimality was certified within the per-step budget
-// (0 = unlimited; the n=4 certification is a multi-week computation).
-func SynthesizeMinimal(set *Set, stepBudget time.Duration) *Result {
+// upper bound, then each step searches one instruction below the last
+// kernel found, certifying by exhaustion when the guided search comes up
+// empty. Result.Optimal reports whether minimality was certified within
+// the per-step budget (0 = unlimited; the n=4 certification is a
+// multi-week computation).
+func SynthesizeMinimal(set *Set, stepBudget time.Duration) (*Result, error) {
 	var upper int
 	if set.N <= 8 {
 		upper = sortnet.Optimal(set.N).Size()
@@ -123,7 +122,41 @@ func SynthesizeMinimal(set *Set, stepBudget time.Duration) *Result {
 	} else {
 		upper *= 3
 	}
-	return enum.RunMinimal(set, upper, stepBudget)
+	return minimal(set, upper, stepBudget)
+}
+
+// minimal is SynthesizeMinimal below a given upper bound. Each step is
+// backend.Enum under ConfigBest with an unlimited proof budget, so a
+// step that finds nothing ends in a certified StatusNoProgram (or a
+// timeout), and a kernel found by the exhaustive search is minimal
+// already.
+func minimal(set *Set, upper int, stepBudget time.Duration) (*Result, error) {
+	b := &backend.Enum{Opt: enum.ConfigBest(), ProofBudget: math.MaxInt64}
+	step := func(budget int) (*Result, error) {
+		ctx := context.TODO()
+		if stepBudget > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, stepBudget)
+			defer cancel()
+		}
+		return backend.Run(ctx, b, set, backend.Spec{MaxLen: budget})
+	}
+	best, err := step(upper)
+	if err != nil {
+		return nil, err
+	}
+	for best.Status == StatusFound && !best.Optimal && best.Length > 1 {
+		next, err := step(best.Length - 1)
+		if err != nil {
+			return nil, err
+		}
+		if next.Status != StatusFound {
+			best.Optimal = next.Status == StatusNoProgram
+			break
+		}
+		best = next
+	}
+	return best, nil
 }
 
 // SynthesizeDuplicateSafe is SynthesizeBest over the weak-order test
@@ -132,31 +165,30 @@ func SynthesizeMinimal(set *Set, stepBudget time.Duration) *Result {
 // only for distinct values — 64% of the optimal n=3 kernels it admits
 // mis-sort ties. For n = 3 and n = 4, duplicate-safety costs no extra
 // instructions (verified by this repository's runs; see EXPERIMENTS.md).
-func SynthesizeDuplicateSafe(set *Set, maxLen int) *Result {
-	opt := enum.ConfigBest()
-	opt.MaxLen = maxLen
-	opt.DuplicateSafe = true
-	return enum.Run(set, opt)
+func SynthesizeDuplicateSafe(set *Set, maxLen int) (*Result, error) {
+	return backend.Run(context.TODO(), &backend.Enum{Opt: enum.ConfigBest()}, set,
+		backend.Spec{MaxLen: maxLen, DuplicateSafe: true})
 }
 
 // EnumerateAll enumerates every minimal kernel of length at most maxLen
 // using only optimality-preserving pruning (all 5602 kernels for the
-// n=3 cmov set). maxSolutions caps the materialized programs
-// (0 = unlimited); the exact count is Result.SolutionCount either way.
-func EnumerateAll(set *Set, maxLen, maxSolutions int) *Result {
+// n=3 cmov set), each one verified. maxSolutions caps the materialized
+// programs in Result.Programs (0 = unlimited); the exact count is
+// Result.Solutions either way.
+func EnumerateAll(set *Set, maxLen, maxSolutions int) (*Result, error) {
 	opt := enum.ConfigAllSolutions()
-	opt.MaxLen = maxLen
 	opt.MaxSolutions = maxSolutions
-	return enum.Run(set, opt)
+	return backend.Run(context.TODO(), &backend.Enum{Opt: opt}, set, backend.Spec{MaxLen: maxLen})
 }
 
 // ProveNoKernel exhaustively searches all programs of length ≤ length
-// with optimality-preserving pruning only. It returns true iff the space
-// was exhausted without finding a kernel, certifying the lower bound
-// (the paper's n=4 length-19 result).
-func ProveNoKernel(set *Set, length int) (bool, *Result) {
-	res := enum.Run(set, enum.ConfigProof(length))
-	return res.Proof && res.Length == -1, res
+// with optimality-preserving pruning only. StatusNoProgram certifies the
+// lower bound (the paper's n=4 length-19 result); StatusFound disproves
+// it with a verified kernel of minimal length.
+func ProveNoKernel(set *Set, length int) (*Result, error) {
+	opt := enum.ConfigProof(length)
+	opt.AllSolutions = false // a disproof needs one witness, not the solution set
+	return backend.Run(context.TODO(), &backend.Enum{Opt: opt}, set, backend.Spec{MaxLen: length})
 }
 
 // Verify reports whether p sorts every permutation of 1..n — the paper's

@@ -1,12 +1,30 @@
 package sortsynth_test
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"sortsynth"
+	"sortsynth/internal/backend"
 )
+
+// found returns a checker that fails the test unless a synthesis
+// returned a verified kernel: found(t)(sortsynth.SynthesizeBest(…)).
+func found(t *testing.T) func(*sortsynth.Result, error) *sortsynth.Result {
+	return func(res *sortsynth.Result, err error) *sortsynth.Result {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != sortsynth.StatusFound {
+			t.Fatalf("status %s, want found", res.Status)
+		}
+		return res
+	}
+}
 
 func TestQuickstartFlow(t *testing.T) {
 	set := sortsynth.NewCmovSet(3, 1)
@@ -14,7 +32,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if !ok || bound != 11 {
 		t.Fatalf("KnownOptimalLength = %d, %v", bound, ok)
 	}
-	res := sortsynth.SynthesizeBest(set, bound)
+	res := found(t)(sortsynth.SynthesizeBest(set, bound))
 	if res.Length != 11 {
 		t.Fatalf("synthesized length %d, want 11", res.Length)
 	}
@@ -27,14 +45,56 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 }
 
+// TestSynthesizeMatchesRegistryEnum pins the public API to the
+// registry's enum backend: the same kernel, byte for byte, for every
+// budget from the optimum to two above it, on both test suites. A slack
+// budget answers the known optimum (min/max n=4 at 16 and 30: 15; cmov
+// n=3 duplicate-safe at 12: 11), as it does in sortsynthd and the bake.
+func TestSynthesizeMatchesRegistryEnum(t *testing.T) {
+	type row struct {
+		set    *sortsynth.Set
+		budget int
+	}
+	var rows []row
+	for n := 2; n <= 3; n++ {
+		for _, set := range []*sortsynth.Set{sortsynth.NewCmovSet(n, 1), sortsynth.NewMinMaxSet(n, 1)} {
+			lstar, _ := sortsynth.KnownOptimalLength(set)
+			for budget := lstar; budget <= lstar+2; budget++ {
+				rows = append(rows, row{set, budget})
+			}
+		}
+	}
+	rows = append(rows, row{sortsynth.NewMinMaxSet(4, 1), 16}, row{sortsynth.NewMinMaxSet(4, 1), 30})
+	for _, r := range rows {
+		for _, dup := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%v/len%d/dup=%v", r.set, r.budget, dup), func(t *testing.T) {
+				call := sortsynth.SynthesizeBest
+				if dup {
+					call = sortsynth.SynthesizeDuplicateSafe
+				}
+				got := found(t)(call(r.set, r.budget))
+				want := found(t)(backend.Default().Synthesize(context.Background(), "enum", r.set,
+					backend.Spec{MaxLen: r.budget, DuplicateSafe: dup}))
+				lstar, _ := sortsynth.KnownOptimalLength(r.set)
+				if got.Length != lstar {
+					t.Errorf("length %d, want the known optimum %d", got.Length, lstar)
+				}
+				if g, w := got.Program.Format(r.set.N), want.Program.Format(r.set.N); g != w {
+					t.Errorf("kernel differs from the registry enum answer:\n%s\nwant\n%s", g, w)
+				}
+			})
+		}
+	}
+}
+
 func TestEnumerateAllFacade(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	set := sortsynth.NewCmovSet(3, 1)
-	res := sortsynth.EnumerateAll(set, 11, 100)
-	if res.SolutionCount != 5602 {
-		t.Fatalf("SolutionCount = %d, want 5602", res.SolutionCount)
+	res := found(t)(sortsynth.EnumerateAll(set, 11, 100))
+	if res.Solutions != 5602 {
+		t.Fatalf("Solutions = %d, want 5602", res.Solutions)
 	}
 	if len(res.Programs) != 100 {
 		t.Errorf("materialized %d programs, want capped 100", len(res.Programs))
@@ -44,17 +104,14 @@ func TestEnumerateAllFacade(t *testing.T) {
 func TestProveNoKernelFacade(t *testing.T) {
 	// There is provably no 3-instruction kernel for n=2.
 	set := sortsynth.NewCmovSet(2, 1)
-	ok, res := sortsynth.ProveNoKernel(set, 3)
-	if !ok {
-		t.Fatalf("lower-bound proof failed: %+v", res)
+	res, err := sortsynth.ProveNoKernel(set, 3)
+	if err != nil || res.Status != sortsynth.StatusNoProgram {
+		t.Fatalf("lower-bound proof failed: %+v, %v", res, err)
 	}
 	// And there is a 4-instruction kernel, so the proof must fail at 4.
-	ok, res = sortsynth.ProveNoKernel(set, 4)
-	if ok {
-		t.Fatal("claimed no length-4 kernel exists for n=2")
-	}
-	if res.Length != 4 {
-		t.Errorf("found length %d during disproof, want 4", res.Length)
+	res = found(t)(sortsynth.ProveNoKernel(set, 4))
+	if res.Length != 4 || !res.Optimal {
+		t.Errorf("disproof found length %d (certified %v), want a certified 4", res.Length, res.Optimal)
 	}
 }
 
@@ -78,18 +135,32 @@ func TestParseAndCounterexample(t *testing.T) {
 
 func TestSynthesizeMinimalFacade(t *testing.T) {
 	set := sortsynth.NewMinMaxSet(3, 1)
-	res := sortsynth.SynthesizeMinimal(set, time.Minute)
-	if res.Length != 8 || !res.Proof {
-		t.Fatalf("minimal min/max: length %d, certified %v", res.Length, res.Proof)
+	res := found(t)(sortsynth.SynthesizeMinimal(set, time.Minute))
+	if res.Length != 8 || !res.Optimal {
+		t.Fatalf("minimal min/max: length %d, certified %v", res.Length, res.Optimal)
 	}
-	if !sortsynth.Verify(set, res.Program) {
-		t.Fatal("kernel incorrect")
+}
+
+func TestSynthesizeMinimalN2Certified(t *testing.T) {
+	res := found(t)(sortsynth.SynthesizeMinimal(sortsynth.NewCmovSet(2, 1), 0))
+	if res.Length != 4 || !res.Optimal {
+		t.Fatalf("minimal n=2: length %d, certified %v; want a certified 4", res.Length, res.Optimal)
+	}
+}
+
+func TestSynthesizeMinimalN3Certified(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	res := found(t)(sortsynth.SynthesizeMinimal(sortsynth.NewCmovSet(3, 1), 2*time.Minute))
+	if res.Length != 11 || !res.Optimal {
+		t.Fatalf("minimal n=3: length %d, certified %v; want a certified 11", res.Length, res.Optimal)
 	}
 }
 
 func TestDenoteAndAsmFacade(t *testing.T) {
 	set := sortsynth.NewCmovSet(3, 1)
-	res := sortsynth.SynthesizeBest(set, 11)
+	res := found(t)(sortsynth.SynthesizeBest(set, 11))
 	if res.Length != 11 {
 		t.Fatal("synthesis failed")
 	}
@@ -119,7 +190,7 @@ func TestMinMaxFacade(t *testing.T) {
 	if !ok || bound != 8 {
 		t.Fatalf("minmax bound = %d", bound)
 	}
-	res := sortsynth.SynthesizeBest(set, bound)
+	res := found(t)(sortsynth.SynthesizeBest(set, bound))
 	if res.Length != 8 || !sortsynth.Verify(set, res.Program) {
 		t.Fatalf("minmax synthesis failed: length %d", res.Length)
 	}
