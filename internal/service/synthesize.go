@@ -388,6 +388,12 @@ func (s *Server) buildSpec(set *isa.Set, beName string, req *synthesizeRequest) 
 // stores the artifact in the cache on success. No verification happens
 // here, and nothing backend.Run rejects is cached.
 func (s *Server) runFlight(ctx context.Context, key kcache.Key, set *isa.Set, b backend.Backend, spec backend.Spec) (*kcache.Entry, error) {
+	// A caller that missed the cache just before an identical flight
+	// cached its entry and left the group starts a fresh flight; answer
+	// it from the cache rather than search the same key twice.
+	if e, ok := s.cache.Get(key); ok {
+		return e, nil
+	}
 	select {
 	case s.sem <- struct{}{}:
 	case <-ctx.Done():
