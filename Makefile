@@ -70,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -race -run='^$$' -fuzz='^FuzzHashKey$$' -fuzztime=$(FUZZTIME) ./internal/state
 	$(GO) test -race -run='^$$' -fuzz='^FuzzApplyDistVsStep$$' -fuzztime=$(FUZZTIME) ./internal/state
 	$(GO) test -race -run='^$$' -fuzz='^FuzzPairBound$$' -fuzztime=$(FUZZTIME) ./internal/state
+	$(GO) test -race -run='^$$' -fuzz='^FuzzErasedBound$$' -fuzztime=$(FUZZTIME) ./internal/state
 	$(GO) test -race -run='^$$' -fuzz='^FuzzFlatTable$$' -fuzztime=$(FUZZTIME) ./internal/enum
 	$(GO) test -race -run='^$$' -fuzz='^FuzzVerifySorts$$' -fuzztime=$(FUZZTIME) ./internal/verify
 	$(GO) test -race -run='^$$' -fuzz='^FuzzSortgenVsSlicesSort$$' -fuzztime=$(FUZZTIME) ./internal/sortgen

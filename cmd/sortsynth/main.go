@@ -7,6 +7,7 @@
 //	sortsynth -n 3 -all -max-solutions 5 # enumerate optimal kernels
 //	sortsynth -n 3 -dupsafe              # kernel that also sorts ties
 //	sortsynth -n 3 -prove 10             # prove no kernel of length ≤ 10
+//	sortsynth -n 4 -prove 19 -timeout 1m # the same, giving up after a minute
 //	sortsynth -verify "mov s1 r2; ..." -n 2
 //	sortsynth -n 3 -backend smt          # synthesize through the SMT backend
 //	sortsynth -emit-sorter -n 13         # emit a full branchless Sort13 as Go source
@@ -110,18 +111,21 @@ func main() {
 	}
 
 	if *prove > 0 {
-		res, err := sortsynth.ProveNoKernel(set, *prove)
+		res, err := sortsynth.ProveNoKernel(set, *prove, *timeout)
 		if err != nil {
 			log.Fatal(err)
 		}
 		switch res.Status {
+		case sortsynth.StatusTimedOut:
+			log.Fatalf("INCONCLUSIVE: proof timed out after %v (%d states); increase -timeout",
+				res.Stats.Elapsed.Round(time.Millisecond), res.Stats.Nodes)
 		case sortsynth.StatusNoProgram:
 			fmt.Printf("PROVED: no %s kernel of length ≤ %d exists (%d states, %v)\n",
 				set, *prove, res.Stats.Nodes, res.Stats.Elapsed.Round(time.Millisecond))
 		case sortsynth.StatusFound:
 			fmt.Printf("DISPROVED: found a length-%d kernel:\n%s\n", res.Length, res.Program.Format(*n))
 		default:
-			fmt.Printf("INCONCLUSIVE: search stopped before exhaustion (timeout/budget)\n")
+			fmt.Printf("INCONCLUSIVE: search stopped before exhaustion (%s)\n", res.Status)
 			os.Exit(1)
 		}
 		return

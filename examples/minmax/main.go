@@ -49,7 +49,7 @@ func main() {
 	fmt.Println(res.Program.Format(3))
 
 	// The §5.4 minimality claim, certified by exhaustion.
-	proof, err := sortsynth.ProveNoKernel(set, 7)
+	proof, err := sortsynth.ProveNoKernel(set, 7, 0)
 	if err != nil || proof.Status != sortsynth.StatusNoProgram {
 		log.Fatalf("lower-bound proof failed: %v", err)
 	}

@@ -6,26 +6,33 @@ import (
 )
 
 // candidates is one parent's candidate instructions, split before any
-// successor is built. keep holds the instructions that go on to the
-// apply; drop holds those already known to die, and is never applied:
-// the budget mask (tables.Candidates, DESIGN.md §10) proves them over
-// budget, or the pre-apply cut claims them (cut ⊆ drop). book charges
-// the dropped candidates to the counters — Generated, plus CutCount or
-// Pruned — exactly as a candidate-by-candidate apply-and-check loop
-// would have, including one that stops mid-expansion at its first
-// solution.
+// successor is built. keep holds the instructions the walk reaches in
+// ID order; those in claim ⊆ keep are cut when reached, without an
+// apply, and the rest are applied. drop holds those already known to
+// die, and is never applied: the budget mask (tables.Candidates,
+// DESIGN.md §10) proves them over budget, or the pre-apply cut claims
+// them (cut ⊆ drop). The search books a claimed candidate as cut when
+// the walk reaches it, and book charges the dropped candidates to the
+// counters — Generated, plus CutCount or Pruned — exactly as a
+// candidate-by-candidate apply-and-check loop would have, including one
+// that stops mid-expansion at its first solution.
 type candidates struct {
-	keep, drop, cut tables.Mask
+	keep, drop, cut, claim tables.Mask
 }
 
 // candidates builds one parent's candidate set. st is the parent state,
-// budget the children's remaining instruction budget, and preCut
-// reports that the parent's distinct projection count already exceeds
-// the §3.5 cut limit: a projection-preserving instruction hands its
-// child that same count (state.ProjPreserving) and cannot sort it (the
-// parent is not sorted), so its candidates are cut without an apply.
-// The action guide and the budget mask come from one walk over st.
-func (s *searcher) candidates(st state.State, budget int, preCut bool) candidates {
+// budget the children's remaining instruction budget, and intLimit the
+// §3.5 cut limit, from which cutMask finds the instructions whose
+// children the cut drops. The apply-and-check loop booked a cut child
+// as cut only once it fitted the budget, so a cut candidate outside the
+// budget mask stays pruned, and one inside it is claimed: kept for the
+// walk, which books it when it gets there, so a bound lowered before
+// then prunes it (rebudget). The projection-preserving candidates are
+// the exception, kept from before the budget mask was exact: the search
+// has always booked them as cut, inside the mask or not, and they stay
+// in drop. The action guide and the budget mask come from one walk over
+// st.
+func (s *searcher) candidates(st state.State, budget, intLimit int) candidates {
 	set, fit := s.instrMask, s.instrMask
 	if s.opt.UseActionGuide || s.opt.UseDistPrune {
 		guide, budgetFit := s.tab.Candidates(st, budget)
@@ -36,18 +43,17 @@ func (s *searcher) candidates(st state.State, budget int, preCut bool) candidate
 			fit = budgetFit
 		}
 	}
-	c := candidates{keep: set.And(fit)}
-	if preCut {
-		c.cut = set.And(s.projPres)
-		c.keep = c.keep.AndNot(s.projPres)
-	}
+	cut := s.cutMask(st, intLimit, set.And(fit))
+	c := candidates{cut: set.And(cut).And(s.projPres)}
+	c.keep = set.And(fit).AndNot(c.cut)
+	c.claim = c.keep.And(cut)
 	c.drop = set.AndNot(c.keep)
 	return c
 }
 
 // rebudget moves the kept candidates outside fit, the budget mask at a
 // bound lowered mid-expansion, to the dropped ones, where book charges
-// them as pruned.
+// them as pruned; claimed ones among them included.
 func (c *candidates) rebudget(fit tables.Mask) {
 	c.drop.Or(c.keep.AndNot(fit))
 	c.keep = c.keep.And(fit)

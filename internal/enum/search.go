@@ -149,9 +149,13 @@ type searcher struct {
 	// hoists: projPres marks the instructions that cannot change any
 	// assignment's projection (state.ProjPreserving), whose children
 	// inherit the parent's distinct projection count parentPC verbatim —
-	// no per-assignment recount needed.
+	// no per-assignment recount needed. writes[d] marks the instructions
+	// that write sorted register d (together with projPres, the whole
+	// set); the pre-apply cut bounds their children's count by the
+	// parent's with nibble d erased (cutMask).
 	instrMask tables.Mask
 	projPres  tables.Mask
+	writes    []tables.Mask
 	parentPC  int
 
 	// The caller's enumeration request, before newSearcher forced
@@ -239,9 +243,12 @@ func newSearcher(ctx context.Context, set *isa.Set, opt Options) *searcher {
 	}
 	instrs := set.Instrs()
 	s.instrMask = tables.MaskOf(len(instrs))
+	s.writes = make([]tables.Mask, set.N)
 	for id, in := range instrs {
 		if m.ProjPreserving(in) {
 			s.projPres.Set(id)
+		} else {
+			s.writes[in.Dst].Set(id)
 		}
 	}
 	// The apply buffer can never need more room than the initial state
@@ -334,15 +341,19 @@ func (s *searcher) search() {
 		if s.opt.Cut != CutNone {
 			s.parentPC = s.m.PermCount(st)
 		}
-		preCut := intLimit != math.MaxInt && s.parentPC > intLimit
 		budget := s.bound - (g + 1)
-		c := s.candidates(st, budget, preCut)
+		c := s.candidates(st, budget, intLimit)
 		for {
 			id, ok := c.next()
 			if !ok {
 				break
 			}
-			s.expandChild(it.id, g, it.cost, st, uint16(id), instrs[id], limit, intLimit)
+			if c.claim.Has(id) {
+				s.res.Generated++
+				s.res.CutCount++
+				continue
+			}
+			s.expandChild(it.id, g, it.cost, st, uint16(id), instrs[id], limit)
 			if s.done {
 				c.book(id, &s.res.Generated, &s.res.CutCount, &s.res.Pruned)
 				return
@@ -378,6 +389,38 @@ func (s *searcher) cutLimit(g int) (limit float64, intLimit int) {
 	return limit, intLimit
 }
 
+// cutMask returns the instructions whose children the §3.5 cut drops
+// before any apply: those whose child is known to have more than
+// intLimit distinct projections without being sorted (DESIGN.md §15).
+// An instruction writes at most one sorted register d, so its child's
+// count is at least the parent's count with nibble d erased
+// (state.Machine.ErasedCountExceeds); a projection-preserving one erases
+// nothing and hands its child parentPC itself. Every erased count is at
+// most parentPC, so nothing is claimed unless parentPC exceeds the
+// limit. A sorted child has exactly NumTags projections, so a count
+// over a limit of at least NumTags rules it out; a parent is never
+// sorted, nor therefore a projection-preserving child. Without the
+// budget mask the search checks a child's viability before its cut
+// (expandChild), so there only the projection-preserving instructions
+// are claimed: their booking is fixed (see candidates). A register no
+// instruction of live writes is not tested.
+func (s *searcher) cutMask(st state.State, intLimit int, live tables.Mask) tables.Mask {
+	var cut tables.Mask
+	if intLimit == math.MaxInt || s.parentPC <= intLimit {
+		return cut
+	}
+	cut = s.projPres
+	if !s.opt.UseDistPrune || intLimit < s.m.NumTags() {
+		return cut
+	}
+	for d, w := range s.writes {
+		if w.And(live) != (tables.Mask{}) && s.m.ErasedCountExceeds(st, d, intLimit, &s.projSet) {
+			cut.Or(w)
+		}
+	}
+	return cut
+}
+
 // stopped reports whether the search context is done and records the
 // stop reason on the result (deadline → TimedOut, cancel → Cancelled).
 func (s *searcher) stopped() bool {
@@ -396,19 +439,19 @@ func (s *searcher) stopped() bool {
 // expandChild applies in to the parent state and routes the successor
 // through the viability, cut, and deduplication pipeline. parentCost is
 // the parent's accumulated instruction weight (maintained only in
-// cost-ordered runs; 0 otherwise); limit and intLimit are the hoisted
-// per-parent cut thresholds from cutLimit.
-func (s *searcher) expandChild(parentID int32, g int, parentCost int32, st state.State, instrID uint16, in isa.Instr, limit float64, intLimit int) {
+// cost-ordered runs; 0 otherwise); limit is the hoisted per-parent cut
+// threshold from cutLimit.
+func (s *searcher) expandChild(parentID int32, g int, parentCost int32, st state.State, instrID uint16, in isa.Instr, limit float64) {
 	// The raw successor keeps the parent's order; the prune predicates
-	// and the cut's exceeds-test are order-insensitive, so the
-	// canonicalizing sort is deferred until a candidate survives all of
-	// them. Candidates the pre-apply cut or the budget mask claims never
-	// reach this point (see candidates); with dist-pruning on, the mask
-	// is the whole §3.3 budget check, so every child that gets here fits
-	// the budget. Without it the cheaper viability checks run instead:
-	// a non-sorted state at the bound is a dead end (any completion
-	// needs at least one more instruction), and so is one that erased a
-	// value. Either way cg ≤ bound ≤ MaxDepth, within g's uint8 storage.
+	// are order-insensitive, so the canonicalizing sort is deferred until
+	// a candidate survives them. Candidates the pre-apply cut or the
+	// budget mask claims never reach this point (see cutMask and
+	// candidates); with dist-pruning on, the mask is the whole §3.3
+	// budget check, so every child that gets here fits the budget.
+	// Without it the cheaper viability checks run instead: a non-sorted
+	// state at the bound is a dead end (any completion needs at least
+	// one more instruction), and so is one that erased a value. Either
+	// way cg ≤ bound ≤ MaxDepth, within g's uint8 storage.
 	cg := g + 1
 	projPres := s.projPres.Has(int(instrID))
 	child := s.m.ApplyRaw(s.buf, st, in)
@@ -420,16 +463,10 @@ func (s *searcher) expandChild(parentID int32, g int, parentCost int32, st state
 		return
 	}
 	// Projection-preserving instructions hand the child the parent's
-	// distinct projection count outright; the pre-canonicalize
-	// exceeds-test already ran before the apply, and the
-	// post-canonicalize recount reduces to reusing parentPC.
+	// distinct projection count outright; every other child is counted
+	// on its canonical form.
 	var pc int
 	havePC := false
-	if !sorted && intLimit != math.MaxInt && !projPres &&
-		s.m.PermCountExceedsSet(child, intLimit, &s.projSet) {
-		s.res.CutCount++
-		return
-	}
 	state.Canonicalize(&child)
 	if !sorted && s.opt.Cut != CutNone {
 		if projPres {

@@ -186,6 +186,7 @@ func TestHotPathsAllocFree(t *testing.T) {
 		{"ApplyRaw", func() { dst = m.ApplyRaw(dst, s, in) }},
 		{"Candidates", func() { _, sinkMask = tab.Candidates(s, 19) }},
 		{"PermCountExceedsSet", func() { sinkBool = m.PermCountExceedsSet(s, 12, &ps) }},
+		{"ErasedCountExceeds", func() { sinkBool = m.ErasedCountExceeds(s, 1, 12, &ps) }},
 	}
 	for _, c := range checks {
 		if n := testing.AllocsPerRun(100, c.fn); n != 0 {

@@ -19,17 +19,18 @@ func (m *Machine) ProjPreserving(in isa.Instr) bool {
 	return in.Op == isa.Cmp || m.shift[in.Dst]+4 <= m.permShift
 }
 
-// projDirectBits is the widest projection-and-tag field served by the
-// direct-indexed stamp table (64 KB of uint8 stamps). The permutation
+// projDirectBits is the widest projection-and-tag key served by the
+// direct-indexed stamp table (64 K uint16 stamps). The permutation
 // machines up to n=4 and the weak-order machine at n=3 fit; wider
-// machines (n=5) fall back to the hashed probe table.
+// machines (n=5) fall back to the hashed probe table, except for the
+// erased counts, whose keys are a nibble narrower.
 const projDirectBits = 16
 
-// ProjSet is reusable scratch for PermCountExceedsSet: an epoch-stamped
-// set of permutation projections. Stamping makes clearing free (bump the
-// epoch instead of zeroing the table). Machines whose projection field
-// fits projDirectBits use a direct-indexed stamp byte per possible
-// projection — one load, no hashing, no probe chain; wider machines use
+// ProjSet is reusable scratch for PermCountExceedsSet and
+// ErasedCountExceeds: an epoch-stamped set of permutation projections.
+// Stamping makes clearing free (bump the epoch instead of zeroing the
+// table). Keys that fit projDirectBits use a direct-indexed stamp per
+// possible key — one load, no hashing, no probe chain; wider keys use
 // the open-addressing table, whose 256 slots keep the load factor under
 // 25% for the at-most-64 projections the cut test tracks. The zero value
 // is ready for use; a ProjSet must not be shared between goroutines.
@@ -38,7 +39,7 @@ type ProjSet struct {
 	proj  []Asg
 	epoch uint32
 
-	direct      []uint16 // 1<<projDirectBits stamps, indexed by projection
+	direct      []uint16 // 1<<projDirectBits stamps, indexed by key
 	directEpoch uint16
 }
 
@@ -48,14 +49,43 @@ type ProjSet struct {
 // as the count passes limit. The linear-scan variant pays O(count) per
 // assignment re-comparing every projection seen so far; the stamped set
 // pays a near-constant probe (a single direct-indexed load on machines
-// narrow enough for the direct table), which matters because this test
-// guards canonicalization in the innermost loop of the search. Results
-// are identical to PermCountExceeds on every input.
+// narrow enough for the direct table), which matters to the search's
+// pre-apply cut: ErasedCountExceeds is this test with one nibble erased,
+// and runs on every parent over the cut limit. Results are identical to
+// PermCountExceeds on every input.
 func (m *Machine) PermCountExceedsSet(s State, limit int, ps *ProjSet) bool {
+	return m.countExceeds(s, ^Asg(0), 0, limit, ps)
+}
+
+// ErasedCountExceeds reports whether s has more than limit distinct
+// permutation projections once register r's nibble is erased from each.
+// Like PermCountExceedsSet it accepts a raw or canonical state, exits as
+// soon as the count passes limit, and errs only on the side of false
+// (limit ≥ 64 or ≥ len(s) answers false).
+//
+// It bounds the §3.5 cut's quantity before an apply: an instruction
+// writes at most one register r, so two assignments whose projections
+// differ outside r's nibble still differ after it, and the successor's
+// distinct projection count is at least the erased count of its parent.
+// When r is a scratch register nothing in the projection is erased and
+// the test is PermCountExceedsSet's.
+func (m *Machine) ErasedCountExceeds(s State, r, limit int, ps *ProjSet) bool {
+	if r >= m.Set.N {
+		return m.PermCountExceedsSet(s, limit, ps)
+	}
+	return m.countExceeds(s, 1<<(4*r)-1, 4, limit, ps)
+}
+
+// countExceeds reports whether s has more than limit distinct keys: an
+// assignment's key is its projection p with the nibbles above low moved
+// down by w bits, p&low | p>>w&^low. w = 0 keys on the projection
+// itself; w = 4 drops the nibble just above low, so the keys of the
+// erased counts are a nibble narrower than the projection field.
+func (m *Machine) countExceeds(s State, low Asg, w uint, limit int, ps *ProjSet) bool {
 	if limit >= len(s) || limit >= 64 {
 		return false
 	}
-	if m.projBits <= projDirectBits {
+	if m.projBits-int(w) <= projDirectBits {
 		if ps.direct == nil {
 			ps.direct = make([]uint16, 1<<projDirectBits)
 		}
@@ -68,7 +98,8 @@ func (m *Machine) PermCountExceedsSet(s State, limit int, ps *ProjSet) bool {
 		tab := ps.direct
 		cnt := 0
 		for _, a := range s {
-			st := &tab[a>>m.permShift]
+			p := a >> m.permShift
+			st := &tab[p&low|p>>w&^low]
 			if *st != epoch {
 				if cnt == limit {
 					return true
@@ -92,6 +123,7 @@ func (m *Machine) PermCountExceedsSet(s State, limit int, ps *ProjSet) bool {
 	cnt := 0
 	for _, a := range s {
 		p := a >> m.permShift
+		p = p&low | p>>w&^low
 		i := (uint32(p) * 2654435761) >> (32 - projSetBits)
 		for {
 			if ps.stamp[i] != epoch {

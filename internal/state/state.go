@@ -83,8 +83,8 @@ type Machine struct {
 	initial   []Asg  // canonical initial state
 
 	// projBits is the width of the projection-and-tag field (PackedBits
-	// minus the flag/scratch low bits): PermCountExceedsSet picks its
-	// direct-indexed fast path when this fits projDirectBits.
+	// minus the flag/scratch low bits): the projection counts pick their
+	// direct-indexed fast path when their keys fit projDirectBits.
 	projBits int
 }
 

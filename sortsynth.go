@@ -133,13 +133,7 @@ func SynthesizeMinimal(set *Set, stepBudget time.Duration) (*Result, error) {
 func minimal(set *Set, upper int, stepBudget time.Duration) (*Result, error) {
 	b := &backend.Enum{Opt: enum.ConfigBest(), ProofBudget: math.MaxInt64}
 	step := func(budget int) (*Result, error) {
-		ctx := context.TODO()
-		if stepBudget > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, stepBudget)
-			defer cancel()
-		}
-		return backend.Run(ctx, b, set, backend.Spec{MaxLen: budget})
+		return runTimed(b, set, backend.Spec{MaxLen: budget}, stepBudget)
 	}
 	best, err := step(upper)
 	if err != nil {
@@ -184,11 +178,24 @@ func EnumerateAll(set *Set, maxLen, maxSolutions int) (*Result, error) {
 // ProveNoKernel exhaustively searches all programs of length ≤ length
 // with optimality-preserving pruning only. StatusNoProgram certifies the
 // lower bound (the paper's n=4 length-19 result); StatusFound disproves
-// it with a verified kernel of minimal length.
-func ProveNoKernel(set *Set, length int) (*Result, error) {
+// it with a verified kernel of minimal length. A search still running
+// after timeout (0 = unlimited) stops with StatusTimedOut, which claims
+// nothing.
+func ProveNoKernel(set *Set, length int, timeout time.Duration) (*Result, error) {
 	opt := enum.ConfigProof(length)
 	opt.AllSolutions = false // a disproof needs one witness, not the solution set
-	return backend.Run(context.TODO(), &backend.Enum{Opt: opt}, set, backend.Spec{MaxLen: length})
+	return runTimed(&backend.Enum{Opt: opt}, set, backend.Spec{MaxLen: length}, timeout)
+}
+
+// runTimed is backend.Run stopped after timeout (0 = unlimited).
+func runTimed(b backend.Backend, set *Set, spec backend.Spec, timeout time.Duration) (*Result, error) {
+	ctx := context.TODO()
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
+	return backend.Run(ctx, b, set, spec)
 }
 
 // Verify reports whether p sorts every permutation of 1..n — the paper's

@@ -104,14 +104,35 @@ func TestEnumerateAllFacade(t *testing.T) {
 func TestProveNoKernelFacade(t *testing.T) {
 	// There is provably no 3-instruction kernel for n=2.
 	set := sortsynth.NewCmovSet(2, 1)
-	res, err := sortsynth.ProveNoKernel(set, 3)
+	res, err := sortsynth.ProveNoKernel(set, 3, 0)
 	if err != nil || res.Status != sortsynth.StatusNoProgram {
 		t.Fatalf("lower-bound proof failed: %+v, %v", res, err)
 	}
 	// And there is a 4-instruction kernel, so the proof must fail at 4.
-	res = found(t)(sortsynth.ProveNoKernel(set, 4))
+	res = found(t)(sortsynth.ProveNoKernel(set, 4, 0))
 	if res.Length != 4 || !res.Optimal {
 		t.Errorf("disproof found length %d (certified %v), want a certified 4", res.Length, res.Optimal)
+	}
+}
+
+// TestProveNoKernelTimeout checks that a proof honours its timeout: the
+// cmov n=4 length-19 refutation is a multi-week search, so a 1 s budget
+// must come back timed out, claiming nothing, soon after the deadline.
+func TestProveNoKernelTimeout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a 1 s search")
+	}
+	start := time.Now()
+	res, err := sortsynth.ProveNoKernel(sortsynth.NewCmovSet(4, 1), 19, time.Second)
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != sortsynth.StatusTimedOut || res.Optimal {
+		t.Fatalf("status %s (certified %v), want timed-out claiming nothing", res.Status, res.Optimal)
+	}
+	if wall > 5*time.Second {
+		t.Errorf("a 1 s proof returned after %v", wall.Round(time.Millisecond))
 	}
 }
 
