@@ -94,9 +94,13 @@ fuzz: fuzz-smoke
 build:
 	$(GO) build ./...
 
+# vet also vets perfbench: it is its own module, so the root ./... never
+# compiles it, and an API change it imports would otherwise surface only
+# when the benchmark runs.
 .PHONY: vet
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet .
 
 # fmt-check fails if any Go file outside the benchmark's build directory
 # is not gofmt-clean. Generated files are included: cmd/genkernels

@@ -40,7 +40,6 @@ func main() {
 		dupsafe = flag.Bool("dupsafe", false, "require correctness on duplicate values")
 
 		objective = flag.String("objective", "", `ranking objective: "shortest" (default), "fastest" or "balanced"; for -emit-sorter: "fastest" (default) or "shortest"`)
-		profile   = flag.String("uarch-profile", "", "uarch profile for objective ranking (see internal/uarch; empty = big-ooo default)")
 		minimal   = flag.Bool("minimal", false, "certify minimality (no known bound needed; may be slow)")
 		asm       = flag.Bool("asm", false, "print x86-64 assembly instead of the abstract syntax")
 		prove     = flag.Int("prove", 0, "prove no kernel of length ≤ N exists (exhaustive)")
@@ -173,7 +172,7 @@ func main() {
 	// Every synthesis runs through backend.Run, which verifies what it
 	// prints. Enum runs as a backend.Enum under the flag-built options;
 	// every other name runs as registered.
-	spec := backend.Spec{MaxLen: bound, Seed: *seed, DuplicateSafe: *dupsafe, Objective: obj, Profile: *profile}
+	spec := backend.Spec{MaxLen: bound, Seed: *seed, DuplicateSafe: *dupsafe, Objective: obj}
 	b, err := backend.Default().Get(*backendName)
 	if err != nil {
 		log.Fatal(err)

@@ -40,7 +40,6 @@ func main() {
 		cacheDir  = flag.String("cache-dir", "", "on-disk kernel store (empty = memory-only)")
 		cacheSize = flag.Int("cache-size", 256, "in-memory LRU capacity (entries)")
 		searches  = flag.Int("max-searches", 0, "concurrent search bound (0 = GOMAXPROCS)")
-		uprofile  = flag.String("uarch-profile", "", `uarch profile for objective ranking (deployment-wide; empty = "big-ooo" default)`)
 		timeout   = flag.Duration("search-timeout", 2*time.Minute, "per-search wall-clock cap")
 		maxN      = flag.Int("max-n", 5, "largest array length to accept")
 		maxSortN  = flag.Int("max-sort-n", 256, "largest generated-sorter length for /v1/sortgen")
@@ -55,7 +54,6 @@ func main() {
 		CacheDir:              *cacheDir,
 		CacheSize:             *cacheSize,
 		MaxConcurrentSearches: *searches,
-		UarchProfile:          *uprofile,
 		SearchTimeout:         *timeout,
 		MaxN:                  *maxN,
 		MaxSortN:              *maxSortN,

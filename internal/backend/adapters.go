@@ -31,8 +31,7 @@ func optimalityPreserving(o enum.Options) bool {
 }
 
 // Enum adapts the §3 enumerative Dijkstra/A* engine: a search under
-// Opt, with Spec overriding MaxLen, DuplicateSafe, Objective and
-// Profile.
+// Opt, with Spec overriding MaxLen, DuplicateSafe and Objective.
 //
 // A budget above the set's known optimal length L* (isa.KnownOptimalLength)
 // is searched at L* first. ConfigBest's action guide and §3.5 cut do
@@ -73,7 +72,6 @@ func (b *Enum) Synthesize(ctx context.Context, set *isa.Set, spec Spec) (*Result
 	}
 	opt.DuplicateSafe = spec.DuplicateSafe
 	opt.Objective = spec.Objective
-	opt.Profile = spec.Profile
 	budget := opt.MaxLen
 	if lstar, ok := isa.KnownOptimalLength(set); ok && budget > lstar {
 		opt.MaxLen = lstar
@@ -95,7 +93,7 @@ func (b *Enum) Synthesize(ctx context.Context, set *isa.Set, spec Spec) (*Result
 	if r.Program == nil && r.Exhausted && !r.Proof && b.ProofBudget > 0 {
 		proof := enum.ConfigProof(opt.MaxLen)
 		proof.AllSolutions = false
-		proof.DuplicateSafe, proof.Objective, proof.Profile = opt.DuplicateSafe, opt.Objective, opt.Profile
+		proof.DuplicateSafe, proof.Objective = opt.DuplicateSafe, opt.Objective
 		proof.StateBudget = b.ProofBudget
 		pr := enum.RunContext(ctx, set, proof)
 		if pr.Err != nil {

@@ -48,10 +48,6 @@ type Spec struct {
 	// shortest only and reject anything else with an
 	// *UnsupportedObjectiveError — they have no set to rank.
 	Objective enum.Objective
-
-	// Profile names the uarch profile an objective ranking runs under
-	// ("" = default). Ignored when Objective is shortest.
-	Profile string
 }
 
 // Status classifies a synthesis outcome.

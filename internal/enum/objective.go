@@ -3,7 +3,6 @@ package enum
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"sortsynth/internal/isa"
 	"sortsynth/internal/uarch"
@@ -72,15 +71,6 @@ func (e *UnknownObjectiveError) Error() string {
 	return fmt.Sprintf("enum: unknown objective %q (want shortest, fastest or balanced)", e.Name)
 }
 
-// UnknownProfileError reports an Options.Profile name with no
-// registered uarch profile.
-type UnknownProfileError struct{ Name string }
-
-func (e *UnknownProfileError) Error() string {
-	return fmt.Sprintf("enum: unknown uarch profile %q (want %s)",
-		e.Name, strings.Join(uarch.ProfileNames(), ", "))
-}
-
 // rerankCap bounds how many optimal programs an objective run
 // materializes for ranking when the caller did not ask for the programs
 // themselves. Small sets fit (n=3 cmov: 234 programs), but not every
@@ -102,13 +92,13 @@ type rankedProgram struct {
 }
 
 // rankPrograms orders the optimal-length candidates best-first under
-// (obj, prof). The final tie-break on canonical program text makes the
+// obj. The final tie-break on canonical program text makes the
 // order — and in particular the winner — a pure function of the
 // candidate set.
-func rankPrograms(set *isa.Set, progs []isa.Program, obj Objective, prof uarch.Profile) []rankedProgram {
+func rankPrograms(set *isa.Set, progs []isa.Program, obj Objective) []rankedProgram {
 	rs := make([]rankedProgram, len(progs))
 	for i, p := range progs {
-		a := uarch.AnalyzeProfile(set, p, prof)
+		a := uarch.Analyze(set, p)
 		r := rankedProgram{prog: p, score: a.Score, cp: a.CriticalPath, text: p.Format(set.N)}
 		if obj == ObjectiveBalanced {
 			r.primary = 0.5*a.Throughput + 0.5*float64(a.CriticalPath)
@@ -132,23 +122,23 @@ func rankPrograms(set *isa.Set, progs []isa.Program, obj Objective, prof uarch.P
 	return rs
 }
 
-// RankPrograms orders candidate programs best-first under obj and the
-// named profile ("" = default), with the same deterministic tie-breaks
-// the engine applies, and returns the winner's primary cost. It is the
-// re-rank stage exposed for callers that already hold a solution set
-// (tests, tooling, single-solution backends).
+// RankPrograms orders candidate programs best-first under obj, with the
+// same deterministic tie-breaks the engine applies, and returns the
+// winner's primary cost. It is the re-rank stage exposed for callers
+// that already hold a solution set (tests, tooling, single-solution
+// backends). The uarch model has one core: profile must be "" or
+// uarch.ProfileName, and any other name is an error.
 func RankPrograms(set *isa.Set, progs []isa.Program, obj Objective, profile string) ([]isa.Program, float64, error) {
 	if obj > ObjectiveBalanced {
 		return nil, 0, &UnknownObjectiveError{Name: obj.String()}
 	}
-	prof, ok := uarch.ProfileByName(profile)
-	if !ok {
-		return nil, 0, &UnknownProfileError{Name: profile}
+	if profile != "" && profile != uarch.ProfileName {
+		return nil, 0, fmt.Errorf("enum: unknown uarch profile %q (want %q)", profile, uarch.ProfileName)
 	}
 	if len(progs) == 0 {
 		return nil, 0, nil
 	}
-	ranked := rankPrograms(set, progs, obj, prof)
+	ranked := rankPrograms(set, progs, obj)
 	out := make([]isa.Program, len(ranked))
 	for i := range ranked {
 		out[i] = ranked[i].prog

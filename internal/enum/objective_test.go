@@ -49,24 +49,23 @@ func TestObjectiveValidation(t *testing.T) {
 		t.Fatalf("invalid objective: Err = %v, want *UnknownObjectiveError", res.Err)
 	}
 
+	// RankPrograms keeps a profile argument for its callers: the one
+	// model's name and "" rank alike, and any other name is an error.
 	opt = ConfigBest()
 	opt.MaxLen = 4
-	opt.Objective = ObjectiveFastest
-	opt.Profile = "no-such-core"
+	opt.AllSolutions = true
 	res = Run(set, opt)
-	var profErr *UnknownProfileError
-	if res.Err == nil || !asError(res.Err, &profErr) {
-		t.Fatalf("invalid profile: Err = %v, want *UnknownProfileError", res.Err)
+	def, defCost, err := RankPrograms(set, res.Programs, ObjectiveFastest, "")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// An unknown profile is rejected even under the default shortest
-	// objective — a misspelled flag must not silently no-op.
-	opt = ConfigBest()
-	opt.MaxLen = 4
-	opt.Profile = "no-such-core"
-	res = Run(set, opt)
-	if res.Err == nil || !asError(res.Err, &profErr) {
-		t.Fatalf("invalid profile (shortest): Err = %v, want *UnknownProfileError", res.Err)
+	named, namedCost, err := RankPrograms(set, res.Programs, ObjectiveFastest, uarch.ProfileName)
+	if err != nil || namedCost != defCost || len(named) != len(def) || named[0].Format(set.N) != def[0].Format(set.N) {
+		t.Fatalf("RankPrograms(%q) = %d programs, cost %v, err %v; want the default ranking (%d programs, cost %v)",
+			uarch.ProfileName, len(named), namedCost, err, len(def), defCost)
+	}
+	if _, _, err := RankPrograms(set, res.Programs, ObjectiveFastest, "little"); err == nil {
+		t.Fatal(`RankPrograms(profile "little") succeeded, want an unknown-profile error`)
 	}
 }
 
@@ -185,7 +184,7 @@ func TestObjectiveWinnerDeterministic(t *testing.T) {
 // TestObjectivesDivergeAtSort3 pins the Neri-style divergence the whole
 // feature exists for: at n=3 (cmov), shortest and fastest pick
 // different programs, and the fastest one is strictly cheaper under the
-// default profile's throughput model.
+// uarch model's throughput.
 func TestObjectivesDivergeAtSort3(t *testing.T) {
 	set := isa.NewCmov(3, 1)
 	short := ConfigBest()

@@ -13,8 +13,6 @@
 //     enumerated.
 package enum
 
-import "sortsynth/internal/uarch"
-
 // Heuristic selects the A* guidance of §3.1.
 type Heuristic uint8
 
@@ -117,28 +115,6 @@ type Options struct {
 	// accumulated instruction weight so the search walks
 	// toward cheap programs first.
 	Objective Objective
-
-	// Profile names the uarch profile the objective ranking runs under
-	// ("" = the default big out-of-order core). Unknown names are
-	// rejected with an *UnknownProfileError in Result.Err. Ignored —
-	// and excluded from cache keys — when Objective is shortest.
-	Profile string
-}
-
-// CanonicalProfile returns the profile name as it participates in cache
-// keys: "" when the objective is shortest (the ranking never runs, so
-// the profile cannot influence the artifact and must not fragment the
-// key space), otherwise the resolved profile name with the default
-// spelled out. Unresolvable names are returned verbatim — they are
-// rejected before any artifact exists.
-func (o Options) CanonicalProfile() string {
-	if o.Objective == ObjectiveShortest {
-		return ""
-	}
-	if p, ok := uarch.ProfileByName(o.Profile); ok {
-		return p.Name
-	}
-	return o.Profile
 }
 
 // ConfigBase is the ablation baseline (I): A* with deduplication and no

@@ -184,11 +184,6 @@ func RunContext(ctx context.Context, set *isa.Set, opt Options) *Result {
 	if opt.Objective > ObjectiveBalanced {
 		return &Result{Length: -1, Err: &UnknownObjectiveError{Name: opt.Objective.String()}}
 	}
-	if opt.Objective != ObjectiveShortest || opt.Profile != "" {
-		if _, ok := uarch.ProfileByName(opt.Profile); !ok {
-			return &Result{Length: -1, Err: &UnknownProfileError{Name: opt.Profile}}
-		}
-	}
 	s := newSearcher(ctx, set, opt)
 	s.search()
 	return s.finish()
@@ -615,8 +610,7 @@ func (s *searcher) program(id int32) isa.Program {
 // the caller asked for AllSolutions, and is truncated to the caller's
 // MaxSolutions, in ranked (best-first) order.
 func (s *searcher) rerank(r *Result) {
-	prof, _ := uarch.ProfileByName(s.opt.Profile) // validated in RunContext
-	ranked := rankPrograms(s.set, r.Programs, s.opt.Objective, prof)
+	ranked := rankPrograms(s.set, r.Programs, s.opt.Objective)
 	r.RerankCandidates = len(ranked)
 	r.RerankTruncated = r.SolutionCount > int64(len(ranked))
 	r.Program = ranked[0].prog

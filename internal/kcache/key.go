@@ -13,6 +13,7 @@ import (
 
 	"sortsynth/internal/enum"
 	"sortsynth/internal/isa"
+	"sortsynth/internal/uarch"
 )
 
 // Key identifies one synthesis artifact: the instruction-set
@@ -45,9 +46,10 @@ func KeyFor(set *isa.Set, opt enum.Options) Key {
 }
 
 // KeyForBackend builds the cache key for a synthesis run through the
-// named registry backend. The enum option fields beyond MaxLen and
-// DuplicateSafe do not apply to other backends and stay zero.
-func KeyForBackend(set *isa.Set, backendName string, maxLen int, seed int64, duplicateSafe bool) Key {
+// named registry backend. The enum option fields beyond MaxLen do not
+// apply to other backends and stay zero; DuplicateSafe does too, since
+// sortsynthd rejects duplicate_safe for every backend but enum.
+func KeyForBackend(set *isa.Set, backendName string, maxLen int, seed int64) Key {
 	name := "cmov"
 	if set.Kind == isa.KindMinMax {
 		name = "minmax"
@@ -55,7 +57,7 @@ func KeyForBackend(set *isa.Set, backendName string, maxLen int, seed int64, dup
 	return Key{
 		ISA: name, N: set.N, M: set.M,
 		Backend: backendName, Seed: seed,
-		Opt: enum.Options{MaxLen: maxLen, DuplicateSafe: duplicateSafe},
+		Opt: enum.Options{MaxLen: maxLen},
 	}
 }
 
@@ -66,7 +68,7 @@ func KeyForBackend(set *isa.Set, backendName string, maxLen int, seed int64, dup
 // "re-bake" error — instead of silently missing on every lookup.
 //
 // v3 (this version) appends the synthesis objective and, for
-// non-shortest objectives, the uarch profile name; v2 predates
+// non-shortest objectives, the uarch model's name; v2 predates
 // objectives entirely.
 const KeyVersion = 3
 
@@ -87,9 +89,9 @@ const KeyVersion = 3
 //
 // Normalizations keep distinct spellings of the same search identical:
 // CutK is meaningless when the cut is off, an empty Backend means
-// "enum", and the uarch profile is keyed only for non-shortest
-// objectives (where it can influence the winner), with the default
-// profile's name spelled out (Options.CanonicalProfile).
+// "enum", and the "prof=" segment names the uarch model's one core
+// (uarch.ProfileName) for non-shortest objectives, whose winner the
+// model picks, and is empty for shortest, where no ranking runs.
 //
 // Two segments are derived text kept so that every v3 key stays
 // byte-identical to the one written when the options still carried a
@@ -150,7 +152,9 @@ func (k Key) AppendCanonical(b []byte) []byte {
 	b = append(b, "|obj="...)
 	b = append(b, o.Objective.String()...)
 	b = append(b, "|prof="...)
-	b = append(b, o.CanonicalProfile()...)
+	if o.Objective != enum.ObjectiveShortest {
+		b = append(b, uarch.ProfileName...)
+	}
 	return b
 }
 

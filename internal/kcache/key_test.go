@@ -14,7 +14,8 @@ import (
 // replaced; the two must stay byte-identical forever, or every persisted
 // artifact (disk-tier entries, baked universes) silently misses. The
 // w= and erase= segments are derived: every key has weight 1, and every
-// enum search runs the value-erasure check.
+// enum search runs the value-erasure check. prof= names the one uarch
+// model for ranked objectives and is empty for shortest.
 func referenceCanonical(k Key) string {
 	o := k.Opt
 	cutK := o.CutK
@@ -24,6 +25,10 @@ func referenceCanonical(k Key) string {
 	be := k.Backend
 	if be == "" {
 		be = "enum"
+	}
+	prof := ""
+	if o.Objective != enum.ObjectiveShortest {
+		prof = "big-ooo"
 	}
 	return fmt.Sprintf(
 		"v3|backend=%s|seed=%d|isa=%s|n=%d|m=%d|heur=%d|w=1|cut=%d|k=%s|dist=%t|guide=%t|erase=%t|maxlen=%d|all=%t|maxsols=%d|dupsafe=%t|obj=%s|prof=%s",
@@ -36,7 +41,7 @@ func referenceCanonical(k Key) string {
 		o.MaxLen,
 		o.AllSolutions, o.MaxSolutions,
 		o.DuplicateSafe,
-		o.Objective, o.CanonicalProfile(),
+		o.Objective, prof,
 	)
 }
 
@@ -60,7 +65,7 @@ func testKeys() []Key {
 			MaxLen: 11, Objective: enum.ObjectiveFastest,
 		}},
 		{ISA: "cmov", N: 3, M: 1, Opt: enum.Options{
-			MaxLen: 11, Objective: enum.ObjectiveBalanced, Profile: "little",
+			MaxLen: 11, Objective: enum.ObjectiveBalanced,
 		}},
 	}
 }

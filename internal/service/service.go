@@ -23,13 +23,11 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
 	"time"
 
 	"sortsynth/internal/backend"
 	"sortsynth/internal/isa"
 	"sortsynth/internal/kcache"
-	"sortsynth/internal/uarch"
 	"sortsynth/internal/universe"
 )
 
@@ -61,12 +59,6 @@ type Config struct {
 	// MaxBatch bounds the spec list accepted by /v1/synthesize/batch
 	// (0 = 32).
 	MaxBatch int
-	// UarchProfile names the uarch profile objective rankings run under
-	// ("" = the default big out-of-order core; see internal/uarch).
-	// Deployment-wide: the profile describes the hardware the fleet
-	// serves, so it is a server flag, not a request field. It
-	// participates in non-shortest cache keys.
-	UarchProfile string
 }
 
 // Server is the sortsynthd HTTP handler. Create it with New, serve it
@@ -100,10 +92,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 32
-	}
-	if _, ok := uarch.ProfileByName(cfg.UarchProfile); !ok {
-		return nil, fmt.Errorf("service: unknown uarch profile %q (known: %s)",
-			cfg.UarchProfile, strings.Join(uarch.ProfileNames(), ", "))
 	}
 	cache, err := kcache.New(cfg.CacheDir, cfg.CacheSize)
 	if err != nil {

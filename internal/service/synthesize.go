@@ -236,12 +236,12 @@ func (s *Server) prepareSynthesize(req *synthesizeRequest) (prepared, error) {
 		}
 		p.key = kcache.KeyFor(set, opt)
 		b = &backend.Enum{Opt: opt}
-		spec = backend.Spec{MaxLen: opt.MaxLen, DuplicateSafe: opt.DuplicateSafe, Objective: opt.Objective, Profile: opt.Profile}
+		spec = backend.Spec{MaxLen: opt.MaxLen, DuplicateSafe: opt.DuplicateSafe, Objective: opt.Objective}
 	} else {
 		if spec, err = s.buildSpec(set, beName, req); err != nil {
 			return p, err
 		}
-		p.key = kcache.KeyForBackend(set, beName, spec.MaxLen, spec.Seed, spec.DuplicateSafe)
+		p.key = kcache.KeyForBackend(set, beName, spec.MaxLen, spec.Seed)
 	}
 	p.run = func(fctx context.Context) (*kcache.Entry, error) {
 		return s.runFlight(fctx, p.key, set, b, spec)
@@ -320,10 +320,6 @@ func (s *Server) buildOptions(set *isa.Set, req *synthesizeRequest) (enum.Option
 		return opt, err
 	}
 	opt.Objective = obj
-	// The profile is a server-wide deployment knob (the hardware the
-	// fleet ranks for), not a per-request one: per-request profiles would
-	// fragment the cache by client whim.
-	opt.Profile = s.cfg.UarchProfile
 	opt.DuplicateSafe = req.DuplicateSafe
 	opt.MaxLen, err = resolveMaxLen(set, req.MaxLen)
 	return opt, err
@@ -476,14 +472,13 @@ func searchErrorStatus(ctx context.Context, err error) (int, string) {
 	var budgetErr budgetExhaustedError
 	var depthErr *enum.DepthLimitError
 	var objErr *enum.UnknownObjectiveError
-	var profErr *enum.UnknownProfileError
 	var unsupErr *backend.UnsupportedObjectiveError
 	switch {
 	case errors.As(err, &depthErr):
 		// Normally rejected in buildOptions before a flight starts; this
 		// is the engine's own guard surfacing as a client error.
 		return http.StatusBadRequest, err.Error()
-	case errors.As(err, &objErr), errors.As(err, &profErr), errors.As(err, &unsupErr):
+	case errors.As(err, &objErr), errors.As(err, &unsupErr):
 		// Same story: prepareSynthesize rejects these before a flight,
 		// so hitting this arm means the engine-level guard fired.
 		return http.StatusBadRequest, err.Error()

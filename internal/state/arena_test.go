@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-
-	"sortsynth/internal/isa"
 )
 
 func TestArenaSaveAt(t *testing.T) {
@@ -88,50 +86,5 @@ func TestArenaAtIsCapped(t *testing.T) {
 	_ = append(got, 7) // must copy, not write slab[3]
 	if next := a.At(3, 1); next[0] != 9 {
 		t.Fatalf("append through At clobbered the neighbouring entry: %d", next[0])
-	}
-}
-
-// TestPermCountExceedsSetMatchesLinear checks the stamped-set variant
-// against the linear-scan original on random raw states across both
-// suites, including the early-out thresholds (limit ≥ len(s), limit ≥ 64)
-// and epoch reuse of one ProjSet across many calls.
-func TestPermCountExceedsSetMatchesLinear(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, suite := range []Suite{SuitePermutations, SuiteWeakOrders} {
-		m := NewMachineSuite(isa.NewCmov(3, 1), suite)
-		var ps ProjSet
-		base := m.Initial()
-		for trial := 0; trial < 2000; trial++ {
-			// Random raw (non-canonical) states: duplicates and arbitrary
-			// order, drawn from reachable assignments with mutated scratch.
-			s := make(State, 1+rng.Intn(2*len(base)))
-			for i := range s {
-				a := base[rng.Intn(len(base))]
-				if rng.Intn(2) == 0 {
-					a ^= Asg(rng.Intn(16)) << 2 // perturb the low scratch nibble
-				}
-				s[i] = a
-			}
-			limit := rng.Intn(70)
-			want := m.PermCountExceeds(s, limit)
-			if got := m.PermCountExceedsSet(s, limit, &ps); got != want {
-				t.Fatalf("suite %v trial %d: Set=%v linear=%v (len=%d limit=%d)",
-					suite, trial, got, want, len(s), limit)
-			}
-		}
-	}
-}
-
-// TestProjSetEpochWraparound forces the uint32 epoch to wrap and checks
-// stale stamps cannot alias as current.
-func TestProjSetEpochWraparound(t *testing.T) {
-	m := NewMachine(isa.NewCmov(2, 1))
-	s := m.Initial().Clone()
-	ps := ProjSet{epoch: ^uint32(0) - 1}
-	for i := 0; i < 4; i++ { // crosses the wrap between calls
-		want := m.PermCountExceeds(s, 1)
-		if got := m.PermCountExceedsSet(s, 1, &ps); got != want {
-			t.Fatalf("call %d across epoch wrap: got %v, want %v", i, got, want)
-		}
 	}
 }

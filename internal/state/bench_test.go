@@ -125,42 +125,31 @@ func BenchmarkAllViable(b *testing.B) {
 	}
 }
 
-// BenchmarkPermCountExceeds{Linear,Set} document the cut pre-check the
-// search engines moved from the O(len·count) linear scan to the
-// epoch-stamped projection set.
-func BenchmarkPermCountExceedsLinear(b *testing.B) {
-	m := state.NewMachine(isa.NewCmov(4, 1))
-	s := m.Initial()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sinkBool = m.PermCountExceeds(s, 12)
-	}
-}
-
-func BenchmarkPermCountExceedsSet(b *testing.B) {
+// BenchmarkErasedCountExceeds measures the search's pre-apply cut test
+// on the direct-indexed stamp table (cmov n=4, a sorted register's
+// erased keys).
+func BenchmarkErasedCountExceeds(b *testing.B) {
 	m := state.NewMachine(isa.NewCmov(4, 1))
 	s := m.Initial()
 	var ps state.ProjSet
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkBool = m.PermCountExceedsSet(s, 12, &ps)
+		sinkBool = m.ErasedCountExceeds(s, 1, 12, &ps)
 	}
 }
 
-// BenchmarkPermCountExceedsSetHashed measures the open-addressing
-// fallback on a machine whose projection field is too wide for the
-// direct-indexed stamp table (cmov n=5: BenchmarkPermCountExceedsSet
-// above exercises the direct path on n=4).
-func BenchmarkPermCountExceedsSetHashed(b *testing.B) {
-	m := state.NewMachine(isa.NewCmov(5, 2))
+// BenchmarkErasedCountExceedsHashed measures the open-addressing
+// fallback on a machine whose erased keys are too wide for the
+// direct-indexed stamp table (cmov n=5 over weak orders).
+func BenchmarkErasedCountExceedsHashed(b *testing.B) {
+	m := state.NewMachineSuite(isa.NewCmov(5, 1), state.SuiteWeakOrders)
 	s := m.Initial()
 	var ps state.ProjSet
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkBool = m.PermCountExceedsSet(s, 12, &ps)
+		sinkBool = m.ErasedCountExceeds(s, 1, 12, &ps)
 	}
 }
 
@@ -178,14 +167,13 @@ func TestHotPathsAllocFree(t *testing.T) {
 	s := m.Initial()
 	dst := make(state.State, len(s))
 	var ps state.ProjSet
-	m.PermCountExceedsSet(s, 12, &ps) // warm the stamp table
+	m.ErasedCountExceeds(s, 1, 12, &ps) // warm the stamp table
 	checks := []struct {
 		name string
 		fn   func()
 	}{
 		{"ApplyRaw", func() { dst = m.ApplyRaw(dst, s, in) }},
 		{"Candidates", func() { _, sinkMask = tab.Candidates(s, 19) }},
-		{"PermCountExceedsSet", func() { sinkBool = m.PermCountExceedsSet(s, 12, &ps) }},
 		{"ErasedCountExceeds", func() { sinkBool = m.ErasedCountExceeds(s, 1, 12, &ps) }},
 	}
 	for _, c := range checks {

@@ -26,14 +26,14 @@ func (m *Machine) ProjPreserving(in isa.Instr) bool {
 // erased counts, whose keys are a nibble narrower.
 const projDirectBits = 16
 
-// ProjSet is reusable scratch for PermCountExceedsSet and
-// ErasedCountExceeds: an epoch-stamped set of permutation projections.
-// Stamping makes clearing free (bump the epoch instead of zeroing the
-// table). Keys that fit projDirectBits use a direct-indexed stamp per
-// possible key — one load, no hashing, no probe chain; wider keys use
-// the open-addressing table, whose 256 slots keep the load factor under
-// 25% for the at-most-64 projections the cut test tracks. The zero value
-// is ready for use; a ProjSet must not be shared between goroutines.
+// ProjSet is reusable scratch for ErasedCountExceeds: an epoch-stamped
+// set of permutation projections. Stamping makes clearing free (bump the
+// epoch instead of zeroing the table). Keys that fit projDirectBits use
+// a direct-indexed stamp per possible key — one load, no hashing, no
+// probe chain; wider keys use the open-addressing table, whose 256 slots
+// keep the load factor under 25% for the at-most-64 projections the cut
+// test tracks. The zero value is ready for use; a ProjSet must not be
+// shared between goroutines.
 type ProjSet struct {
 	stamp []uint32
 	proj  []Asg
@@ -43,35 +43,24 @@ type ProjSet struct {
 	directEpoch uint16
 }
 
-// PermCountExceedsSet is PermCountExceeds with caller-provided scratch:
-// it reports whether s has more than limit distinct permutation
-// projections, accepting a raw (non-canonical) state and exiting as soon
-// as the count passes limit. The linear-scan variant pays O(count) per
-// assignment re-comparing every projection seen so far; the stamped set
-// pays a near-constant probe (a single direct-indexed load on machines
-// narrow enough for the direct table), which matters to the search's
-// pre-apply cut: ErasedCountExceeds is this test with one nibble erased,
-// and runs on every parent over the cut limit. Results are identical to
-// PermCountExceeds on every input.
-func (m *Machine) PermCountExceedsSet(s State, limit int, ps *ProjSet) bool {
-	return m.countExceeds(s, ^Asg(0), 0, limit, ps)
-}
-
 // ErasedCountExceeds reports whether s has more than limit distinct
 // permutation projections once register r's nibble is erased from each.
-// Like PermCountExceedsSet it accepts a raw or canonical state, exits as
-// soon as the count passes limit, and errs only on the side of false
-// (limit ≥ 64 or ≥ len(s) answers false).
+// It accepts a raw or canonical state, exits as soon as the count passes
+// limit, and errs only on the side of false (limit ≥ 64 or ≥ len(s)
+// answers false). The stamped set pays a near-constant probe per
+// assignment (a single direct-indexed load on machines narrow enough for
+// the direct table), and the search runs it on every parent over the cut
+// limit.
 //
 // It bounds the §3.5 cut's quantity before an apply: an instruction
 // writes at most one register r, so two assignments whose projections
 // differ outside r's nibble still differ after it, and the successor's
 // distinct projection count is at least the erased count of its parent.
-// When r is a scratch register nothing in the projection is erased and
-// the test is PermCountExceedsSet's.
+// When r is a scratch register nothing in the projection is erased, and
+// the test counts the distinct projections themselves.
 func (m *Machine) ErasedCountExceeds(s State, r, limit int, ps *ProjSet) bool {
 	if r >= m.Set.N {
-		return m.PermCountExceedsSet(s, limit, ps)
+		return m.countExceeds(s, ^Asg(0), 0, limit, ps)
 	}
 	return m.countExceeds(s, 1<<(4*r)-1, 4, limit, ps)
 }

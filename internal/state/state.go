@@ -466,38 +466,6 @@ func (m *Machine) PermCount(s State) int {
 	return count
 }
 
-// PermCountExceeds reports whether s has more than limit distinct
-// permutation projections. Unlike PermCount it accepts a raw
-// (non-canonical) successor state, so the search can apply the cut test
-// before paying for canonicalization; it errs only on the side of false
-// (callers re-check with the exact PermCount after canonicalizing), and
-// exits as soon as the count passes limit.
-func (m *Machine) PermCountExceeds(s State, limit int) bool {
-	if limit >= len(s) || limit >= 64 {
-		return false
-	}
-	var seen [64]Asg // stack-allocated: the method must be goroutine-safe
-	cnt := 0
-	for _, a := range s {
-		p := a >> m.permShift
-		dup := false
-		for _, q := range seen[:cnt] {
-			if q == p {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			if cnt == limit {
-				return true
-			}
-			seen[cnt] = p
-			cnt++
-		}
-	}
-	return false
-}
-
 // AllViable reports whether every assignment of s is viable.
 func (m *Machine) AllViable(s State) bool {
 	for _, a := range s {

@@ -35,53 +35,18 @@ type classInfo struct {
 	eliminated bool  // handled at rename, consumes no port
 }
 
-// Profile parameterizes the modeled core.
-type Profile struct {
-	Name       string
-	IssueWidth int
-	NumPorts   int
-	// MoveElimination models zero-latency register renaming of reg-reg
-	// moves (the paper's §2.1 observation about the spare move; big
-	// out-of-order cores have it, small in-order cores do not).
-	MoveElimination bool
-}
+// ProfileName names the one modeled core: a wide out-of-order core in
+// the style of recent Intel/AMD designs, the class of machine the paper
+// measures on. It is spelled out in the cache keys of ranked (non-
+// shortest) syntheses.
+const ProfileName = "big-ooo"
 
-// BigCore is the default profile: a wide out-of-order core in the style
-// of recent Intel/AMD designs (the class of machine the paper measures
-// on).
-var BigCore = Profile{Name: "big-ooo", IssueWidth: 4, NumPorts: 4, MoveElimination: true}
-
-// LittleCore is a narrow in-order-ish profile (two ALU ports, no move
-// elimination) for ranking-robustness checks.
-var LittleCore = Profile{Name: "little", IssueWidth: 2, NumPorts: 2, MoveElimination: false}
-
-// Profiles returns the named profiles, default first. The slice is
-// freshly allocated; callers may reorder it.
-func Profiles() []Profile { return []Profile{BigCore, LittleCore} }
-
-// ProfileNames returns the selectable profile names, default first —
-// the values accepted by the -uarch-profile flags and the API layer.
-func ProfileNames() []string {
-	ps := Profiles()
-	names := make([]string, len(ps))
-	for i, p := range ps {
-		names[i] = p.Name
-	}
-	return names
-}
-
-// ProfileByName resolves a profile by its Name. The empty string means
-// the default (BigCore); unknown names report ok = false. Allocation-
-// free — cache-key canonicalization calls it on the serving hot path.
-func ProfileByName(name string) (Profile, bool) {
-	switch name {
-	case "", BigCore.Name:
-		return BigCore, true
-	case LittleCore.Name:
-		return LittleCore, true
-	}
-	return Profile{}, false
-}
+// The modeled core issues issueWidth instructions per cycle onto
+// numPorts ALU ports.
+const (
+	issueWidth = 4
+	numPorts   = 4
+)
 
 // Modeled ports: 0..3 are ALU-capable; SIMD min/max can only use 0..2.
 var classes = [isa.NumOps]classInfo{
@@ -198,54 +163,38 @@ type Analysis struct {
 	Throughput float64
 }
 
-// Analyze runs all metrics on p under the default BigCore profile.
+// Analyze runs all metrics on p.
 func Analyze(set *isa.Set, p isa.Program) Analysis {
-	return AnalyzeProfile(set, p, BigCore)
-}
-
-// AnalyzeProfile runs all metrics on p under prof. Score and
-// CriticalPath are profile-independent (the critical path assumes move
-// elimination either way — it measures the data-dependence structure);
-// Throughput and the uop count follow the profile.
-func AnalyzeProfile(set *isa.Set, p isa.Program, prof Profile) Analysis {
 	a := Analysis{
 		Instructions: len(p),
 		Score:        Score(p),
 		CriticalPath: CriticalPath(set, p),
 	}
 	for _, in := range p {
-		if !classes[in.Op].eliminated || !prof.MoveElimination {
+		if !classes[in.Op].eliminated {
 			a.Uops++
 		}
 	}
 	if a.CriticalPath > 0 {
 		a.ILP = float64(a.Uops) / float64(a.CriticalPath)
 	}
-	a.Throughput = ThroughputProfile(set, p, prof)
+	a.Throughput = Throughput(set, p)
 	return a
 }
 
-// Throughput estimates steady-state cycles per kernel invocation on the
-// default BigCore profile.
-func Throughput(set *isa.Set, p isa.Program) float64 {
-	return ThroughputProfile(set, p, BigCore)
-}
-
-// ThroughputProfile estimates steady-state cycles per kernel invocation
-// with a greedy cycle-accurate simulation: iterations of the kernel on
-// independent inputs are issued in order, at most IssueWidth
+// Throughput estimates steady-state cycles per kernel invocation with a
+// greedy cycle-accurate simulation: iterations of the kernel on
+// independent inputs are issued in order, at most issueWidth
 // instructions per cycle, each uop executing on the lowest-numbered free
 // eligible port once its operands are ready.
-func ThroughputProfile(set *isa.Set, p isa.Program, prof Profile) float64 {
+func Throughput(set *isa.Set, p isa.Program) float64 {
 	if len(p) == 0 {
 		return 0
 	}
 	const iterations = 64
 	regs := set.Regs()
 
-	type slot struct{ busyUntil int }
-	var ports [8]slot
-	numPorts := prof.NumPorts
+	var busyUntil [numPorts]int // per port: first cycle it is free
 
 	var buf [16]int
 	ready := readyTimes(&buf, regs)
@@ -262,11 +211,6 @@ func ThroughputProfile(set *isa.Set, p isa.Program, prof Profile) float64 {
 		}
 		for _, in := range p {
 			cl := classes[in.Op]
-			if cl.eliminated && !prof.MoveElimination {
-				cl.eliminated = false
-				cl.latency = 1
-				cl.ports = uint8(1<<prof.NumPorts - 1)
-			}
 			ops := deps(in, regs)
 			start := cycle
 			for _, r := range ops.reads[:ops.nreads] {
@@ -282,14 +226,14 @@ func ThroughputProfile(set *isa.Set, p isa.Program, prof Profile) float64 {
 				exec := start
 				for {
 					found := -1
-					for pt := 0; pt < numPorts; pt++ {
-						if cl.ports&(1<<pt) != 0 && ports[pt].busyUntil <= exec {
+					for pt := range busyUntil {
+						if cl.ports&(1<<pt) != 0 && busyUntil[pt] <= exec {
 							found = pt
 							break
 						}
 					}
 					if found >= 0 {
-						ports[found].busyUntil = exec + 1
+						busyUntil[found] = exec + 1
 						done = exec + cl.latency
 						break
 					}
@@ -300,9 +244,9 @@ func ThroughputProfile(set *isa.Set, p isa.Program, prof Profile) float64 {
 			if done > lastDone {
 				lastDone = done
 			}
-			// In-order issue, IssueWidth per cycle.
+			// In-order issue, issueWidth per cycle.
 			issued++
-			if issued == prof.IssueWidth {
+			if issued == issueWidth {
 				issued = 0
 				cycle++
 			}

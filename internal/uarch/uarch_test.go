@@ -110,40 +110,6 @@ func TestAnalyzeEmpty(t *testing.T) {
 	}
 }
 
-func TestProfileRankingStability(t *testing.T) {
-	// The headline ranking — synthesized min/max kernel at least as fast
-	// as its network implementation — must hold on both core profiles,
-	// and the little core must never be faster than the big one.
-	set := isa.NewMinMax(3, 1)
-	opt := enum.ConfigBest()
-	opt.MaxLen = 8
-	res := enum.Run(set, opt)
-	if res.Length != 8 {
-		t.Fatal("synthesis failed")
-	}
-	net := sortnet.Optimal(3).CompileMinMax()
-	for _, prof := range []uarch.Profile{uarch.BigCore, uarch.LittleCore} {
-		syn := uarch.ThroughputProfile(set, res.Program, prof)
-		nw := uarch.ThroughputProfile(set, net, prof)
-		if syn > nw+1e-9 {
-			t.Errorf("%s: synthesized %.2f slower than network %.2f", prof.Name, syn, nw)
-		}
-	}
-	if big, little := uarch.ThroughputProfile(set, net, uarch.BigCore), uarch.ThroughputProfile(set, net, uarch.LittleCore); little < big {
-		t.Errorf("little core faster than big core: %.2f vs %.2f", little, big)
-	}
-}
-
-func TestLittleCorePaysForMoves(t *testing.T) {
-	// Without move elimination, a mov-heavy kernel slows down relative to
-	// the big core.
-	set := isa.NewCmov(2, 1)
-	p, _ := isa.ParseProgram("mov s1 r1; mov r1 r2; mov r2 s1", 2)
-	if uarch.ThroughputProfile(set, p, uarch.LittleCore) <= uarch.ThroughputProfile(set, p, uarch.BigCore) {
-		t.Error("moves should cost cycles on the little core")
-	}
-}
-
 func TestThroughputDeterministic(t *testing.T) {
 	set := isa.NewCmov(3, 1)
 	p := sortnet.Optimal(3).CompileCmov()
@@ -152,15 +118,13 @@ func TestThroughputDeterministic(t *testing.T) {
 	}
 }
 
-func TestAnalyzeProfileAllocations(t *testing.T) {
+func TestAnalyzeAllocations(t *testing.T) {
 	set := isa.NewCmov(3, 1)
 	p, err := isa.ParseProgram("cmp r1 r2; mov s1 r1; cmovg r1 r2; cmovg r2 s1; cmp r2 r3; mov s1 r3; cmovg r3 r2; cmovg r2 s1; cmp r1 s1; cmovg r1 s1; cmovg s1 r1", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, prof := range uarch.Profiles() {
-		if n := testing.AllocsPerRun(50, func() { uarch.AnalyzeProfile(set, p, prof) }); n > 2 {
-			t.Errorf("%s: AnalyzeProfile allocates %.0f times per call, want ≤ 2", prof.Name, n)
-		}
+	if n := testing.AllocsPerRun(50, func() { uarch.Analyze(set, p) }); n > 2 {
+		t.Errorf("Analyze allocates %.0f times per call, want ≤ 2", n)
 	}
 }

@@ -50,7 +50,7 @@ func (sp Spec) Key() kcache.Key {
 		opt.Objective = sp.Objective
 		return kcache.KeyFor(sp.Set(), opt)
 	}
-	return kcache.KeyForBackend(sp.Set(), sp.Backend, sp.Budget, 0, false)
+	return kcache.KeyForBackend(sp.Set(), sp.Backend, sp.Budget, 0)
 }
 
 func (sp Spec) String() string {

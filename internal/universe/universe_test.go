@@ -39,7 +39,7 @@ func writeTestArtifact(t *testing.T) (string, []kcache.Key) {
 	keys := []kcache.Key{
 		enumKey("cmov", 2, 4),
 		enumKey("minmax", 3, 8),
-		kcache.KeyForBackend(Spec{ISA: "cmov", N: 3, M: 1}.Set(), "smt", 11, 0, false),
+		kcache.KeyForBackend(Spec{ISA: "cmov", N: 3, M: 1}.Set(), "smt", 11, 0),
 	}
 	for i, k := range keys {
 		if err := w.Add(k, testEntry("enum", 4+i)); err != nil {
