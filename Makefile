@@ -4,15 +4,17 @@ GOFMT ?= gofmt
 # check is the tier-1 gate: everything builds (cmd/ included), vets
 # clean, every Go file is gofmt-clean, and the full test suite passes
 # under the race detector. That suite includes the sortsynthd service
-# tests, the portfolio's answer gate (byte-identical to certifying
-# enum), the pinned cache-key hashes, and the objective properties: the
+# tests, the refutation rule (no-program only from a proof: the proved
+# optima, each in-repo one re-proved, or a certifying search), the
+# pinned cache-key hashes, and the objective properties: the
 # fastest pick never model-costs more than the shortest pick, objectives
 # mint distinct cache keys, and pre-v3 kernel stores are rejected with a
 # "re-bake" message. On top of it: the cross-backend conformance
 # harness reports zero divergences, the baked-universe gate proves a
-# miniature bake identical to live synthesis and serveable with zero
-# searches, every fuzz target survives a short -race fuzzing budget, the
-# generated sorting library passes its generate → vet → build →
+# miniature bake identical to live synthesis, its refutations below
+# proved optima, and serveable with zero searches, every fuzz target
+# survives a short -race fuzzing budget, the generated sorting library
+# passes its generate → vet → build →
 # differential gate, the enum and sortgen rows of the committed
 # BENCH_*.json files are re-measured without -race as throughput
 # regression gates, and the cross-architecture gate vets and tests the
@@ -50,10 +52,11 @@ conformance:
 # bake-check is the precomputed-universe gate: bake a miniature universe
 # (enum, n=2..3, budgets L*±2, dupsafe variants), verify every record's
 # checksum, byte-compare every baked record against a fresh live
-# synthesis, judge the store with the conformance harness against
-# independent ground truth, and serve a baked spec from a mounted
-# sortsynthd with zero searches started. Exits nonzero on any
-# divergence; writes results/bakecheck.txt.
+# synthesis, fail on any negative record at or above its set's proved
+# optimum (or for a set with none), judge the store with the
+# conformance harness against independent ground truth, and serve a
+# baked spec from a mounted sortsynthd with zero searches started.
+# Exits nonzero on any divergence; writes results/bakecheck.txt.
 .PHONY: bake-check
 bake-check:
 	$(GO) run ./cmd/experiments -table=bakecheck

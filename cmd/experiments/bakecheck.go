@@ -15,6 +15,7 @@ import (
 
 	"sortsynth/internal/backend"
 	"sortsynth/internal/conformance"
+	"sortsynth/internal/isa"
 	"sortsynth/internal/kcache"
 	"sortsynth/internal/service"
 	"sortsynth/internal/universe"
@@ -69,12 +70,19 @@ func init() {
 		// Phase 2: differential replay — every enumerated spec is
 		// re-synthesized live through the same registry choke point and
 		// the baked record must match it byte for byte (identity fields;
-		// timing is run-dependent by nature).
+		// timing is run-dependent by nature). Every negative record must
+		// also lie below its set's proved optimum.
 		c.section("Differential: every baked record vs a fresh live synthesis")
 		reg := backend.Default()
-		mismatches := 0
+		mismatches, unproved := 0, 0
 		for _, sp := range universe.EnumerateSpecs(opt) {
 			baked, ok := store.Lookup(sp.Key())
+			if ok && baked.NoKernel {
+				if lstar, _, proved := isa.ProvedOptimalLength(sp.Set()); !proved || baked.Length >= lstar {
+					unproved++
+					c.printf("UNPROVED %s: negative record of length %d, proved optimum %d (0: none)\n", sp, baked.Length, lstar)
+				}
+			}
 			live, err := bakecheckLive(reg, sp)
 			if err != nil {
 				return fmt.Errorf("live synthesis for %s: %w", sp, err)
@@ -99,6 +107,9 @@ func init() {
 		}
 		if mismatches > 0 {
 			return fmt.Errorf("differential replay: %d baked records diverge from live synthesis", mismatches)
+		}
+		if unproved > 0 {
+			return fmt.Errorf("refutations: %d negative records lie outside the proved optima", unproved)
 		}
 		c.printf("all %d records byte-identical to live synthesis\n", store.Len())
 

@@ -30,30 +30,32 @@ func optimalityPreserving(o enum.Options) bool {
 	return admissible && o.Cut == enum.CutNone && !o.UseActionGuide
 }
 
+// proofBudget caps the certifying search in expanded states: it covers
+// every n ≤ 3 budget (cmov n=3 at length 10 takes 2,625 states, 4,315
+// duplicate-safe) and bounds the extra work elsewhere. A var so that a
+// test can lower it.
+var proofBudget int64 = 1 << 18
+
 // Enum adapts the §3 enumerative Dijkstra/A* engine: a search under
-// Opt, with Spec overriding MaxLen, DuplicateSafe and Objective.
+// Opt, with Spec overriding MaxLen, DuplicateSafe and Objective. It
+// refutes a budget only with a proof, one rule in order:
 //
-// A budget above the set's known optimal length L* (isa.KnownOptimalLength)
-// is searched at L* first. ConfigBest's action guide and §3.5 cut do
-// not preserve optimality, so its first find under a slack budget can
-// be longer than L*: min/max n=4 at MaxLen 16 finds 16, cmov n=4 at 23
-// finds 23, cmov n=3 duplicate-safe at 12 finds 12. Only when the L*
-// search comes up empty without being stopped is the requested budget
-// searched, and the effort of both searches is reported. The fallback
-// keeps a refutation a statement about the requested budget: the n=5
-// table entries are only best known, and the table is for the
-// permutation suite.
+//  1. Under a configuration that does not preserve optimality (such as
+//     ConfigBest), a budget below the set's proved optimum
+//     (isa.ProvedOptimalLength) answers StatusNoProgram without a
+//     search; a duplicate-safe kernel sorts every permutation too.
+//  2. A budget above the known optimal length L* (isa.KnownOptimalLength)
+//     is searched at L* first, since ConfigBest's first find under slack
+//     can be longer (min/max n=4 at MaxLen 16 finds 16). Only when that
+//     search comes up empty without a stop is the budget searched.
+//  3. A search that exhausts without a proof (the cut or the action
+//     guide voids it) is re-run with only optimality-preserving pruning,
+//     capped at proofBudget states: its exhaustion refutes, its find is
+//     returned, and a spent cap leaves StatusExhausted.
+//
+// The reported effort sums every search run.
 type Enum struct {
 	Opt enum.Options
-	// ProofBudget, when > 0, lets a search that exhausts without a
-	// proof (the §3.5 cut or the action guide voids it) try to certify
-	// its verdict: the budget is re-searched with only
-	// optimality-preserving pruning, capped at ProofBudget expanded
-	// states. If that search exhausts, the result is a sound
-	// refutation (StatusNoProgram); if it finds a kernel the cut had
-	// lost, the kernel is returned; if the context stops it, the stop is
-	// reported. Otherwise the verdict stays StatusExhausted.
-	ProofBudget int64
 }
 
 // Name implements Backend.
@@ -73,6 +75,11 @@ func (b *Enum) Synthesize(ctx context.Context, set *isa.Set, spec Spec) (*Result
 	opt.DuplicateSafe = spec.DuplicateSafe
 	opt.Objective = spec.Objective
 	budget := opt.MaxLen
+	res := &Result{Backend: b.Name(), Length: budget}
+	if lstar, _, ok := isa.ProvedOptimalLength(set); ok && 0 < budget && budget < lstar && !optimalityPreserving(opt) {
+		res.Status = StatusNoProgram
+		return res, nil
+	}
 	if lstar, ok := isa.KnownOptimalLength(set); ok && budget > lstar {
 		opt.MaxLen = lstar
 	}
@@ -90,11 +97,11 @@ func (b *Enum) Synthesize(ctx context.Context, set *isa.Set, spec Spec) (*Result
 		r.Generated += first.Generated
 		r.Elapsed += first.Elapsed
 	}
-	if r.Program == nil && r.Exhausted && !r.Proof && b.ProofBudget > 0 {
+	if r.Program == nil && r.Exhausted && !r.Proof {
 		proof := enum.ConfigProof(opt.MaxLen)
 		proof.AllSolutions = false
 		proof.DuplicateSafe, proof.Objective = opt.DuplicateSafe, opt.Objective
-		proof.StateBudget = b.ProofBudget
+		proof.StateBudget = proofBudget
 		pr := enum.RunContext(ctx, set, proof)
 		if pr.Err != nil {
 			return nil, pr.Err
@@ -102,18 +109,9 @@ func (b *Enum) Synthesize(ctx context.Context, set *isa.Set, spec Spec) (*Result
 		pr.Expanded += r.Expanded
 		pr.Generated += r.Generated
 		pr.Elapsed += r.Elapsed
-		if pr.Program != nil || pr.Proof {
-			r, opt = pr, proof
-		} else {
-			r.Expanded, r.Generated, r.Elapsed = pr.Expanded, pr.Generated, pr.Elapsed
-			r.Cancelled, r.TimedOut = pr.Cancelled, pr.TimedOut
-		}
+		r, opt = pr, proof
 	}
-	res := &Result{
-		Backend: b.Name(),
-		Length:  budget,
-		Stats:   Stats{Elapsed: r.Elapsed, Nodes: r.Expanded, Generated: r.Generated},
-	}
+	res.Stats = Stats{Elapsed: r.Elapsed, Nodes: r.Expanded, Generated: r.Generated}
 	switch {
 	case r.Cancelled:
 		res.Status = stopStatus(ctx)

@@ -3,9 +3,6 @@ package backend
 import (
 	"context"
 	"errors"
-	"fmt"
-	"math"
-	"runtime"
 	"testing"
 
 	"sortsynth/internal/enum"
@@ -119,7 +116,7 @@ func TestDefaultRegistryHasAllSevenBackends(t *testing.T) {
 // is longer than L*: min/max n=4 at 16, 17 and 30 finds 16 (18
 // duplicate-safe at 30), cmov n=4 at 23 finds 23, cmov n=3
 // duplicate-safe at 12 and 13 finds 12, min/max n=5 at 26 finds 26.
-// Both registry enum entries search L* first and answer L*.
+// The registry's enum searches L* first and answers L*.
 func TestEnumSlackBudgetAnswersKnownOptimum(t *testing.T) {
 	type row struct {
 		kind   isa.Kind
@@ -141,20 +138,14 @@ func TestEnumSlackBudgetAnswersKnownOptimum(t *testing.T) {
 	if !testing.Short() {
 		rows = append(rows, row{isa.KindCmov, 4, 23, false, 20})
 	}
-	for _, name := range []string{"enum", "portfolio"} {
-		b, err := Default().Get(name)
+	for _, r := range rows {
+		res, err := Default().Synthesize(context.Background(), "enum", isa.New(r.kind, r.n, 1), Spec{MaxLen: r.budget, DuplicateSafe: r.dup})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%v n=%d budget %d dup=%v: %v", r.kind, r.n, r.budget, r.dup, err)
 		}
-		for _, r := range rows {
-			res, err := Run(context.Background(), b, isa.New(r.kind, r.n, 1), Spec{MaxLen: r.budget, DuplicateSafe: r.dup})
-			if err != nil {
-				t.Fatalf("%s %v n=%d budget %d dup=%v: %v", name, r.kind, r.n, r.budget, r.dup, err)
-			}
-			if res.Status != StatusFound || res.Length != r.want {
-				t.Errorf("%s %v n=%d budget %d dup=%v: %s length %d, want found length %d",
-					name, r.kind, r.n, r.budget, r.dup, res.Status, res.Length, r.want)
-			}
+		if res.Status != StatusFound || res.Length != r.want {
+			t.Errorf("%v n=%d budget %d dup=%v: %s length %d, want found length %d",
+				r.kind, r.n, r.budget, r.dup, res.Status, res.Length, r.want)
 		}
 	}
 }
@@ -186,100 +177,121 @@ func TestEnumSlackFallback(t *testing.T) {
 	}
 }
 
-// TestDefaultPortfolioAnswersMatchEnum is the portfolio's answer gate,
-// at GOMAXPROCS 1 and 2: on a mixed workload (both ISAs, n = 2 and 3,
-// three seeds each, at the certified optimal budget) and one budget
-// below the optimum per ISA, "portfolio" returns the status, length and
-// kernel bytes of a direct certifying enum synthesis, whatever the seed.
+// TestDefaultPortfolioAnswersMatchEnum: "portfolio" is an alias of the
+// registry's enum, the same instance, so its answers are enum's,
+// reported under enum's name.
 func TestDefaultPortfolioAnswersMatchEnum(t *testing.T) {
-	ref := &Enum{Opt: enum.ConfigBest(), ProofBudget: 1 << 18}
 	pf, err := Default().Get("portfolio")
 	if err != nil {
 		t.Fatal(err)
 	}
-	optimum := map[isa.Kind]map[int]int{
-		isa.KindCmov:   {2: 4, 3: 11},
-		isa.KindMinMax: {2: 3, 3: 8},
+	en, err := Default().Get("enum")
+	if err != nil {
+		t.Fatal(err)
 	}
-	type row struct {
-		kind isa.Kind
-		n    int
-		spec Spec
-		want Status
+	if pf != en {
+		t.Fatalf("portfolio resolves to %T %p, want the registry's enum %p", pf, pf, en)
 	}
-	var rows []row
-	for _, kind := range []isa.Kind{isa.KindCmov, isa.KindMinMax} {
-		for _, n := range []int{2, 3} {
-			for seed := int64(1); seed <= 3; seed++ {
-				rows = append(rows, row{kind, n, Spec{MaxLen: optimum[kind][n], Seed: seed}, StatusFound})
-			}
-		}
-		rows = append(rows, row{kind, 3, Spec{MaxLen: optimum[kind][3] - 1}, StatusNoProgram})
+	res, err := Default().Synthesize(context.Background(), "portfolio", isa.NewCmov(3, 1), Spec{MaxLen: 11, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 2} {
-		runtime.GOMAXPROCS(procs)
-		for _, r := range rows {
-			set := isa.New(r.kind, r.n, 1)
-			label := fmt.Sprintf("GOMAXPROCS=%d %v len=%d seed=%d", procs, set, r.spec.MaxLen, r.spec.Seed)
-			want, err := Run(context.Background(), ref, set, r.spec)
-			if err != nil || want.Status != r.want {
-				t.Fatalf("%s: enum reference %v %+v, want %v", label, err, want, r.want)
-			}
-			got, err := Run(context.Background(), pf, set, r.spec)
-			if err != nil {
-				t.Fatalf("%s: portfolio: %v", label, err)
-			}
-			if got.Backend != "portfolio" || got.Status != want.Status || got.Length != want.Length ||
-				got.Program.Format(r.n) != want.Program.Format(r.n) {
-				t.Errorf("%s: portfolio %s %v length %d\n%s\nenum %v length %d\n%s", label,
-					got.Backend, got.Status, got.Length, got.Program.Format(r.n),
-					want.Status, want.Length, want.Program.Format(r.n))
-			}
-		}
+	if res.Backend != "enum" || res.Status != StatusFound || res.Length != 11 {
+		t.Fatalf("portfolio: %s %v length %d, want enum found length 11", res.Backend, res.Status, res.Length)
 	}
 }
 
-// TestEnumProofBudgetCertifiesRefutation: ConfigBest's §3.5 cut voids
-// the exhaustion proof, so one below the cmov n=3 optimum the plain
-// adapter can only report a spent budget. With a ProofBudget the same
-// search certifies the refutation — unless the budget is too small to
-// finish the certifying search, which leaves the verdict unchanged.
+// TestEnumRefutesBelowProvedOptimumFromTable: below a proved optimum a
+// configuration whose exhaustion proves nothing answers no-program from
+// the table, without a search, for duplicate-safe specs and ranking
+// objectives too; one below the cmov n=4 optimum the cut search would
+// exhaust without a proof. ConfigProof still searches: its own
+// exhaustion is the proof.
+func TestEnumRefutesBelowProvedOptimumFromTable(t *testing.T) {
+	en, err := Default().Get("enum")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []isa.Kind{isa.KindCmov, isa.KindMinMax} {
+		for n := 2; n <= 4; n++ {
+			set := isa.New(kind, n, 1)
+			lstar, _, ok := isa.ProvedOptimalLength(set)
+			if !ok {
+				t.Fatalf("%v: no proved optimum", set)
+			}
+			for _, spec := range []Spec{
+				{MaxLen: lstar - 1},
+				{MaxLen: lstar - 2, DuplicateSafe: true},
+				{MaxLen: lstar - 1, Objective: enum.ObjectiveFastest},
+			} {
+				res, err := Run(context.Background(), en, set, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Status != StatusNoProgram || res.Length != spec.MaxLen || res.Stats.Nodes != 0 {
+					t.Errorf("%v %+v: %v length %d after %d states, want a table no-program at %d",
+						set, spec, res.Status, res.Length, res.Stats.Nodes, spec.MaxLen)
+				}
+			}
+		}
+	}
+	res, err := Run(context.Background(), &Enum{Opt: enum.ConfigProof(0)}, isa.NewCmov(3, 1), Spec{MaxLen: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusNoProgram || res.Stats.Nodes == 0 {
+		t.Fatalf("ConfigProof: %v after %d states, want a searched no-program", res.Status, res.Stats.Nodes)
+	}
+}
+
+// TestEnumProofBudgetCertifiesRefutation: sets with m ≠ 1 have no table
+// entry, so a ConfigBest exhaustion below their optimum proves nothing
+// (the §3.5 cut voids it) and the capped certifying search settles it:
+// min/max n=3 m=2 at 7 after a few hundred states, cmov n=3 m=2 at 10
+// after about 57,000. A proofBudget too small to finish the certifying
+// search leaves the verdict a spent budget.
 func TestEnumProofBudgetCertifiesRefutation(t *testing.T) {
-	set := isa.NewCmov(3, 1)
-	spec := Spec{MaxLen: 10}
+	en, err := Default().Get("enum")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
-		budget int64
+		set    *isa.Set
+		budget int
+		proof  int64
 		want   Status
 	}{
-		{0, StatusExhausted},
-		{1 << 18, StatusNoProgram},
-		{1000, StatusExhausted},
+		{isa.NewMinMax(3, 2), 7, proofBudget, StatusNoProgram},
+		{isa.NewCmov(3, 2), 10, proofBudget, StatusNoProgram},
+		{isa.NewCmov(3, 2), 10, 1000, StatusExhausted},
 	} {
-		res, err := Run(context.Background(), &Enum{Opt: enum.ConfigBest(), ProofBudget: tc.budget}, set, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Status != tc.want {
-			t.Fatalf("ProofBudget %d: status %v, want %v", tc.budget, res.Status, tc.want)
-		}
+		func() {
+			defer func(b int64) { proofBudget = b }(proofBudget)
+			proofBudget = tc.proof
+			res, err := Run(context.Background(), en, tc.set, Spec{MaxLen: tc.budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Status != tc.want {
+				t.Errorf("%v at %d, proofBudget %d: %v after %d states, want %v",
+					tc.set, tc.budget, tc.proof, res.Status, res.Stats.Nodes, tc.want)
+			}
+		}()
 	}
 }
 
 // TestEnumProofBudgetCertifiesDupSafeRefutation pins a duplicate-safe
-// refutation: one below the cmov n=3 optimum, the certifying proof
-// search fits the portfolio's 2^18-state cap only because the pair
-// bound prunes it (without it the search stops at the cap, unproven).
+// refutation by the certifying search: min/max n=3 m=2 at 7 has no
+// table entry and settles within proofBudget.
 func TestEnumProofBudgetCertifiesDupSafeRefutation(t *testing.T) {
-	b := &Enum{Opt: enum.ConfigBest(), ProofBudget: 1 << 18}
-	res, err := Run(context.Background(), b, isa.NewCmov(3, 1), Spec{MaxLen: 10, DuplicateSafe: true})
+	res, err := Default().Synthesize(context.Background(), "enum", isa.NewMinMax(3, 2), Spec{MaxLen: 7, DuplicateSafe: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusNoProgram {
-		t.Fatalf("status %v after %d nodes, want %v", res.Status, res.Stats.Nodes, StatusNoProgram)
+	if res.Status != StatusNoProgram || res.Stats.Nodes == 0 {
+		t.Fatalf("status %v after %d states, want a searched %v", res.Status, res.Stats.Nodes, StatusNoProgram)
 	}
-	t.Logf("certified after %d nodes", res.Stats.Nodes)
+	t.Logf("certified after %d states", res.Stats.Nodes)
 }
 
 // deadlineAt is a context whose deadline expires at its k-th Err check:
@@ -299,18 +311,17 @@ func (c *deadlineAt) Err() error {
 
 // TestEnumProofBudgetReportsStop: a deadline that expires during the
 // certifying search is reported as a timeout, not as a spent budget.
-// On min/max n=4 duplicate-safe at 14 the ConfigBest search (4,634
-// states) checks the context 5 times and the certifying search 74
-// times; the deadline falls at the 20th check.
+// On cmov n=3 m=2 at 10 the ConfigBest search (31,633 states) checks
+// the context 32 times and the certifying search about 25 times; the
+// deadline falls at the 45th check.
 func TestEnumProofBudgetReportsStop(t *testing.T) {
-	ctx := &deadlineAt{Context: context.Background(), k: 20}
-	b := &Enum{Opt: enum.ConfigBest(), ProofBudget: math.MaxInt64}
-	res, err := Run(ctx, b, isa.NewMinMax(4, 1), Spec{MaxLen: 14, DuplicateSafe: true})
+	ctx := &deadlineAt{Context: context.Background(), k: 45}
+	res, err := Default().Synthesize(ctx, "enum", isa.NewCmov(3, 2), Spec{MaxLen: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Status != StatusTimedOut || res.Stats.Nodes <= 4634 {
-		t.Fatalf("status %v after %d states, want %v during the certifying search (over 4,634 states)",
+	if res.Status != StatusTimedOut || res.Stats.Nodes <= 31633 {
+		t.Fatalf("status %v after %d states, want %v during the certifying search (over 31,633 states)",
 			res.Status, res.Stats.Nodes, StatusTimedOut)
 	}
 }

@@ -42,7 +42,7 @@ func TestObjectiveThroughRun(t *testing.T) {
 // error on every backend without a solution set to rank.
 func TestSingleSolutionBackendsRejectObjectives(t *testing.T) {
 	set := isa.NewCmov(2, 1)
-	for _, name := range []string{"smt", "cp", "ilp", "stoke", "mcts", "plan", "portfolio"} {
+	for _, name := range []string{"smt", "cp", "ilp", "stoke", "mcts", "plan"} {
 		_, err := Default().Synthesize(context.Background(), name, set, Spec{
 			MaxLen:    4,
 			Objective: enum.ObjectiveFastest,

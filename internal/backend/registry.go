@@ -80,15 +80,15 @@ var (
 )
 
 // Default returns the shared registry with all seven synthesizers in
-// their paper-best configurations, plus "portfolio": the enum engine in
-// its best configuration with a certifying proof budget (see
-// portfolio). Both enum entries search a budget above the known optimum
-// at the optimum first (see Enum), as sortsynthd and cmd/sortsynth do.
-// The instances are stateless per call, so sharing is safe.
+// their paper-best configurations. "portfolio" names the same *Enum as
+// "enum"; the name stays because clients and cache keys use it
+// (DESIGN.md §16). The instances are stateless per call, so sharing is
+// safe.
 func Default() *Registry {
 	defaultOnce.Do(func() {
 		r := NewRegistry()
-		r.Register(&Enum{Opt: enum.ConfigBest()})
+		e := &Enum{Opt: enum.ConfigBest()}
+		r.Register(e)
 		r.Register(NewSMT(smt.Options{
 			Goal:        smt.GoalAscCounts0,
 			Encoding:    smt.EncodingDense,
@@ -110,34 +110,8 @@ func Default() *Registry {
 			Heuristic: plan.HAdd,
 			MaxNodes:  2_000_000,
 		}))
-		r.Register(portfolio{&Enum{Opt: enum.ConfigBest(), ProofBudget: 1 << 18}})
+		r.backends["portfolio"] = e
 		defaultReg = r
 	})
 	return defaultReg
-}
-
-// portfolio is the registry's "portfolio" backend: enum with a
-// ProofBudget, so a search that comes up empty below the optimum still
-// certifies its refutation. The 2^18-state cap covers every n ≤ 3
-// budget (with the pair bound, cmov n=3 at length 10 takes 2,625
-// states, 4,315 duplicate-safe) and bounds the extra work everywhere
-// else. The name stays because clients and cache keys use it (DESIGN.md
-// §16). Like the single-solution backends it accepts the shortest
-// objective only.
-type portfolio struct{ *Enum }
-
-// Name implements Backend.
-func (b portfolio) Name() string { return "portfolio" }
-
-// Synthesize implements Backend.
-func (b portfolio) Synthesize(ctx context.Context, set *isa.Set, spec Spec) (*Result, error) {
-	if err := requireShortest(b.Name(), spec); err != nil {
-		return nil, err
-	}
-	res, err := b.Enum.Synthesize(ctx, set, spec)
-	if err != nil {
-		return nil, err
-	}
-	res.Backend = b.Name()
-	return res, nil
 }

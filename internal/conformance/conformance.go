@@ -73,7 +73,7 @@ type Options struct {
 	Parallel int
 
 	// Registry supplies the backends under test; nil means
-	// backend.Default(), i.e. all seven synthesizers plus the portfolio.
+	// backend.Default(), i.e. all seven synthesizers.
 	Registry *backend.Registry
 
 	// Extra backends are judged alongside the registry's. Used by the
@@ -118,15 +118,28 @@ func (o Options) resolved() Options {
 }
 
 // dupCapable are the backends that can honour Spec.DuplicateSafe: enum
-// searches the weak-order suite directly, smt switches CEGIS to
-// arbitrary-input counterexamples, and the portfolio is enum under
-// another name. The universe store replays enum-baked records keyed on
-// the duplicate-safe flag, so its answers carry the same guarantee. The
+// searches the weak-order suite directly, and smt switches CEGIS to
+// arbitrary-input counterexamples. The universe store replays enum-baked
+// records keyed on the duplicate-safe flag, so its answers carry the
+// same guarantee. The
 // other engines synthesize against the permutation suite only, so
 // running them on duplicate-safe specs would manufacture IncorrectError
 // "divergences" that are really just an unsupported capability.
 var dupCapable = map[string]bool{
-	"enum": true, "smt": true, "portfolio": true, "universe": true,
+	"enum": true, "smt": true, "universe": true,
+}
+
+// engines lists each engine of reg once, in name order. A name that
+// resolves to a backend of another name is an alias ("portfolio" for
+// enum), judged under that name already.
+func engines(reg *backend.Registry) []backend.Backend {
+	var bs []backend.Backend
+	for _, name := range reg.Names() {
+		if b, err := reg.Get(name); err == nil && b.Name() == name {
+			bs = append(bs, b)
+		}
+	}
+	return bs
 }
 
 // Run executes the conformance harness. The returned Report carries
@@ -143,10 +156,7 @@ func Run(ctx context.Context, opt Options) (*Report, error) {
 		Timeout:  opt.BackendTimeout,
 		Statuses: map[string]map[string]int{},
 	}
-	for _, name := range opt.Registry.Names() {
-		rep.Backends = append(rep.Backends, name)
-	}
-	for _, b := range opt.Extra {
+	for _, b := range append(engines(opt.Registry), opt.Extra...) {
 		rep.Backends = append(rep.Backends, b.Name())
 	}
 

@@ -46,32 +46,6 @@ func TestRunCleanOnRealBackends(t *testing.T) {
 	}
 }
 
-// TestPortfolioJudged runs a small conformance roll and checks the
-// portfolio was actually judged: present in the status matrix, clean of
-// divergences, and finding kernels.
-func TestPortfolioJudged(t *testing.T) {
-	opt := smallOptions()
-	opt.BackendTimeout = 2 * time.Second
-	rep, err := Run(context.Background(), opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Ok() {
-		t.Fatalf("divergences: %+v", rep.Divergences)
-	}
-	sts, ok := rep.Statuses["portfolio"]
-	if !ok {
-		t.Fatalf("status matrix %v has no portfolio row", rep.Statuses)
-	}
-	total := 0
-	for _, c := range sts {
-		total += c
-	}
-	if total == 0 || sts["found"] == 0 {
-		t.Fatalf("portfolio judged %d specs with %d finds, want > 0 of each (%v)", total, sts["found"], sts)
-	}
-}
-
 func TestSpecStreamDeterministicInSeed(t *testing.T) {
 	opt := smallOptions()
 	truthsA, truthsB := newTruthCache(func(string, ...any) {}), newTruthCache(func(string, ...any) {})

@@ -15,24 +15,13 @@ import (
 // each outcome against the ground truth. It returns the divergences and
 // the per-backend status (by name) for the report's status matrix.
 func judgeSpec(ctx context.Context, opt Options, sp spec) ([]Divergence, map[string]string) {
-	type target struct {
-		name string
-		b    backend.Backend
-	}
-	var targets []target
-	for _, name := range opt.Registry.Names() {
-		if sp.dup && !dupCapable[name] {
-			continue
+	var targets []backend.Backend
+	for _, b := range engines(opt.Registry) {
+		if !sp.dup || dupCapable[b.Name()] {
+			targets = append(targets, b)
 		}
-		b, err := opt.Registry.Get(name)
-		if err != nil {
-			continue
-		}
-		targets = append(targets, target{name, b})
 	}
-	for _, b := range opt.Extra {
-		targets = append(targets, target{b.Name(), b})
-	}
+	targets = append(targets, opt.Extra...)
 
 	var (
 		mu       sync.Mutex
@@ -40,16 +29,16 @@ func judgeSpec(ctx context.Context, opt Options, sp spec) ([]Divergence, map[str
 		divs     []Divergence
 		statuses = make(map[string]string, len(targets))
 	)
-	for _, tg := range targets {
+	for _, b := range targets {
 		wg.Add(1)
-		go func(tg target) {
+		go func(b backend.Backend) {
 			defer wg.Done()
-			ds, st := judgeBackend(ctx, sp, tg.name, tg.b)
+			ds, st := judgeBackend(ctx, sp, b.Name(), b)
 			mu.Lock()
 			divs = append(divs, ds...)
-			statuses[tg.name] = st
+			statuses[b.Name()] = st
 			mu.Unlock()
-		}(tg)
+		}(b)
 	}
 	wg.Wait()
 	return divs, statuses

@@ -216,3 +216,29 @@ func TestKnownOptimalLength(t *testing.T) {
 		}
 	}
 }
+
+// TestProvedOptimalLength pins which table entries are proved, and by
+// what: both n=5 entries are best known only.
+func TestProvedOptimalLength(t *testing.T) {
+	for _, tc := range []struct {
+		set   *Set
+		want  int
+		proof string
+	}{
+		{NewCmov(2, 1), 4, ProofExhaustion},
+		{NewCmov(3, 1), 11, ProofExhaustion},
+		{NewCmov(4, 1), 20, "paper §5.3: no kernel of length 19"},
+		{NewCmov(5, 1), 0, ""},
+		{NewMinMax(2, 1), 3, ProofExhaustion},
+		{NewMinMax(3, 1), 8, ProofExhaustion},
+		{NewMinMax(4, 1), 15, ProofExhaustion},
+		{NewMinMax(5, 1), 0, ""},
+		{NewMinMax(3, 2), 0, ""},
+		{NewCmov(6, 1), 0, ""},
+	} {
+		got, proof, ok := ProvedOptimalLength(tc.set)
+		if got != tc.want || proof != tc.proof || ok != (tc.proof != "") {
+			t.Errorf("ProvedOptimalLength(%v) = %d, %q, %v; want %d, %q", tc.set, got, proof, ok, tc.want, tc.proof)
+		}
+	}
+}

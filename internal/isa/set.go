@@ -145,24 +145,40 @@ func (s *Set) String() string {
 	return fmt.Sprintf("%s(n=%d,m=%d)", s.Kind, s.N, s.M)
 }
 
-// knownOptimal holds the established minimal kernel lengths for
-// n = 2..5 with one scratch register, per kind.
-var knownOptimal = [...][4]int{
-	KindCmov:   {4, 11, 20, 33},
-	KindMinMax: {3, 8, 15, 23},
+// ProofExhaustion names the in-repo proof of a knownOptimal entry:
+// sortsynth.ProveNoKernel at L*−1 finds no kernel.
+const ProofExhaustion = "exhaustion at L*-1"
+
+// knownOptimal holds the established minimal kernel lengths for n = 2..5
+// with one scratch register, per kind, and their proofs ("" if none).
+var knownOptimal = [...][4]struct {
+	length int
+	proof  string
+}{
+	KindCmov:   {{4, ProofExhaustion}, {11, ProofExhaustion}, {20, "paper §5.3: no kernel of length 19"}, {33, ""}},
+	KindMinMax: {{3, ProofExhaustion}, {8, ProofExhaustion}, {15, ProofExhaustion}, {23, ""}},
 }
 
 // KnownOptimalLength returns the established minimal kernel length for
 // the set, when one is known: cmov 4/11/20/33 and min/max 3/8/15/23 for
-// n = 2..5 with one scratch register (paper §2.3, §5.4; the n=4 bound is
-// proved by exhaustion, the n=5 values are the best known). The paper
-// reports 26 for min/max n=5; 23 is the shortest kernel this repository
-// has found (ConfigBest at budget 23, verified on the permutation and
-// weak-order suites), not a certified optimum: at 22 the search
-// exhausts without a proof.
+// n = 2..5 with one scratch register (paper §2.3, §5.4). The n ≤ 4
+// entries are proved (ProvedOptimalLength); the n=5 values are the best
+// known. The paper reports 26 for min/max n=5; 23 is the shortest kernel
+// this repository has found (ConfigBest at budget 23, verified on the
+// permutation and weak-order suites).
 func KnownOptimalLength(set *Set) (int, bool) {
 	if set.M != 1 || set.N < 2 || set.N > 5 || int(set.Kind) >= len(knownOptimal) {
 		return 0, false
 	}
-	return knownOptimal[set.Kind][set.N-2], true
+	return knownOptimal[set.Kind][set.N-2].length, true
+}
+
+// ProvedOptimalLength returns the set's known optimal length and the
+// name of its proof when the length is proved minimal: every n ≤ 4 entry,
+// cmov n=4 by the paper's §5.3 alone (cmd/lowerbound does not finish it).
+func ProvedOptimalLength(set *Set) (length int, proof string, ok bool) {
+	if l, known := KnownOptimalLength(set); known && knownOptimal[set.Kind][set.N-2].proof != "" {
+		return l, knownOptimal[set.Kind][set.N-2].proof, true
+	}
+	return 0, "", false
 }

@@ -21,16 +21,15 @@ type Entry struct {
 	// a wrong answer.
 	Key string `json:"key"`
 
-	// Backend is the registry name of the synthesizer that produced the
-	// kernel ("" on entries predating the backend field means "enum").
+	// Backend is the name of the synthesizer that produced the kernel.
 	Backend string `json:"backend,omitempty"`
 
-	// NoKernel marks a negative artifact: a completed search proved (or,
-	// for non-optimality-preserving configurations, determined) that no
-	// kernel exists within the key's length bound. Only the baked
-	// universe records negatives — the live cache tiers never store
-	// them — so a mounted universe can answer hopeless budgets without
-	// re-running the refutation search. Length holds the refuted bound.
+	// NoKernel marks a negative artifact: a proof, by exhaustive search
+	// or a proved optimum, that no kernel exists within the key's length
+	// bound (never a spent budget). Only the baked universe records
+	// negatives — the live cache tiers never store them — so a mounted
+	// universe can answer hopeless budgets without re-running the
+	// refutation. Length holds the refuted bound.
 	NoKernel bool `json:"no_kernel,omitempty"`
 
 	// Objective names the ranking objective the kernel was picked under

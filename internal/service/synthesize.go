@@ -30,13 +30,14 @@ type synthesizeRequest struct {
 
 	// Backend selects the synthesizer from the backend registry:
 	// "enum" (default), "smt", "cp", "ilp", "stoke", "mcts", "plan" or
-	// "portfolio". Unknown names are a 400. The name participates in
-	// the cache key, so different backends never share an artifact.
+	// "portfolio" (the registry's enum, under the reduced request
+	// surface of the other names). Unknown names are a 400. The name
+	// participates in the cache key, so names never share an artifact.
 	Backend string `json:"backend"`
 
 	// Seed seeds the randomized backends (stoke, mcts). "portfolio"
-	// accepts it and keeps it in the cache key, though its answer no
-	// longer depends on it (backend.Seeded); other backends reject a
+	// accepts it and keeps it in the cache key, though its answer does
+	// not depend on it (backend.Seeded); other backends reject a
 	// non-zero seed.
 	Seed int64 `json:"seed"`
 
@@ -94,8 +95,8 @@ type synthesizeResponse struct {
 	Stats  searchStats `json:"stats"`
 }
 
-// noKernelError reports an exhausted search: no kernel exists within the
-// requested bound.
+// noKernelError reports a proved refutation: no kernel exists within
+// the requested bound.
 type noKernelError struct{ bound int }
 
 func (e noKernelError) Error() string {
@@ -508,10 +509,6 @@ const (
 )
 
 func responseFor(e *kcache.Entry, hash, source string, coalesced bool, start time.Time) synthesizeResponse {
-	be := e.Backend
-	if be == "" {
-		be = "enum" // entries written before the backend field
-	}
 	return synthesizeResponse{
 		Kernel:        e.Program,
 		Programs:      e.Programs,
@@ -519,7 +516,7 @@ func responseFor(e *kcache.Entry, hash, source string, coalesced bool, start tim
 		Objective:     e.Objective,
 		Cost:          e.Cost,
 		SolutionCount: e.SolutionCount,
-		Backend:       be,
+		Backend:       e.Backend,
 		Cached:        source != sourceSearch,
 		Coalesced:     coalesced,
 		Source:        source,

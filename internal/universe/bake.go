@@ -281,7 +281,7 @@ func Bake(ctx context.Context, path string, registry *backend.Registry, opt Opti
 }
 
 // bakeOne synthesizes one spec. It returns (nil, nil) for outcomes the
-// universe cannot speak for: timeouts and non-enum budget exhaustion.
+// universe cannot speak for: timeouts and spent budgets (see EntryFor).
 func bakeOne(ctx context.Context, registry *backend.Registry, sp Spec, opt Options) (*kcache.Entry, error) {
 	ctx, cancel := context.WithTimeout(ctx, opt.SpecTimeout)
 	defer cancel()
@@ -304,17 +304,15 @@ func bakeOne(ctx context.Context, registry *backend.Registry, sp Spec, opt Optio
 }
 
 // EntryFor maps a verified synthesis result onto the artifact stored
-// for its key, the same for the bake and for sortsynthd's live tier. It
-// returns nil for outcomes no artifact speaks for: a stopped search, and
-// a non-enum backend's spent budget, which proves nothing. An enum
-// search that exhausts without a proof (the §3.5 cut or the action
-// guide voids it) is recorded as a refutation of spec.MaxLen, as
-// sortsynthd has always answered it. ElapsedNS is left to the caller.
+// for its key, the same for the bake and for sortsynthd's live tier.
+// Only a proved refutation (StatusNoProgram) becomes a NoKernel record
+// of spec.MaxLen. It returns nil for outcomes no artifact speaks for: a
+// stopped search, and a spent budget of any backend, which proves
+// nothing. ElapsedNS is left to the caller.
 func EntryFor(set *isa.Set, spec backend.Spec, res *backend.Result) *kcache.Entry {
-	switch {
-	case res.Status == backend.StatusFound:
-	case res.Status == backend.StatusNoProgram,
-		res.Status == backend.StatusExhausted && res.Backend == "enum":
+	switch res.Status {
+	case backend.StatusFound:
+	case backend.StatusNoProgram:
 		return &kcache.Entry{Backend: res.Backend, NoKernel: true, Length: spec.MaxLen}
 	default:
 		return nil

@@ -4,10 +4,13 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
+	"sortsynth/internal/backend"
 	"sortsynth/internal/enum"
+	"sortsynth/internal/isa"
 	"sortsynth/internal/kcache"
 )
 
@@ -265,6 +268,27 @@ func TestEnumerateSpecsMirrorsServiceKeys(t *testing.T) {
 	want := kcache.KeyFor(Spec{ISA: "cmov", N: 2, M: 1}.Set(), opt).Canonical()
 	if got := enumKey("cmov", 2, 4).Canonical(); got != want {
 		t.Errorf("spec key %q != service key %q", got, want)
+	}
+}
+
+// TestEntryForRecordsOnlyProofs: a refutation is recorded only when it
+// is proved. A spent budget proves nothing, even from enum, and a
+// stopped search has no answer; neither gets an artifact.
+func TestEntryForRecordsOnlyProofs(t *testing.T) {
+	set, spec := isa.NewMinMax(5, 1), backend.Spec{MaxLen: 22}
+	for _, tc := range []struct {
+		status backend.Status
+		want   *kcache.Entry
+	}{
+		{backend.StatusNoProgram, &kcache.Entry{Backend: "enum", NoKernel: true, Length: 22}},
+		{backend.StatusExhausted, nil},
+		{backend.StatusTimedOut, nil},
+		{backend.StatusCancelled, nil},
+	} {
+		got := EntryFor(set, spec, &backend.Result{Backend: "enum", Status: tc.status, Length: 22})
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%v: EntryFor = %+v, want %+v", tc.status, got, tc.want)
+		}
 	}
 }
 

@@ -28,7 +28,6 @@ package sortsynth
 
 import (
 	"context"
-	"math"
 	"time"
 
 	"sortsynth/internal/backend"
@@ -85,9 +84,10 @@ func NewMinMaxSet(n, m int) *Set { return isa.NewMinMax(n, m) }
 
 // KnownOptimalLength returns the established minimal kernel length for
 // the given set, when one is known: cmov 4/11/20/33 and min/max 3/8/15/23
-// for n = 2..5 with one scratch register (paper §2.3, §5.4; the n=4 bound
-// is proved by this repository's exhaustion mode, the n=5 values are the
-// best known; min/max n=5 is 23 here against the paper's 26).
+// for n = 2..5 with one scratch register (paper §2.3, §5.4; cmov n=4
+// rests on the paper's proof, the other n ≤ 4 bounds on ProveNoKernel,
+// the n=5 values are the best known; min/max n=5 is 23 here against the
+// paper's 26).
 func KnownOptimalLength(set *Set) (int, bool) { return isa.KnownOptimalLength(set) }
 
 // SynthesizeBest synthesizes one minimal kernel with the paper's best
@@ -96,8 +96,9 @@ func KnownOptimalLength(set *Set) (int, bool) { return isa.KnownOptimalLength(se
 // given length bound. Pass the known optimal length or an upper bound
 // such as a sorting-network size: a bound above KnownOptimalLength is
 // searched at the known optimum first. The guide and the cut do not
-// preserve optimality, so below the optimum the answer is
-// StatusExhausted, not a proof; see ProveNoKernel.
+// preserve optimality, so StatusNoProgram comes from a proved optimum or
+// a capped exhaustive re-search, and StatusExhausted proves nothing;
+// see ProveNoKernel.
 func SynthesizeBest(set *Set, maxLen int) (*Result, error) {
 	return backend.Run(context.TODO(), &backend.Enum{Opt: enum.ConfigBest()}, set,
 		backend.Spec{MaxLen: maxLen})
@@ -108,8 +109,8 @@ func SynthesizeBest(set *Set, maxLen int) (*Result, error) {
 // upper bound, then each step searches one instruction below the last
 // kernel found, certifying by exhaustion when the guided search comes up
 // empty. Result.Optimal reports whether minimality was certified within
-// the per-step budget (0 = unlimited; the n=4 certification is a
-// multi-week computation).
+// the per-step budget, which bounds each search of a step (0 =
+// unlimited; an in-repo n=4 certification is a multi-week computation).
 func SynthesizeMinimal(set *Set, stepBudget time.Duration) (*Result, error) {
 	var upper int
 	if set.N <= 8 {
@@ -126,14 +127,17 @@ func SynthesizeMinimal(set *Set, stepBudget time.Duration) (*Result, error) {
 }
 
 // minimal is SynthesizeMinimal below a given upper bound. Each step is
-// backend.Enum under ConfigBest with an unlimited proof budget, so a
+// backend.Enum under ConfigBest, then ProveNoKernel if it exhausts, so a
 // step that finds nothing ends in a certified StatusNoProgram (or a
-// timeout), and a kernel found by the exhaustive search is minimal
-// already.
+// timeout), and a kernel found by the exhaustive search is minimal.
 func minimal(set *Set, upper int, stepBudget time.Duration) (*Result, error) {
-	b := &backend.Enum{Opt: enum.ConfigBest(), ProofBudget: math.MaxInt64}
+	b := &backend.Enum{Opt: enum.ConfigBest()}
 	step := func(budget int) (*Result, error) {
-		return runTimed(b, set, backend.Spec{MaxLen: budget}, stepBudget)
+		res, err := runTimed(b, set, backend.Spec{MaxLen: budget}, stepBudget)
+		if err != nil || res.Status != StatusExhausted {
+			return res, err
+		}
+		return ProveNoKernel(set, budget, stepBudget)
 	}
 	best, err := step(upper)
 	if err != nil {

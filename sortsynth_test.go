@@ -9,6 +9,7 @@ import (
 
 	"sortsynth"
 	"sortsynth/internal/backend"
+	"sortsynth/internal/isa"
 )
 
 // found returns a checker that fails the test unless a synthesis
@@ -112,6 +113,35 @@ func TestProveNoKernelFacade(t *testing.T) {
 	res = found(t)(sortsynth.ProveNoKernel(set, 4, 0))
 	if res.Length != 4 || !res.Optimal {
 		t.Errorf("disproof found length %d (certified %v), want a certified 4", res.Length, res.Optimal)
+	}
+}
+
+// TestProvedOptimaHold re-proves every table entry whose proof is the
+// in-repo exhaustion: ProveNoKernel one below it must exhaust. These are
+// the entries that let backend.Enum refute a budget without a search.
+// The cmov n=4 entry rests on the paper (§5.3) and is not re-proved.
+func TestProvedOptimaHold(t *testing.T) {
+	proved := 0
+	for _, set := range []*sortsynth.Set{
+		sortsynth.NewCmovSet(2, 1), sortsynth.NewCmovSet(3, 1), sortsynth.NewCmovSet(4, 1), sortsynth.NewCmovSet(5, 1),
+		sortsynth.NewMinMaxSet(2, 1), sortsynth.NewMinMaxSet(3, 1), sortsynth.NewMinMaxSet(4, 1), sortsynth.NewMinMaxSet(5, 1),
+	} {
+		lstar, proof, ok := isa.ProvedOptimalLength(set)
+		if !ok || proof != isa.ProofExhaustion {
+			continue
+		}
+		proved++
+		res, err := sortsynth.ProveNoKernel(set, lstar-1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Status != sortsynth.StatusNoProgram {
+			t.Errorf("%v: ProveNoKernel at %d = %s, want no-program", set, lstar-1, res.Status)
+		}
+		t.Logf("%v: no kernel of length %d (%d states)", set, lstar-1, res.Stats.Nodes)
+	}
+	if proved != 5 {
+		t.Errorf("%d entries proved by exhaustion, want 5 (cmov and min/max n = 2, 3, min/max n=4)", proved)
 	}
 }
 
