@@ -77,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -race -run='^$$' -fuzz='^FuzzFlatTable$$' -fuzztime=$(FUZZTIME) ./internal/enum
 	$(GO) test -race -run='^$$' -fuzz='^FuzzVerifySorts$$' -fuzztime=$(FUZZTIME) ./internal/verify
 	$(GO) test -race -run='^$$' -fuzz='^FuzzSortgenVsSlicesSort$$' -fuzztime=$(FUZZTIME) ./internal/sortgen
+	$(GO) test -race -run='^$$' -fuzz='^FuzzThroughput$$' -fuzztime=$(FUZZTIME) ./internal/uarch
 
 # sortgen-check is the generated-library gate: emit sorters for
 # n = 6, 13, 32 into a throwaway module, go vet + go build them, run the

@@ -234,7 +234,11 @@ func main() {
 		fmt.Printf("# length %d via %s, %v, %d search nodes, score %d, est. throughput %.2f cycles%s\n",
 			res.Length, res.Backend, elapsed, res.Stats.Nodes, a.Score, a.Throughput, cert)
 		if obj != enum.ObjectiveShortest {
-			fmt.Printf("# objective %s: winner of %d optimal kernels, cost %.3f\n", obj, res.Solutions, res.Cost)
+			prefix := ""
+			if res.RerankTruncated {
+				prefix = " (of a prefix: the set outgrew the ranking cap)"
+			}
+			fmt.Printf("# objective %s: winner of %d optimal kernels%s, cost %.3f\n", obj, res.Solutions, prefix, res.Cost)
 		}
 	}
 	fmt.Print(emit(res.Program))

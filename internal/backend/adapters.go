@@ -125,6 +125,7 @@ func (b *Enum) Synthesize(ctx context.Context, set *isa.Set, spec Spec) (*Result
 		res.Optimal = optimalityPreserving(opt)
 		res.Solutions = r.SolutionCount
 		res.Cost = r.Cost
+		res.RerankTruncated = r.RerankTruncated
 	case r.Exhausted && r.Proof:
 		res.Status = StatusNoProgram
 	default:

@@ -128,8 +128,12 @@ type Result struct {
 	Solutions int64
 	// Cost is the winner's primary uarch metric for non-shortest
 	// objectives (see enum.Result.Cost); 0 under shortest.
-	Cost  float64
-	Stats Stats
+	Cost float64
+	// RerankTruncated reports that the optimal set outgrew the ranking
+	// cap, so Program is the best of a deterministic prefix of it (see
+	// enum.Result.RerankTruncated).
+	RerankTruncated bool
+	Stats           Stats
 }
 
 // Backend is one synthesis engine behind the common vocabulary.

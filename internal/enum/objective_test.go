@@ -181,6 +181,30 @@ func TestObjectiveWinnerDeterministic(t *testing.T) {
 	}
 }
 
+// TestElapsedCoversRanking pins Result.Elapsed to the end of the run:
+// the trace's last sample is taken after the path count, the
+// enumeration and the ranking, and must carry the same elapsed time.
+// A stamp taken before those stages reads less than the sample on any
+// host, however fast.
+func TestElapsedCoversRanking(t *testing.T) {
+	set := isa.NewCmov(3, 1)
+	opt := ConfigBest()
+	opt.MaxLen = 11
+	opt.Objective = ObjectiveFastest
+	opt.Trace = &Trace{SampleEvery: 1 << 30}
+	res := Run(set, opt)
+	if res.RerankCandidates == 0 || len(opt.Trace.Samples) == 0 {
+		t.Fatalf("ranked %d candidates, %d trace samples", res.RerankCandidates, len(opt.Trace.Samples))
+	}
+	last := opt.Trace.Samples[len(opt.Trace.Samples)-1]
+	if last.Solutions != res.SolutionCount {
+		t.Fatalf("last sample counts %d solutions, result %d", last.Solutions, res.SolutionCount)
+	}
+	if res.Elapsed != last.Elapsed {
+		t.Errorf("Elapsed %v, last trace sample %v: the stamp misses the stages after the search", res.Elapsed, last.Elapsed)
+	}
+}
+
 // TestObjectivesDivergeAtSort3 pins the Neri-style divergence the whole
 // feature exists for: at n=3 (cmov), shortest and fastest pick
 // different programs, and the fastest one is strictly cheaper under the

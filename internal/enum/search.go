@@ -302,7 +302,7 @@ func (s *searcher) search() {
 				return
 			}
 			if tr := s.opt.Trace; tr != nil {
-				tr.sample(s.start, s.res, s.open.Len(), s.solutionsSoFar())
+				tr.sample(time.Since(s.start), s.res, s.open.Len(), s.solutionsSoFar())
 				sampleCountdown = tr.every()
 			} else {
 				sampleCountdown = 1024
@@ -633,7 +633,6 @@ func (s *searcher) rerank(r *Result) {
 // finish assembles the Result after the main loop.
 func (s *searcher) finish() *Result {
 	r := s.res
-	r.Elapsed = time.Since(s.start)
 	if s.optLen >= 0 {
 		r.Length = s.optLen
 		r.Program = s.program(s.sols[0])
@@ -650,8 +649,11 @@ func (s *searcher) finish() *Result {
 	r.Proof = r.Exhausted && !r.TimedOut && !r.Cancelled &&
 		s.opt.Cut == CutNone && !s.opt.UseActionGuide &&
 		(s.opt.StateBudget == 0 || r.Expanded < s.opt.StateBudget)
+	// Stamped after the path count, the enumeration and the ranking, so
+	// Elapsed is the whole run's wall time.
+	r.Elapsed = time.Since(s.start)
 	if tr := s.opt.Trace; tr != nil {
-		tr.sample(s.start, r, s.open.Len(), r.SolutionCount)
+		tr.sample(r.Elapsed, r, s.open.Len(), r.SolutionCount)
 	}
 	return r
 }

@@ -27,9 +27,9 @@ func (t *Trace) every() int64 {
 	return t.SampleEvery
 }
 
-func (t *Trace) sample(start time.Time, r *Result, open int, solutions int64) {
+func (t *Trace) sample(elapsed time.Duration, r *Result, open int, solutions int64) {
 	t.Samples = append(t.Samples, TraceSample{
-		Elapsed:   time.Since(start),
+		Elapsed:   elapsed,
 		Expanded:  r.Expanded,
 		Generated: r.Generated,
 		Open:      open,

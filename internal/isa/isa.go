@@ -14,6 +14,7 @@ package isa
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -94,36 +95,51 @@ func (p Program) OpCounts() [NumOps]int {
 // RegName returns the assembly name of register index r on a machine with
 // n sorted registers: r1..rn for 0..n-1 and s1..sm beyond.
 func RegName(r uint8, n int) string {
+	var buf [8]byte
+	return string(appendReg(buf[:0], r, n))
+}
+
+func appendReg(b []byte, r uint8, n int) []byte {
 	if int(r) < n {
-		return fmt.Sprintf("r%d", r+1)
+		return strconv.AppendInt(append(b, 'r'), int64(r)+1, 10)
 	}
-	return fmt.Sprintf("s%d", int(r)-n+1)
+	return strconv.AppendInt(append(b, 's'), int64(r)-int64(n)+1, 10)
+}
+
+// appendTo appends the instruction's text, as Format renders it, to b.
+func (in Instr) appendTo(b []byte, n int) []byte {
+	b = append(b, in.Op.String()...)
+	b = appendReg(append(b, ' '), in.Dst, n)
+	return appendReg(append(b, ' '), in.Src, n)
 }
 
 // Format renders the instruction with register names for a machine with n
 // sorted registers, e.g. "cmovl r1 s1".
 func (in Instr) Format(n int) string {
-	return fmt.Sprintf("%s %s %s", in.Op, RegName(in.Dst, n), RegName(in.Src, n))
+	var buf [24]byte
+	return string(in.appendTo(buf[:0], n))
 }
 
 // Format renders the program one instruction per line.
 func (p Program) Format(n int) string {
-	var b strings.Builder
-	for i, in := range p {
-		if i > 0 {
-			b.WriteByte('\n')
-		}
-		b.WriteString(in.Format(n))
-	}
-	return b.String()
+	return p.format(n, "\n")
 }
 
 // FormatInline renders the program on one line, instructions separated by
 // "; ".
 func (p Program) FormatInline(n int) string {
-	parts := make([]string, len(p))
+	return p.format(n, "; ")
+}
+
+func (p Program) format(n int, sep string) string {
+	var b strings.Builder
+	b.Grow(len(p) * (len("cmovl r10 s10") + len(sep)))
+	var buf [24]byte
 	for i, in := range p {
-		parts[i] = in.Format(n)
+		if i > 0 {
+			b.WriteString(sep)
+		}
+		b.Write(in.appendTo(buf[:0], n))
 	}
-	return strings.Join(parts, "; ")
+	return b.String()
 }

@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -179,6 +180,48 @@ func TestProgramHelpers(t *testing.T) {
 func TestRegName(t *testing.T) {
 	if RegName(0, 3) != "r1" || RegName(2, 3) != "r3" || RegName(3, 3) != "s1" || RegName(4, 3) != "s2" {
 		t.Error("RegName wrong")
+	}
+}
+
+// TestFormatMatchesSprintf pins the appended text to the fmt rendering
+// it replaced, for every instruction of every machine n=2..8, m=0..3 in
+// both instruction sets, and an out-of-range opcode; and formatting a
+// program to one allocation.
+func TestFormatMatchesSprintf(t *testing.T) {
+	reg := func(r uint8, n int) string {
+		if int(r) < n {
+			return fmt.Sprintf("r%d", r+1)
+		}
+		return fmt.Sprintf("s%d", int(r)-n+1)
+	}
+	for n := 2; n <= 8; n++ {
+		for m := 0; m <= 3; m++ {
+			for _, set := range []*Set{NewCmov(n, m), NewMinMax(n, m)} {
+				ins := append(append([]Instr(nil), set.Instrs()...), Instr{Op: NumOps + 1, Dst: uint8(n + m - 1), Src: 0})
+				var lines, inline []string
+				for _, in := range ins {
+					want := fmt.Sprintf("%s %s %s", in.Op, reg(in.Dst, n), reg(in.Src, n))
+					if got := in.Format(n); got != want {
+						t.Fatalf("%v: Format = %q, want %q", set, got, want)
+					}
+					if got := RegName(in.Dst, n); got != reg(in.Dst, n) {
+						t.Fatalf("RegName(%d, %d) = %q", in.Dst, n, got)
+					}
+					lines, inline = append(lines, want), append(inline, want)
+				}
+				p := Program(ins)
+				if got, want := p.Format(n), strings.Join(lines, "\n"); got != want {
+					t.Fatalf("%v: Program.Format differs:\n%s\nwant\n%s", set, got, want)
+				}
+				if got, want := p.FormatInline(n), strings.Join(inline, "; "); got != want {
+					t.Fatalf("%v: FormatInline differs:\n%s\nwant\n%s", set, got, want)
+				}
+			}
+		}
+	}
+	p := Program{{Op: Mov, Dst: 3, Src: 0}, {Op: Cmp, Dst: 0, Src: 1}, {Op: Cmovg, Dst: 0, Src: 1}, {Op: Cmovg, Dst: 1, Src: 3}}
+	if a := testing.AllocsPerRun(50, func() { _ = p.Format(3) }); a > 1 {
+		t.Errorf("Program.Format allocates %.0f times, want 1", a)
 	}
 }
 

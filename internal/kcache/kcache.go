@@ -39,6 +39,9 @@ type Entry struct {
 	// Cost is the winner's primary uarch metric under a non-shortest
 	// objective (enum.Result.Cost); 0 on shortest entries.
 	Cost float64 `json:"cost,omitempty"`
+	// RerankTruncated marks a ranked kernel picked from a prefix of an
+	// optimal set too large to rank whole (enum.Result.RerankTruncated).
+	RerankTruncated bool `json:"rerank_truncated,omitempty"`
 
 	// Program is the synthesized kernel in the textual ISA syntax.
 	Program string `json:"program"`

@@ -124,23 +124,29 @@ type backendCounters struct {
 	started   atomic.Int64
 	completed atomic.Int64
 	found     atomic.Int64
-	noKernel  atomic.Int64 // no-program proofs and exhausted budgets
+	noKernel  atomic.Int64 // proved refutations
+	exhausted atomic.Int64 // spent budgets that prove nothing
 	cancelled atomic.Int64
 	timedOut  atomic.Int64
 	errors    atomic.Int64
-	latency   histogram
+	// rerankTruncated counts found kernels ranked from a prefix of an
+	// optimal set too large to rank whole.
+	rerankTruncated atomic.Int64
+	latency         histogram
 }
 
 // backendSnapshot is one backend's counters in the /metrics JSON.
 type backendSnapshot struct {
-	Started   int64             `json:"started"`
-	Completed int64             `json:"completed"`
-	Found     int64             `json:"found"`
-	NoKernel  int64             `json:"no_kernel"`
-	Cancelled int64             `json:"cancelled"`
-	TimedOut  int64             `json:"timed_out"`
-	Errors    int64             `json:"errors"`
-	Latency   histogramSnapshot `json:"latency"`
+	Started         int64             `json:"started"`
+	Completed       int64             `json:"completed"`
+	Found           int64             `json:"found"`
+	NoKernel        int64             `json:"no_kernel"`
+	Exhausted       int64             `json:"exhausted"`
+	Cancelled       int64             `json:"cancelled"`
+	TimedOut        int64             `json:"timed_out"`
+	Errors          int64             `json:"errors"`
+	RerankTruncated int64             `json:"rerank_truncated"`
+	Latency         histogramSnapshot `json:"latency"`
 }
 
 // backendFor returns the named backend's counters, creating them on
@@ -166,14 +172,16 @@ func (m *metrics) backendsSnapshot() map[string]backendSnapshot {
 	out := make(map[string]backendSnapshot, len(m.backends))
 	for name, bc := range m.backends {
 		out[name] = backendSnapshot{
-			Started:   bc.started.Load(),
-			Completed: bc.completed.Load(),
-			Found:     bc.found.Load(),
-			NoKernel:  bc.noKernel.Load(),
-			Cancelled: bc.cancelled.Load(),
-			TimedOut:  bc.timedOut.Load(),
-			Errors:    bc.errors.Load(),
-			Latency:   bc.latency.snapshot(),
+			Started:         bc.started.Load(),
+			Completed:       bc.completed.Load(),
+			Found:           bc.found.Load(),
+			NoKernel:        bc.noKernel.Load(),
+			Exhausted:       bc.exhausted.Load(),
+			Cancelled:       bc.cancelled.Load(),
+			TimedOut:        bc.timedOut.Load(),
+			Errors:          bc.errors.Load(),
+			RerankTruncated: bc.rerankTruncated.Load(),
+			Latency:         bc.latency.snapshot(),
 		}
 	}
 	return out

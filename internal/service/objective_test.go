@@ -33,8 +33,8 @@ func TestSynthesizeGetObjective(t *testing.T) {
 	if fast.Length != 11 || fast.Objective != "fastest" || fast.Cost <= 0 {
 		t.Fatalf("fastest reply: length %d objective %q cost %v", fast.Length, fast.Objective, fast.Cost)
 	}
-	if fast.SolutionCount < 2 {
-		t.Errorf("fastest should report the ranked set size, got %d", fast.SolutionCount)
+	if fast.SolutionCount < 2 || fast.RerankTruncated {
+		t.Errorf("fastest should rank the whole set and report its size, got %d (truncated %v)", fast.SolutionCount, fast.RerankTruncated)
 	}
 
 	var short synthesizeResponse
@@ -62,6 +62,27 @@ func TestSynthesizeGetObjective(t *testing.T) {
 	}
 	if again.Key != fast.Key || !again.Cached {
 		t.Errorf("POST objective=fastest: key %q cached %v, want the GET's key from cache", again.Key, again.Cached)
+	}
+}
+
+// TestRerankTruncatedSurfaces asks for the fastest cmov n=4 kernel,
+// whose optimal set (7,043,960 programs) outgrows the ranking cap. The
+// prefix pick reaches the caller: the live reply and the cached one say
+// rerank_truncated, and /metrics counts the search once.
+func TestRerankTruncatedSurfaces(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a cmov n=4 search that ranks 65,536 programs; skipped under -short")
+	}
+	_, ts := newTestServer(t)
+	for _, cached := range []bool{false, true} {
+		sr := synthesize(t, ts.URL, `{"isa":"cmov","n":4,"objective":"fastest"}`)
+		if sr.Cached != cached || sr.Length != 20 || !sr.RerankTruncated {
+			t.Fatalf("reply cached %v, length %d, rerank_truncated %v; want cached %v, 20, true",
+				sr.Cached, sr.Length, sr.RerankTruncated, cached)
+		}
+	}
+	if bc := backendMetrics(t, ts.URL)["enum"]; bc.RerankTruncated != 1 || bc.Found != 1 {
+		t.Errorf("enum counters rerank_truncated %d, found %d; want 1 and 1", bc.RerankTruncated, bc.Found)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // one instruction below a proved optimum: n=3 within 10 (proved in the
 // repository) and n=4 within 19 (the paper's §5.3 result, which no
 // search here can settle). Both answer 422 "no kernel … exists" at
-// once, from the optimum table, instead of holding the search slot.
+// once, from the optimum table, instead of holding the search slot,
+// and /metrics counts both as refutations.
 func TestPortfolioRefutationEndsRace(t *testing.T) {
 	_, ts := newTestServer(t)
 
@@ -35,14 +36,18 @@ func TestPortfolioRefutationEndsRace(t *testing.T) {
 			t.Fatalf("n=%d: refuted portfolio request took %v, want under %v", tc.n, elapsed, limit)
 		}
 	}
+	if bc := backendMetrics(t, ts.URL)["enum"]; bc.NoKernel != 2 || bc.Exhausted != 0 {
+		t.Errorf("enum counters no_kernel %d, exhausted %d; want 2 and 0", bc.NoKernel, bc.Exhausted)
+	}
 }
 
 // TestUnprovedBudgetAnswersExhausted asks for a min/max n=5 kernel
 // within 22 instructions, one below the shortest known. No proof says
 // none exists: ConfigBest's cut search exhausts, and so does the capped
 // certifying search after it (about 300,000 states in all). The answer
-// is the 422 "exhausted its budget", never "no kernel … exists", and
-// nothing is cached.
+// is the 422 "exhausted its budget", never "no kernel … exists",
+// nothing is cached, and /metrics counts it as exhausted, not as a
+// refutation.
 func TestUnprovedBudgetAnswersExhausted(t *testing.T) {
 	if raceEnabled || testing.Short() {
 		t.Skip("a multi-second min/max n=5 search; skipped under -race and -short")
@@ -62,6 +67,9 @@ func TestUnprovedBudgetAnswersExhausted(t *testing.T) {
 	}
 	if n := s.cache.Len(); n != 0 {
 		t.Errorf("memory tier holds %d entries, want none", n)
+	}
+	if bc := backendMetrics(t, ts.URL)["enum"]; bc.Exhausted != 1 || bc.NoKernel != 0 {
+		t.Errorf("enum counters exhausted %d, no_kernel %d; want 1 and 0", bc.Exhausted, bc.NoKernel)
 	}
 	files, err := os.ReadDir(dir)
 	if err != nil {

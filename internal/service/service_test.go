@@ -72,6 +72,23 @@ func getMetrics(t *testing.T, url string) map[string]map[string]any {
 	return map[string]map[string]any{"cache": m.Cache, "searches": m.Searches, "universe": m.Universe}
 }
 
+// backendMetrics returns the per-backend counters of /metrics.
+func backendMetrics(t *testing.T, url string) map[string]backendSnapshot {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m struct {
+		Backends map[string]backendSnapshot `json:"backends"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	return m.Backends
+}
+
 func counter(t *testing.T, m map[string]map[string]any, section, name string) int64 {
 	t.Helper()
 	v, ok := m[section][name]

@@ -82,12 +82,15 @@ type synthesizeResponse struct {
 	// Objective and Cost report the ranking objective of the kernel and
 	// its primary uarch metric; both are omitted for shortest (the
 	// historical reply shape).
-	Objective     string  `json:"objective,omitempty"`
-	Cost          float64 `json:"cost,omitempty"`
-	SolutionCount int64   `json:"solution_count"`
-	Backend       string  `json:"backend"`
-	Cached        bool    `json:"cached"`
-	Coalesced     bool    `json:"coalesced,omitempty"`
+	Objective string  `json:"objective,omitempty"`
+	Cost      float64 `json:"cost,omitempty"`
+	// RerankTruncated reports that the optimal set was too large to
+	// rank whole, so the kernel is the best of a deterministic prefix.
+	RerankTruncated bool   `json:"rerank_truncated,omitempty"`
+	SolutionCount   int64  `json:"solution_count"`
+	Backend         string `json:"backend"`
+	Cached          bool   `json:"cached"`
+	Coalesced       bool   `json:"coalesced,omitempty"`
 	// Source is the tier that answered: "universe" (baked L0),
 	// "cache" (kcache L1/L2), or "search" (a live synthesis).
 	Source string      `json:"source"`
@@ -426,6 +429,9 @@ func (s *Server) runFlight(ctx context.Context, key kcache.Key, set *isa.Set, b 
 		return nil, noKernelError{bound: entry.Length}
 	case entry != nil:
 		bc.found.Add(1)
+		if entry.RerankTruncated {
+			bc.rerankTruncated.Add(1)
+		}
 		entry.ElapsedNS = int64(res.Stats.Elapsed)
 		if err := s.cache.Put(key, entry); err != nil {
 			// A failed disk write only costs a future re-synthesis; the
@@ -442,7 +448,7 @@ func (s *Server) runFlight(ctx context.Context, key kcache.Key, set *isa.Set, b 
 		bc.timedOut.Add(1)
 		return nil, errSearchTimeout
 	default: // a spent budget that proves nothing
-		bc.noKernel.Add(1)
+		bc.exhausted.Add(1)
 		return nil, budgetExhaustedError{backend: res.Backend, bound: spec.MaxLen}
 	}
 }
@@ -510,17 +516,18 @@ const (
 
 func responseFor(e *kcache.Entry, hash, source string, coalesced bool, start time.Time) synthesizeResponse {
 	return synthesizeResponse{
-		Kernel:        e.Program,
-		Programs:      e.Programs,
-		Length:        e.Length,
-		Objective:     e.Objective,
-		Cost:          e.Cost,
-		SolutionCount: e.SolutionCount,
-		Backend:       e.Backend,
-		Cached:        source != sourceSearch,
-		Coalesced:     coalesced,
-		Source:        source,
-		Key:           hash,
+		Kernel:          e.Program,
+		Programs:        e.Programs,
+		Length:          e.Length,
+		Objective:       e.Objective,
+		Cost:            e.Cost,
+		RerankTruncated: e.RerankTruncated,
+		SolutionCount:   e.SolutionCount,
+		Backend:         e.Backend,
+		Cached:          source != sourceSearch,
+		Coalesced:       coalesced,
+		Source:          source,
+		Key:             hash,
 		Stats: searchStats{
 			Expanded:  e.Expanded,
 			Generated: e.Generated,

@@ -186,7 +186,25 @@ func Analyze(set *isa.Set, p isa.Program) Analysis {
 // greedy cycle-accurate simulation: iterations of the kernel on
 // independent inputs are issued in order, at most issueWidth
 // instructions per cycle, each uop executing on the lowest-numbered free
-// eligible port once its operands are ready.
+// eligible port once its operands are ready. The estimate is the mean
+// spacing of the last completions over the iterations after the first.
+//
+// The state one iteration hands the next is the issue cycle, the port
+// busy times and the latest completion; operand readiness resets every
+// iteration. The simulation stops as soon as that state repeats up to a
+// shift in time and extrapolates the rest, which gives the same integer
+// cycle counts as simulating every iteration (DESIGN.md §14 "The uarch
+// model"). Two normalizations make the state repeat:
+//
+//   - relative to the iteration's first issue cycle, with busy times
+//     below it clipped to it: every instruction executes at or after
+//     that cycle, so the clipped state decides the iteration;
+//   - relative to the least busy time among the ports the program uses,
+//     while every such port is busy past the iteration's last issue
+//     cycle: then the issue cycle never decides when a uop executes.
+//     A period counts only if that origin advances at least as fast as
+//     the issue cycle, so the condition holds for every later
+//     iteration too.
 func Throughput(set *isa.Set, p isa.Program) float64 {
 	if len(p) == 0 {
 		return 0
@@ -194,56 +212,70 @@ func Throughput(set *isa.Set, p isa.Program) float64 {
 	const iterations = 64
 	regs := set.Regs()
 
-	var busyUntil [numPorts]int // per port: first cycle it is free
+	var stepBuf [32]step
+	steps := stepBuf[:0]
+	if len(p) > len(stepBuf) {
+		steps = make([]step, 0, len(p))
+	}
+	var used uint8 // ports any instruction can use
+	for _, in := range p {
+		st := step{deps(in, regs), classes[in.Op]}
+		used |= st.ports
+		steps = append(steps, st)
+	}
+	// Iterations phase apart start at the same slot of an issue cycle.
+	phase := 1
+	for phase*len(p)%issueWidth != 0 {
+		phase++
+	}
 
+	var hist [iterations]snapshot // state at the start of each iteration
+	var busy [numPorts]int        // per port: first cycle it is free
 	var buf [16]int
 	ready := readyTimes(&buf, regs)
-	cycle := 0     // current issue cycle
-	issued := 0    // instructions issued this cycle
-	lastDone := 0  // completion time of the final instruction
-	firstDone := 0 // completion time of the first iteration
+	cycle := 0         // current issue cycle
+	issued := 0        // instructions issued this cycle
+	lastDone := 0      // completion time of the latest instruction
+	notPortBound := -1 // latest iteration that was not port-bound
 
 	for it := 0; it < iterations; it++ {
-		// Fresh architectural inputs per iteration: reset dependence on
-		// r1..rn (new data loaded), keep port/cycle state.
-		for i := range ready {
-			ready[i] = 0
+		s := &hist[it]
+		*s = snapshot{cycle: cycle, busy: busy, lastDone: lastDone, origin: leastBusy(&busy, used)}
+		lastIssue := (it*len(p) + len(p) - 1) / issueWidth
+		s.portBound = used != 0 && s.origin >= lastIssue
+		for j := it - phase; j >= 0; j -= phase {
+			shift, ok := issueBoundShift(&hist[j], s)
+			if !ok && j > notPortBound {
+				shift, ok = portBoundShift(&hist[j], s, used)
+			}
+			if ok {
+				// Iteration it repeats iteration j shifted by shift
+				// cycles, and so does every later one. hist[t+1].lastDone
+				// is the latest completion after iteration t.
+				period := it - j
+				q, r := (iterations-1-j)/period, (iterations-1-j)%period
+				last := hist[j+r+1].lastDone + q*shift
+				return float64(last-hist[1].lastDone) / float64(iterations-1)
+			}
 		}
-		for _, in := range p {
-			cl := classes[in.Op]
-			ops := deps(in, regs)
+		if !s.portBound {
+			notPortBound = it
+		}
+
+		clear(ready)
+		for _, st := range steps {
 			start := cycle
-			for _, r := range ops.reads[:ops.nreads] {
-				if ready[r] > start {
-					start = ready[r]
-				}
+			for _, r := range st.reads[:st.nreads] {
+				start = max(start, ready[r])
 			}
-			var done int
-			if cl.eliminated {
-				done = start // zero latency, no port
-			} else {
-				// Find the earliest cycle ≥ start with a free eligible port.
-				exec := start
-				for {
-					found := -1
-					for pt := range busyUntil {
-						if cl.ports&(1<<pt) != 0 && busyUntil[pt] <= exec {
-							found = pt
-							break
-						}
-					}
-					if found >= 0 {
-						busyUntil[found] = exec + 1
-						done = exec + cl.latency
-						break
-					}
-					exec++
-				}
+			done := start // an eliminated move: zero latency, no port
+			if !st.eliminated {
+				exec, pt := freePort(&busy, st.ports, start)
+				busy[pt] = exec + 1
+				done = exec + st.latency
 			}
-			ready[ops.write] = done
-			if done > lastDone {
-				lastDone = done
-			}
+			ready[st.write] = done
+			lastDone = max(lastDone, done)
 			// In-order issue, issueWidth per cycle.
 			issued++
 			if issued == issueWidth {
@@ -251,12 +283,90 @@ func Throughput(set *isa.Set, p isa.Program) float64 {
 				cycle++
 			}
 		}
-		if it == 0 {
-			firstDone = lastDone
+	}
+	return float64(lastDone-hist[1].lastDone) / float64(iterations-1)
+}
+
+// step is one instruction decoded for the simulation.
+type step struct {
+	operands
+	classInfo
+}
+
+// snapshot is the simulation state at the start of one iteration.
+type snapshot struct {
+	cycle    int // issue cycle of the iteration's first instruction
+	busy     [numPorts]int
+	lastDone int
+	// origin is the least busy time among the ports the program uses;
+	// portBound reports that it is at or past the iteration's last
+	// issue cycle.
+	origin    int
+	portBound bool
+}
+
+// issueBoundShift reports whether b is a, shifted by the issue cycles
+// between them, once busy times and lastDone are clipped to the
+// iteration's first issue cycle.
+func issueBoundShift(a, b *snapshot) (int, bool) {
+	for pt := range a.busy {
+		if max(a.busy[pt], a.cycle)-a.cycle != max(b.busy[pt], b.cycle)-b.cycle {
+			return 0, false
 		}
 	}
-	if iterations == 1 {
-		return float64(firstDone)
+	if max(a.lastDone, a.cycle)-a.cycle != max(b.lastDone, b.cycle)-b.cycle {
+		return 0, false
 	}
-	return float64(lastDone-firstDone) / float64(iterations-1)
+	return b.cycle - a.cycle, true
+}
+
+// portBoundShift reports whether b is a, shifted by the advance of the
+// least busy used port, with the used ports' busy times and lastDone
+// taken relative to it. The caller checks that every iteration from a
+// up to b was port-bound; the shift must be at least the issue cycles
+// between them, so later iterations stay port-bound.
+func portBoundShift(a, b *snapshot, used uint8) (int, bool) {
+	shift := b.origin - a.origin
+	if shift < b.cycle-a.cycle {
+		return 0, false
+	}
+	for pt := range a.busy {
+		if used&(1<<pt) != 0 && a.busy[pt]-a.origin != b.busy[pt]-b.origin {
+			return 0, false
+		}
+	}
+	if a.lastDone-a.origin != b.lastDone-b.origin {
+		return 0, false
+	}
+	return shift, true
+}
+
+// leastBusy returns the least busy time among the ports in mask, or 0
+// for an empty mask.
+func leastBusy(busy *[numPorts]int, mask uint8) int {
+	least := -1
+	for pt, b := range busy {
+		if mask&(1<<pt) != 0 && (least < 0 || b < least) {
+			least = b
+		}
+	}
+	return max(least, 0)
+}
+
+// freePort returns the earliest cycle ≥ start at which one of the ports
+// in mask is free, and the lowest-numbered port free then.
+func freePort(busy *[numPorts]int, mask uint8, start int) (exec, port int) {
+	port = -1
+	for pt, b := range busy {
+		if mask&(1<<pt) == 0 {
+			continue
+		}
+		if b <= start {
+			return start, pt
+		}
+		if port < 0 || b < busy[port] {
+			port = pt
+		}
+	}
+	return busy[port], port
 }

@@ -322,14 +322,15 @@ func EntryFor(set *isa.Set, spec backend.Spec, res *backend.Result) *kcache.Entr
 		objName = spec.Objective.String()
 	}
 	e := &kcache.Entry{
-		Backend:       res.Backend,
-		Objective:     objName,
-		Cost:          res.Cost,
-		Program:       res.Program.Format(set.N),
-		Length:        res.Length,
-		SolutionCount: max(res.Solutions, 1), // 0: the one program a single-solution backend returns
-		Expanded:      res.Stats.Nodes,
-		Generated:     res.Stats.Generated,
+		Backend:         res.Backend,
+		Objective:       objName,
+		Cost:            res.Cost,
+		RerankTruncated: res.RerankTruncated,
+		Program:         res.Program.Format(set.N),
+		Length:          res.Length,
+		SolutionCount:   max(res.Solutions, 1), // 0: the one program a single-solution backend returns
+		Expanded:        res.Stats.Nodes,
+		Generated:       res.Stats.Generated,
 	}
 	for _, p := range res.Programs {
 		e.Programs = append(e.Programs, p.Format(set.N))
