@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strings"
@@ -76,25 +75,11 @@ func TestSynthesizeBackendFieldCacheKeyAndMetrics(t *testing.T) {
 		t.Fatalf("enum request %+v, want a fresh search (distinct cache key)", viaEnum)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m struct {
-		Backends map[string]struct {
-			Started   int64 `json:"started"`
-			Completed int64 `json:"completed"`
-			Found     int64 `json:"found"`
-		} `json:"backends"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
+	backends := backendMetrics(t, ts.URL)
 	for _, name := range []string{"smt", "enum"} {
-		bc, ok := m.Backends[name]
+		bc, ok := backends[name]
 		if !ok {
-			t.Fatalf("/metrics backends missing %q: %+v", name, m.Backends)
+			t.Fatalf("/metrics backends missing %q: %+v", name, backends)
 		}
 		if bc.Started < 1 || bc.Completed < 1 || bc.Found < 1 {
 			t.Fatalf("backend %q counters %+v, want started/completed/found ≥ 1", name, bc)
