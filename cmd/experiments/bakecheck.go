@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"sortsynth/internal/backend"
@@ -43,7 +42,7 @@ func init() {
 		opt := universe.Options{
 			ISAs: []string{"cmov", "minmax"}, MinN: 2, MaxN: 3, Slack: 2,
 			Backends: []string{"enum"}, DuplicateSafe: true,
-			Workers: runtime.GOMAXPROCS(0), SpecTimeout: time.Minute,
+			SpecTimeout: time.Minute,
 		}
 		c.section("Bake: miniature universe (enum, n=2..3, budgets L*±2, dupsafe)")
 		start := time.Now()

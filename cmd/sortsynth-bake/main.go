@@ -7,8 +7,11 @@
 // -universe to serve the whole space with zero searches.
 //
 //	sortsynth-bake -o universe.ssuniv
-//	sortsynth-bake -o mini.ssuniv -max-n 3 -backends enum -workers 4
+//	GOMAXPROCS=4 sortsynth-bake -o mini.ssuniv -max-n 3 -backends enum
 //	sortsynthd -universe universe.ssuniv
+//
+// Specs are synthesized GOMAXPROCS at a time (every core by default);
+// the artifact is byte-identical at any GOMAXPROCS.
 //
 // The exit status is nonzero if any spec failed to synthesize (timed-out
 // or inconclusive specs are skipped, not failed: the live tier still
@@ -22,6 +25,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -43,7 +47,6 @@ func main() {
 		dupsafe = flag.Bool("dupsafe", true, "also bake duplicate-safe enum variants")
 		objs    = flag.String("objectives", "shortest,fastest",
 			"comma-separated ranking objectives to bake for the enum backend")
-		workers = flag.Int("workers", 2, "specs synthesized concurrently")
 		timeout = flag.Duration("spec-timeout", 60*time.Second, "per-spec synthesis bound (exceeding it skips the spec)")
 		quiet   = flag.Bool("q", false, "suppress per-spec progress lines")
 	)
@@ -66,14 +69,13 @@ func main() {
 		Backends:      splitList(*banames),
 		DuplicateSafe: *dupsafe,
 		Objectives:    objectives,
-		Workers:       *workers,
 		SpecTimeout:   *timeout,
 	}
 	if !*quiet {
 		opt.Log = log.Printf
 	}
 	n := len(universe.EnumerateSpecs(opt))
-	log.Printf("baking %d specs into %s (%d workers, %v per spec)", n, *out, *workers, *timeout)
+	log.Printf("baking %d specs into %s (%d workers, %v per spec)", n, *out, runtime.GOMAXPROCS(0), *timeout)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

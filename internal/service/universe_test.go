@@ -20,7 +20,7 @@ import (
 // positive (L*=4) and a negative (budget 3) record.
 var miniBake = universe.Options{
 	ISAs: []string{"cmov"}, MinN: 2, MaxN: 2, Slack: 1,
-	Backends: []string{"enum"}, Workers: 2, SpecTimeout: time.Minute,
+	Backends: []string{"enum"}, SpecTimeout: time.Minute,
 }
 
 // bakeMini writes the miniBake universe and returns its path.
@@ -95,7 +95,7 @@ func TestBakedEqualsLiveUnderDefaultConfig(t *testing.T) {
 	opt := universe.Options{
 		ISAs: []string{"cmov", "minmax"}, MinN: 2, MaxN: 3, Slack: 2,
 		Backends: []string{"enum"}, DuplicateSafe: true,
-		Workers: 2, SpecTimeout: time.Minute,
+		SpecTimeout: time.Minute,
 	}
 	store, err := universe.Open(bake(t, opt))
 	if err != nil {

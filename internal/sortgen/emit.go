@@ -3,6 +3,7 @@ package sortgen
 import (
 	"fmt"
 	"go/format"
+	"go/token"
 	"strings"
 
 	"sortsynth/internal/isa"
@@ -43,6 +44,14 @@ func (o *EmitOptions) normalize(n int) error {
 	if o.Elem == "" {
 		o.Elem = "int"
 	}
+	// GoFile does not parse what it writes, so a bad name would reach the
+	// caller's compiler instead of failing here.
+	if !token.IsIdentifier(o.Package) {
+		return fmt.Errorf("sortgen: package name %q is not a Go identifier", o.Package)
+	}
+	if !token.IsIdentifier(o.FuncName) {
+		return fmt.Errorf("sortgen: function name %q is not a Go identifier", o.FuncName)
+	}
 	if !elemTypes[o.Elem] {
 		return fmt.Errorf("sortgen: unsupported element type %q (ordered integer types and string only; floats are excluded because NaN breaks the verified total order)", o.Elem)
 	}
@@ -61,8 +70,13 @@ func (p *Plan) BlocksDesc() string {
 	return strings.Join(parts, "+")
 }
 
-// GoFile renders the plan as a complete, gofmt-clean Go source file:
-// a generated-code header, the package clause, and the sorter function.
+// GoFile renders the plan as a complete Go source file: a
+// generated-code header, the package clause, and the sorter function.
+// The output is gofmt-clean by construction — every line is written in
+// its formatted shape, and no composite literal or comment block needs
+// alignment — so it is not run through go/format, which would cost more
+// than ten times the rendering. TestEmitGofmtClean guards the claim for
+// n up to 256 under both objectives and for every element type.
 func (p *Plan) GoFile(opts EmitOptions) (string, error) {
 	if err := opts.normalize(p.N); err != nil {
 		return "", err
@@ -79,12 +93,7 @@ func (p *Plan) GoFile(opts EmitOptions) (string, error) {
 		return "", err
 	}
 	b.WriteString(fn)
-	src, err := format.Source([]byte(b.String()))
-	if err != nil {
-		// A formatting failure is an emitter bug, not a caller error.
-		return "", fmt.Errorf("sortgen: emitted source does not parse: %w\n%s", err, b.String())
-	}
-	return string(src), nil
+	return b.String(), nil
 }
 
 // LeavesSource renders zleaves.go, the compiled leaves of HybridSort:
@@ -127,8 +136,9 @@ package sortgen
 	return src, nil
 }
 
-// goFunc renders only the sorter function (callers embedding several
-// sorters into one file run the result through go/format themselves).
+// goFunc renders only the sorter function, gofmt-clean on its own
+// (LeavesSource runs its file through go/format for the table it puts
+// in front).
 func (p *Plan) goFunc(opts EmitOptions) (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "// %s sorts a[:%d] in place.\n", opts.FuncName, p.N)

@@ -5,11 +5,15 @@ import (
 	"flag"
 	"fmt"
 	"go/format"
+	"maps"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"sortsynth/internal/enum"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -57,22 +61,49 @@ func TestLeavesSourceMatchesZleaves(t *testing.T) {
 	}
 }
 
+// TestEmitGofmtClean is the guard behind GoFile's promise of
+// gofmt-clean output (GoFile itself never runs go/format): every n up to
+// 64 and every 16th up to 256, the largest n sortsynthd serves by
+// default, under both objectives, and every element type at a few n.
+// Under -short it stops at n=40.
 func TestEmitGofmtClean(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 6, 13, 32} {
-		p, err := Compose(n)
+	maxN := 256
+	if testing.Short() {
+		maxN = 40
+	}
+	var ns []int
+	for n := 0; n <= maxN; n++ {
+		if n <= 64 || n%16 == 0 {
+			ns = append(ns, n)
+		}
+	}
+	check := func(n int, obj enum.Objective, elem string) {
+		t.Helper()
+		p, err := ComposeObjective(n, obj)
 		if err != nil {
 			t.Fatal(err)
 		}
-		src, err := p.GoFile(EmitOptions{Elem: "int64"})
+		src, err := p.GoFile(EmitOptions{Elem: elem})
 		if err != nil {
 			t.Fatal(err)
 		}
 		formatted, err := format.Source([]byte(src))
 		if err != nil {
-			t.Fatalf("n=%d: emitted source does not parse: %v", n, err)
+			t.Fatalf("n=%d %s %s: emitted source does not parse: %v", n, obj, elem, err)
 		}
 		if src != string(formatted) {
-			t.Errorf("n=%d: emitted source is not gofmt-clean", n)
+			t.Errorf("n=%d %s %s: emitted source is not gofmt-clean", n, obj, elem)
+		}
+	}
+	for _, obj := range []enum.Objective{enum.ObjectiveShortest, enum.ObjectiveFastest} {
+		for _, n := range ns {
+			check(n, obj, "int")
+		}
+	}
+	elems := slices.Sorted(maps.Keys(elemTypes))
+	for _, elem := range elems {
+		for _, n := range []int{1, 3, 4, 5, 13} {
+			check(n, enum.ObjectiveFastest, elem)
 		}
 	}
 }
@@ -85,6 +116,14 @@ func TestEmitOptionValidation(t *testing.T) {
 	for _, elem := range []string{"float64", "float32", "bool", "[]int", "int;"} {
 		if _, err := p.GoFile(EmitOptions{Elem: elem}); err == nil {
 			t.Errorf("GoFile accepted element type %q", elem)
+		}
+	}
+	for _, name := range []string{"Sort 3", "func", "x;y", "3sort", "a.b"} {
+		if _, err := p.GoFile(EmitOptions{Package: name}); err == nil {
+			t.Errorf("GoFile accepted package name %q", name)
+		}
+		if _, err := p.GoFile(EmitOptions{FuncName: name}); err == nil {
+			t.Errorf("GoFile accepted function name %q", name)
 		}
 	}
 	src, err := p.GoFile(EmitOptions{Package: "kern", FuncName: "Quad", Elem: "uint32"})

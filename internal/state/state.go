@@ -282,6 +282,73 @@ func (m *Machine) Step(a Asg, in isa.Instr) Asg {
 	panic(fmt.Sprintf("state: unknown op %v", in.Op))
 }
 
+// Unstep calls yield once for every predecessor of b under in: every a
+// with Step(a, in) == b whose register values are at most n and whose
+// lt and gt flags are not both set (the domain of internal/tables).
+// b must lie in that domain. It is the exact inverse of Step there:
+//
+//   - mov: b[dst] == b[src], and a[dst] is any value;
+//   - cmp: b's flags are those of b[dst] vs b[src], and a has any of
+//     the three flag codes;
+//   - cmovl, cmovg: b itself when the flag is clear, otherwise as mov;
+//   - min, max: a[dst] is any value that clamps to b[dst].
+//
+// in must have dst ≠ src, as every instruction of an isa.Set does.
+func (m *Machine) Unstep(b Asg, in isa.Instr, yield func(Asg)) {
+	sh := m.shift[in.Dst]
+	vd, vs := (b>>sh)&0xF, (b>>m.shift[in.Src])&0xF
+	// dsts yields b with a[dst] = v for every v in lo..hi.
+	dsts := func(lo, hi Asg) {
+		base := b &^ (0xF << sh)
+		for v := lo; v <= hi; v++ {
+			yield(base | v<<sh)
+		}
+	}
+	switch in.Op {
+	case isa.Cmp:
+		var want Asg
+		if vd < vs {
+			want = flagLT
+		} else if vd > vs {
+			want = flagGT
+		}
+		if b&(flagLT|flagGT) == want {
+			base := b &^ (flagLT | flagGT)
+			yield(base)
+			yield(base | flagLT)
+			yield(base | flagGT)
+		}
+		return
+	case isa.Cmovl:
+		if b&flagLT == 0 {
+			yield(b)
+			return
+		}
+	case isa.Cmovg:
+		if b&flagGT == 0 {
+			yield(b)
+			return
+		}
+	}
+	n := Asg(m.Set.N)
+	switch {
+	case in.Op == isa.Min:
+		if vd < vs {
+			yield(b)
+		} else if vd == vs {
+			dsts(vs, n)
+		}
+	case in.Op == isa.Max:
+		if vd > vs {
+			yield(b)
+		} else if vd == vs {
+			dsts(0, vs)
+		}
+	case vd == vs: // mov, or a cmov whose flag is set
+		dsts(0, n)
+	}
+}
+
 // RunAsg executes a whole program on a packed assignment.
 func (m *Machine) RunAsg(a Asg, p isa.Program) Asg {
 	for _, in := range p {

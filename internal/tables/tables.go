@@ -3,9 +3,10 @@
 // alone (paper §3.1).
 //
 // The single-assignment space is tiny (at most 3·(n+1)^(n+m) entries), so
-// the distances are tabulated once per machine by fixpoint relaxation over
-// the instruction step function. The table yields three search
-// ingredients:
+// the distances are tabulated once per machine by one backward
+// breadth-first search from the sorted assignments, walking the inverse
+// of the instruction step function (state.Machine.Unstep). The table
+// yields three search ingredients:
 //
 //   - an admissible A* heuristic: max over the assignments of a state of
 //     the assignment's distance is a lower bound on the remaining program
@@ -221,74 +222,94 @@ func (t *Table) buildLUT() {
 }
 
 func build(m *state.Machine) *Table {
-	set := m.Set
-	n, regs := set.N, set.Regs()
+	t := newTable(m)
+	asgs := assignments(m)
+	t.bfs(asgs)
+	t.buildMasks(asgs)
+	return t
+}
+
+// newTable allocates the machine's table with its index lookups and an
+// unfilled distance array.
+func newTable(m *state.Machine) *Table {
+	regs := m.Set.Regs()
 	t := &Table{m: m}
 	t.npow[0] = 1
 	for i := 1; i <= regs; i++ {
-		t.npow[i] = t.npow[i-1] * uint32(n+1)
+		t.npow[i] = t.npow[i-1] * uint32(m.Set.N+1)
 	}
 	t.base = t.npow[regs]
 	t.buildLUT()
 	// Flag codes 0..2 used (3 allocated for indexing simplicity), one
 	// block per goal tag.
-	size := int(t.base) * 4 * m.NumTags()
-	t.dist = make([]uint8, size)
+	t.dist = make([]uint8, int(t.base)*4*m.NumTags())
+	return t
+}
 
-	// Seed the fixpoint from every assignment.
-	asgs := assignments(m)
+// bfs fills the distances by one backward breadth-first search from
+// the sorted assignments: the predecessors of a level-k assignment
+// under every instruction (Machine.Unstep) that are viable and not yet
+// reached get distance k+1. A predecessor is visited only when first
+// reached, so the search needs only the table and a queue — no edge
+// lists. Dead assignments (a goal value erased) stay Infinite; viable
+// ones no program sorts stay Infinite-1, which Dist also reads as
+// Infinite. Steps never create values, so a dead assignment has only
+// dead successors and every shortest program runs through viable
+// assignments alone.
+func (t *Table) bfs(asgs []state.Asg) {
+	m := t.m
 	for i := range t.dist {
 		t.dist[i] = Infinite
 	}
+	var queue []state.Asg
 	for _, a := range asgs {
 		switch {
 		case m.Sorted(a):
 			t.dist[t.index(a)] = 0
+			queue = append(queue, a)
 		case m.Viable(a):
-			t.dist[t.index(a)] = Infinite - 1 // unknown yet, finite
+			t.dist[t.index(a)] = Infinite - 1 // not reached yet
 		}
 	}
-
-	instrs := set.Instrs()
-	for changed := true; changed; {
-		changed = false
-		for _, a := range asgs {
-			idx := t.index(a)
-			d := t.dist[idx]
-			if d == 0 || d == Infinite {
-				continue
-			}
-			best := d
-			for _, in := range instrs {
-				nd := t.dist[t.index(m.Step(a, in))]
-				if nd < Infinite-1 && nd+1 < best {
-					best = nd + 1
-				}
-			}
-			if best < d {
-				t.dist[idx] = best
-				changed = true
-			}
+	instrs := m.Set.Instrs()
+	var d uint8
+	visit := func(a state.Asg) {
+		if idx := t.index(a); t.dist[idx] == Infinite-1 {
+			t.dist[idx] = d
+			queue = append(queue, a)
 		}
 	}
+	for head := 0; head < len(queue); head++ {
+		b := queue[head]
+		d = t.dist[t.index(b)] + 1
+		for _, in := range instrs {
+			m.Unstep(b, in, visit)
+		}
+	}
+}
 
+// buildMasks interns the budget-mask records of every viable
+// assignment from the finished distances, and the cmp mask.
+func (t *Table) buildMasks(asgs []state.Asg) {
+	m := t.m
+	instrs := m.Set.Instrs()
 	// Budget masks. Every instruction moves an assignment at most one
-	// step closer to sorted (d ≤ 1 + dist(step), by the fixpoint), so a
-	// successor's finite distance is d−1+k for some k ≥ 0. The largest
-	// k over every (assignment, instruction) pair, J, sets the record
-	// depth: levels k = 0..J, where level J already holds every finite
-	// successor. A successor fits budget b = d−1+slack exactly when
-	// k ≤ slack, so level min(slack, J) is exact at every slack. Each
-	// record is first built to its own largest k, top, and padded to J
-	// once J is known; level top already holds every finite successor,
-	// so records of different tops never pad to the same masks and
-	// interning by the unpadded masks stays exact.
-	t.rec = make([]uint32, size)
+	// step closer to sorted (d ≤ 1 + dist(step): the instruction
+	// followed by a shortest program for its successor sorts the
+	// assignment), so a successor's finite distance is d−1+k for some
+	// k ≥ 0. The largest k over every (assignment, instruction) pair, J,
+	// sets the record depth: levels k = 0..J, where level J already
+	// holds every finite successor. A successor fits budget b = d−1+slack
+	// exactly when k ≤ slack, so level min(slack, J) is exact at every
+	// slack. Each record is first built to its own largest k, top, and
+	// padded to J once J is known; level top already holds every finite
+	// successor, so records of different tops never pad to the same
+	// masks and interning by the unpadded masks stays exact.
+	t.rec = make([]uint32, len(t.dist))
 	recs := [][]Mask{nil} // record 0: the all-empty record
 	interned := map[string]uint32{"": 0}
 	var key []byte
 	var r []Mask
-	ks := make([]int, len(instrs))
 	rise := 0
 	for _, a := range asgs {
 		idx := t.index(a)
@@ -296,21 +317,24 @@ func build(m *state.Machine) *Table {
 		if d >= Infinite-1 {
 			continue
 		}
-		top := -1
+		// Level k first holds the instructions of rise exactly k, then
+		// every level takes in the ones below it.
+		r = r[:0]
 		for id, in := range instrs {
-			ks[id] = -1
-			if nd := int(t.dist[t.index(m.Step(a, in))]); nd < Infinite-1 {
-				ks[id] = nd - (d - 1)
-				top = max(top, ks[id])
+			nd := int(t.dist[t.index(m.Step(a, in))])
+			if nd >= Infinite-1 {
+				continue
 			}
-		}
-		r = slices.Grow(r[:0], top+1)[:top+1]
-		clear(r)
-		for id, k := range ks {
-			for ; k >= 0 && k <= top; k++ {
-				r[k].Set(id)
+			k := nd - (d - 1)
+			for len(r) <= k {
+				r = append(r, Mask{})
 			}
+			r[k].Set(id)
 		}
+		for k := 1; k < len(r); k++ {
+			r[k].Or(r[k-1])
+		}
+		top := len(r) - 1
 		key = appendRecord(key[:0], r)
 		ri, ok := interned[string(key)]
 		if !ok {
@@ -346,7 +370,6 @@ func build(m *state.Machine) *Table {
 			t.cmpMask.Set(id)
 		}
 	}
-	return t
 }
 
 // assignments enumerates every packed assignment of m — every register

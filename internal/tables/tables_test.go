@@ -1,7 +1,9 @@
 package tables
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"sortsynth/internal/isa"
@@ -330,5 +332,87 @@ func TestBudgetLevelsFromRise(t *testing.T) {
 		if got := For(m).levels; got != 3 {
 			t.Errorf("%v %v: %d budget levels, want 3", m.Set, m.Suite, got)
 		}
+	}
+}
+
+// sweepBuild is the reference build TestBFSMatchesSweep compares build
+// against: the distances by Gauss-Seidel relaxation to a fixpoint —
+// every pass relaxes dist(a) to 1 + min dist(Step(a, i)) over every
+// assignment and instruction until nothing changes, the definition read
+// forwards through Step alone — then the same budget-mask pass as
+// build.
+func sweepBuild(m *state.Machine) *Table {
+	t := newTable(m)
+	asgs := assignments(m)
+	for i := range t.dist {
+		t.dist[i] = Infinite
+	}
+	for _, a := range asgs {
+		switch {
+		case m.Sorted(a):
+			t.dist[t.index(a)] = 0
+		case m.Viable(a):
+			t.dist[t.index(a)] = Infinite - 1 // unknown yet, finite
+		}
+	}
+	instrs := m.Set.Instrs()
+	for changed := true; changed; {
+		changed = false
+		for _, a := range asgs {
+			idx := t.index(a)
+			d := t.dist[idx]
+			if d == 0 || d == Infinite {
+				continue
+			}
+			best := d
+			for _, in := range instrs {
+				nd := t.dist[t.index(m.Step(a, in))]
+				if nd < Infinite-1 && nd+1 < best {
+					best = nd + 1
+				}
+			}
+			if best < d {
+				t.dist[idx] = best
+				changed = true
+			}
+		}
+	}
+	t.buildMasks(asgs)
+	return t
+}
+
+// TestBFSMatchesSweep requires the backward search to build the
+// reference sweep's table byte for byte — distances, record index,
+// masks and depth — on the mask machines and min/max n=5: with them,
+// every table a cold perfbench set-up warms.
+func TestBFSMatchesSweep(t *testing.T) {
+	for _, m := range append(maskMachines(), state.NewMachine(isa.NewMinMax(5, 1))) {
+		got, want := For(m), sweepBuild(m)
+		switch {
+		case !slices.Equal(got.dist, want.dist):
+			t.Errorf("%v %v: distances differ from the sweep", m.Set, m.Suite)
+		case !slices.Equal(got.rec, want.rec):
+			t.Errorf("%v %v: record index differs from the sweep", m.Set, m.Suite)
+		case !slices.Equal(got.masks, want.masks):
+			t.Errorf("%v %v: masks differ from the sweep", m.Set, m.Suite)
+		case got.levels != want.levels || got.cmpMask != want.cmpMask:
+			t.Errorf("%v %v: levels %d, cmp mask %x; the sweep gives %d, %x",
+				m.Set, m.Suite, got.levels, got.cmpMask, want.levels, want.cmpMask)
+		}
+	}
+}
+
+// BenchmarkTableBuild times one cold table build (For caches, so it
+// calls build directly) on the two largest tables perfbench warms.
+func BenchmarkTableBuild(b *testing.B) {
+	for _, m := range []*state.Machine{
+		state.NewMachineSuite(isa.NewCmov(4, 1), state.SuiteWeakOrders),
+		state.NewMachine(isa.NewMinMax(5, 1)),
+	} {
+		b.Run(fmt.Sprintf("%v/%v", m.Set, m.Suite), func(b *testing.B) {
+			for range b.N {
+				build(m)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -80,7 +81,7 @@ func DeterministicBackends() []string {
 
 // Options configures a bake. The zero value is completed by defaults():
 // both ISAs, n=2..5, m=1, budgets L*±2, the deterministic backends,
-// duplicate-safe variants on, one worker, 60s per spec.
+// duplicate-safe variants on, 60s per spec.
 type Options struct {
 	ISAs     []string
 	MinN     int
@@ -94,8 +95,6 @@ type Options struct {
 	// (nil = shortest and fastest). Non-enum backends are always baked
 	// shortest-only — they reject anything else.
 	Objectives []enum.Objective
-	// Workers is the number of specs synthesized concurrently.
-	Workers int
 	// SpecTimeout bounds each synthesis; a spec that exceeds it is
 	// skipped (and counted), not failed — the live tier still covers it.
 	SpecTimeout time.Duration
@@ -118,9 +117,6 @@ func (o Options) defaults() Options {
 	}
 	if len(o.Backends) == 0 {
 		o.Backends = DeterministicBackends()
-	}
-	if o.Workers <= 0 {
-		o.Workers = 1
 	}
 	if o.SpecTimeout == 0 {
 		o.SpecTimeout = 60 * time.Second
@@ -191,6 +187,11 @@ type result struct {
 // atomically (temp file + rename). Failed specs do not abort the bake;
 // they are counted in Stats.Failed and the caller decides. The returned
 // contentID is the artifact's hex SHA-256.
+//
+// Bake synthesizes runtime.GOMAXPROCS(0) specs at a time. The artifact
+// does not depend on that number: each search runs on one goroutine, so
+// a record is a pure function of its key, and records are written in
+// key order.
 func Bake(ctx context.Context, path string, registry *backend.Registry, opt Options) (contentID string, stats BakeStats, err error) {
 	opt = opt.defaults()
 	if registry == nil {
@@ -202,7 +203,7 @@ func Bake(ctx context.Context, path string, registry *backend.Registry, opt Opti
 	jobs := make(chan Spec)
 	results := make(chan result)
 	var wg sync.WaitGroup
-	for w := 0; w < opt.Workers; w++ {
+	for range runtime.GOMAXPROCS(0) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -301,10 +302,10 @@ func TestBakeMini(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mini.ssuniv")
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	id, stats, err := Bake(ctx, path, nil, Options{
 		ISAs: []string{"cmov"}, MinN: 2, MaxN: 2, Slack: 1,
-		Backends: []string{"enum"}, Workers: 2,
-		SpecTimeout: time.Minute,
+		Backends: []string{"enum"}, SpecTimeout: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -336,15 +337,15 @@ func TestBakeMini(t *testing.T) {
 	}
 
 	// Equal bakes are byte-identical: a second run of the same space —
-	// at a different worker count — must produce the same content ID.
-	// (Wall clock is deliberately excluded from baked entries; node
-	// counts are deterministic because each search runs on one
-	// goroutine.)
+	// at a different GOMAXPROCS, so with a different number of bake
+	// workers — must produce the same content ID. (Wall clock is
+	// deliberately excluded from baked entries; node counts are
+	// deterministic because each search runs on one goroutine.)
+	runtime.GOMAXPROCS(1)
 	path2 := filepath.Join(t.TempDir(), "mini2.ssuniv")
 	id2, _, err := Bake(ctx, path2, nil, Options{
 		ISAs: []string{"cmov"}, MinN: 2, MaxN: 2, Slack: 1,
-		Backends: []string{"enum"}, Workers: 1,
-		SpecTimeout: time.Minute,
+		Backends: []string{"enum"}, SpecTimeout: time.Minute,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -359,33 +360,36 @@ func TestBakeMini(t *testing.T) {
 //
 //	sortsynth-bake -min-n 2 -max-n 3 -slack 2 -backends enum -dupsafe
 //
-// It is the same on amd64 and 386 and at any worker count. A change
+// It is the same on amd64 and 386 and at any GOMAXPROCS. A change
 // that alters any baked artifact must update it and say why.
 const miniContentID = "9d7648df62046914a1e5acfafe9a494430068a5c6e304ca43ffca432465dadd1"
 
 // TestBakeMiniContentID pins one artifact per key: the mini universe
 // (enum, both ISAs, n=2..3, slack 2, duplicate-safe variants, default
-// objectives) must hash to miniContentID at one and at two workers.
+// objectives) must hash to miniContentID at GOMAXPROCS 1 and 2, so
+// baked by one worker and by two.
 // It runs under -short (the bake takes well under a second) so the
 // cross-architecture test run checks it too.
 func TestBakeMiniContentID(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	for _, workers := range []int{1, 2} {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
 		path := filepath.Join(t.TempDir(), "mini.ssuniv")
 		id, stats, err := Bake(ctx, path, nil, Options{
 			ISAs: []string{"cmov", "minmax"}, MinN: 2, MaxN: 3, Slack: 2,
 			Backends: []string{"enum"}, DuplicateSafe: true,
-			Workers: workers, SpecTimeout: time.Minute,
+			SpecTimeout: time.Minute,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stats.Failed != 0 || stats.Skipped != 0 {
-			t.Fatalf("workers=%d: bake did not cover every spec: %+v", workers, stats)
+			t.Fatalf("GOMAXPROCS=%d: bake did not cover every spec: %+v", procs, stats)
 		}
 		if id != miniContentID {
-			t.Errorf("workers=%d: content ID %s, want %s", workers, id, miniContentID)
+			t.Errorf("GOMAXPROCS=%d: content ID %s, want %s", procs, id, miniContentID)
 		}
 	}
 }
