@@ -72,7 +72,6 @@ fuzz-smoke:
 	$(GO) test -race -run='^$$' -fuzz='^FuzzCanonicalize$$' -fuzztime=$(FUZZTIME) ./internal/state
 	$(GO) test -race -run='^$$' -fuzz='^FuzzHashKey$$' -fuzztime=$(FUZZTIME) ./internal/state
 	$(GO) test -race -run='^$$' -fuzz='^FuzzApplyDistVsStep$$' -fuzztime=$(FUZZTIME) ./internal/state
-	$(GO) test -race -run='^$$' -fuzz='^FuzzUnstep$$' -fuzztime=$(FUZZTIME) ./internal/state
 	$(GO) test -race -run='^$$' -fuzz='^FuzzPairBound$$' -fuzztime=$(FUZZTIME) ./internal/state
 	$(GO) test -race -run='^$$' -fuzz='^FuzzErasedBound$$' -fuzztime=$(FUZZTIME) ./internal/state
 	$(GO) test -race -run='^$$' -fuzz='^FuzzFlatTable$$' -fuzztime=$(FUZZTIME) ./internal/enum

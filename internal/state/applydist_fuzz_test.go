@@ -32,11 +32,13 @@ var fuzzMachines = []*state.Machine{
 
 // clampAsg forces an arbitrary fuzzed word into the machine's packed
 // domain: register values at most n, tag below the goal-table size, and
-// at most one of lt and gt set (cmp sets one flag or none, so both never
-// occur). The distance tables are only defined on that domain (exactly
-// the states the search can reach): out-of-range nibbles would index
-// garbage, and a both-flags assignment reads as dead while its cmp
-// successor does not, rather than exercising the contract.
+// a flag code cmp can leave — at most one of lt and gt on flag-carrying
+// machines (cmp sets one flag or none, so both never occur), none on
+// min/max machines. The distance tables are only defined on that domain
+// (exactly the states the search can reach): out-of-range nibbles would
+// index garbage, a both-flags assignment reads as dead while its cmp
+// successor does not, and a flag on a min/max machine reads as dead
+// too, rather than exercising the contract.
 func clampAsg(m *state.Machine, a state.Asg) state.Asg {
 	n := m.Set.N
 	vals := m.Unpack(a)
@@ -44,6 +46,9 @@ func clampAsg(m *state.Machine, a state.Asg) state.Asg {
 		vals[i] = v % (n + 1)
 	}
 	lt, gt := m.Flags(a)
+	if !m.Set.HasFlags() {
+		lt, gt = false, false
+	}
 	out := m.Pack(vals, lt, gt && !lt)
 	return m.WithTag(out, m.Tag(a)%m.NumTags())
 }

@@ -65,7 +65,7 @@ func buildPairs(t *Table) *Pairs {
 	m := t.m
 	var asgs []state.Asg
 	for _, a := range assignments(m) {
-		if t.dist[t.index(a)] < Infinite-1 {
+		if t.dist[t.index(a)] != Infinite {
 			asgs = append(asgs, a)
 		}
 	}

@@ -4,9 +4,10 @@
 //
 // The single-assignment space is tiny (at most 3·(n+1)^(n+m) entries), so
 // the distances are tabulated once per machine by one backward
-// breadth-first search from the sorted assignments, walking the inverse
-// of the instruction step function (state.Machine.Unstep). The table
-// yields three search ingredients:
+// breadth-first search from the sorted assignments. On one assignment
+// every instruction acts as one mov or as a no-op, so the search walks
+// mov predecessors alone (see bfs). The table yields three search
+// ingredients:
 //
 //   - an admissible A* heuristic: max over the assignments of a state of
 //     the assignment's distance is a lower bound on the remaining program
@@ -44,8 +45,9 @@ import (
 	"sortsynth/internal/state"
 )
 
-// Infinite marks assignments that can never be sorted (a value of 1..n was
-// erased).
+// Infinite marks assignments that no program sorts: a goal value was
+// erased, or (on a machine without scratch registers) no sequence of
+// movs can reorder the values.
 const Infinite = 255
 
 // MaskWords is the number of uint64 words in an instruction mask, enough
@@ -148,8 +150,8 @@ type Table struct {
 	// the record of an assignment with distance d holds the instructions
 	// whose successor has distance ≤ d−1+k; the last level, k = levels−1,
 	// holds every instruction with a finite-distance successor (see build
-	// for why levels suffices). Records are built for the viable
-	// assignments only and interned — assignments with equal masks share
+	// for why levels suffices). Records are built for the assignments
+	// with a finite distance only and interned — assignments with equal masks share
 	// one — and the record at offset 0 is the all-empty record of every
 	// assignment without a finite distance. A dense mask array over the
 	// whole assignment space would cost 24 bytes per entry per level,
@@ -247,15 +249,16 @@ func newTable(m *state.Machine) *Table {
 }
 
 // bfs fills the distances by one backward breadth-first search from
-// the sorted assignments: the predecessors of a level-k assignment
-// under every instruction (Machine.Unstep) that are viable and not yet
-// reached get distance k+1. A predecessor is visited only when first
-// reached, so the search needs only the table and a queue — no edge
-// lists. Dead assignments (a goal value erased) stay Infinite; viable
-// ones no program sorts stay Infinite-1, which Dist also reads as
-// Infinite. Steps never create values, so a dead assignment has only
-// dead successors and every shortest program runs through viable
-// assignments alone.
+// the sorted assignments over mov predecessors alone. On one assignment
+// every instruction acts as one mov or as a no-op (cmp changes only the
+// flags; cmovl, cmovg, min and max copy src into dst or leave it), so a
+// shortest single-assignment program needs only movs and its length
+// does not depend on the flags: every flag code of a sorted assignment
+// is seeded at level 0. The predecessors of b under mov dst, src, when
+// b[dst] == b[src], are b with dst set to each value 0..n. Each keeps
+// every value of b, so the search reaches viable assignments only: dead
+// ones, and viable ones no program sorts, stay Infinite. It needs only
+// the table and a queue, no edge lists.
 func (t *Table) bfs(asgs []state.Asg) {
 	m := t.m
 	for i := range t.dist {
@@ -263,27 +266,27 @@ func (t *Table) bfs(asgs []state.Asg) {
 	}
 	var queue []state.Asg
 	for _, a := range asgs {
-		switch {
-		case m.Sorted(a):
+		if m.Sorted(a) {
 			t.dist[t.index(a)] = 0
 			queue = append(queue, a)
-		case m.Viable(a):
-			t.dist[t.index(a)] = Infinite - 1 // not reached yet
 		}
 	}
 	instrs := m.Set.Instrs()
-	var d uint8
-	visit := func(a state.Asg) {
-		if idx := t.index(a); t.dist[idx] == Infinite-1 {
-			t.dist[idx] = d
-			queue = append(queue, a)
-		}
-	}
 	for head := 0; head < len(queue); head++ {
 		b := queue[head]
-		d = t.dist[t.index(b)] + 1
+		d := t.dist[t.index(b)] + 1
 		for _, in := range instrs {
-			m.Unstep(b, in, visit)
+			dst := int(in.Dst)
+			if in.Op != isa.Mov || m.Reg(b, dst) != m.Reg(b, int(in.Src)) {
+				continue
+			}
+			for v := 0; v <= m.Set.N; v++ {
+				a := m.SetReg(b, dst, v)
+				if idx := t.index(a); t.dist[idx] == Infinite {
+					t.dist[idx] = d
+					queue = append(queue, a)
+				}
+			}
 		}
 	}
 }
@@ -314,7 +317,7 @@ func (t *Table) buildMasks(asgs []state.Asg) {
 	for _, a := range asgs {
 		idx := t.index(a)
 		d := int(t.dist[idx])
-		if d >= Infinite-1 {
+		if d == Infinite {
 			continue
 		}
 		// Level k first holds the instructions of rise exactly k, then
@@ -322,7 +325,7 @@ func (t *Table) buildMasks(asgs []state.Asg) {
 		r = r[:0]
 		for id, in := range instrs {
 			nd := int(t.dist[t.index(m.Step(a, in))])
-			if nd >= Infinite-1 {
+			if nd == Infinite {
 				continue
 			}
 			k := nd - (d - 1)
@@ -413,7 +416,9 @@ func flagCodes(set *isa.Set) []uint8 {
 }
 
 // Dist returns the length of the shortest program sorting assignment a
-// alone, or Infinite if a can never be sorted.
+// alone, or Infinite if a can never be sorted. It is a mov distance:
+// the length of the shortest mov sequence that sorts a's registers, the
+// same for every flag code (see bfs).
 //
 // The table's domain is the machine's packed assignments whose flag
 // code is one cmp can leave: 0..2 on cmov machines (lt and gt never both
@@ -426,11 +431,7 @@ func flagCodes(set *isa.Set) []uint8 {
 // reads another assignment's entry or indexes out of range. The pair
 // lookup, Pairs.Dist, checks its arguments and panics instead.
 func (t *Table) Dist(a state.Asg) int {
-	d := t.dist[t.index(a)]
-	if d >= Infinite-1 {
-		return Infinite
-	}
-	return int(d)
+	return int(t.dist[t.index(a)])
 }
 
 // MaxDist returns the maximum assignment distance in s — an admissible
@@ -441,7 +442,7 @@ func (t *Table) MaxDist(s state.State) int {
 	max := 0
 	for _, a := range s {
 		d := t.dist[t.index(a)]
-		if d >= Infinite-1 {
+		if d == Infinite {
 			return Infinite
 		}
 		if int(d) > max {
@@ -457,9 +458,9 @@ func (t *Table) MaxDist(s state.State) int {
 // guide is the action guide (paper §3.2): the union of the assignments'
 // first-optimal-instruction masks — their slack-0 budget masks — plus
 // all cmp instructions (see build) when any assignment contributed one.
-// An assignment with distance d > 0 always has a distance-d−1
+// An assignment with finite distance d > 0 always has a distance-d−1
 // successor, so the cmp instructions join exactly when some assignment
-// of s is viable and unsorted.
+// of s is unsorted and has a finite distance.
 //
 // fit is the budget check (paper §3.3): exactly the instructions whose
 // successor of s has every assignment within budget further
@@ -469,7 +470,7 @@ func (t *Table) MaxDist(s state.State) int {
 // no instruction. s must lie in the table's domain (see Dist) — in
 // particular never lt and gt together, a flag code the table leaves
 // dead although its cmp successors are not — and budget must be below
-// the table's dead markers (the search's depth budget always is).
+// Infinite (the search's depth budget always is).
 func (t *Table) Candidates(s state.State, budget int) (guide, fit Mask) {
 	fit = Mask{^uint64(0), ^uint64(0), ^uint64(0)}
 	deepest := t.levels - 1

@@ -340,7 +340,8 @@ func TestBudgetLevelsFromRise(t *testing.T) {
 // every pass relaxes dist(a) to 1 + min dist(Step(a, i)) over every
 // assignment and instruction until nothing changes, the definition read
 // forwards through Step alone — then the same budget-mask pass as
-// build.
+// build. Viable assignments the fixpoint never reaches (no program
+// sorts them) end as Infinite, as in build.
 func sweepBuild(m *state.Machine) *Table {
 	t := newTable(m)
 	asgs := assignments(m)
@@ -377,16 +378,30 @@ func sweepBuild(m *state.Machine) *Table {
 			}
 		}
 	}
+	for i, d := range t.dist {
+		if d == Infinite-1 {
+			t.dist[i] = Infinite
+		}
+	}
 	t.buildMasks(asgs)
 	return t
 }
 
 // TestBFSMatchesSweep requires the backward search to build the
 // reference sweep's table byte for byte — distances, record index,
-// masks and depth — on the mask machines and min/max n=5: with them,
-// every table a cold perfbench set-up warms.
+// masks and depth — on the mask machines and min/max n=5 (with them,
+// every table a cold perfbench set-up warms), and on machines without
+// scratch registers: only there do viable assignments exist that no
+// program sorts.
 func TestBFSMatchesSweep(t *testing.T) {
-	for _, m := range append(maskMachines(), state.NewMachine(isa.NewMinMax(5, 1))) {
+	ms := append(maskMachines(),
+		state.NewMachine(isa.NewMinMax(5, 1)),
+		state.NewMachine(isa.NewCmov(2, 0)),
+		state.NewMachine(isa.NewCmov(3, 0)),
+		state.NewMachine(isa.NewCmov(4, 0)),
+		state.NewMachine(isa.NewMinMax(3, 0)),
+		state.NewMachineSuite(isa.NewMinMax(4, 0), state.SuiteWeakOrders))
+	for _, m := range ms {
 		got, want := For(m), sweepBuild(m)
 		switch {
 		case !slices.Equal(got.dist, want.dist):
