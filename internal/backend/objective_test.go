@@ -7,6 +7,7 @@ import (
 
 	"sortsynth/internal/enum"
 	"sortsynth/internal/isa"
+	"sortsynth/internal/verify"
 )
 
 // TestObjectiveThroughRun drives a fastest-objective spec through the
@@ -35,6 +36,34 @@ func TestObjectiveThroughRun(t *testing.T) {
 	}
 	if short.Program.Format(set.N) == res.Program.Format(set.N) {
 		t.Error("shortest and fastest should diverge at n=3 (Neri)")
+	}
+}
+
+// TestDupSafeObjectiveCmov4 pins the duplicate-safe cmov n=4 fastest
+// and balanced replies: verified 20-instruction kernels. Without the
+// pair bound in objective searches the cost-ordered, cut search lost
+// every solution and the reply was exhausted (DESIGN.md §10).
+func TestDupSafeObjectiveCmov4(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two duplicate-safe cmov n=4 objective searches, about 7 s each")
+	}
+	set := isa.NewCmov(4, 1)
+	for _, obj := range []enum.Objective{enum.ObjectiveFastest, enum.ObjectiveBalanced} {
+		res, err := Default().Synthesize(context.Background(), "enum", set, Spec{
+			MaxLen:        20,
+			DuplicateSafe: true,
+			Objective:     obj,
+		})
+		if err != nil {
+			t.Fatalf("%v: %v", obj, err)
+		}
+		if res.Status != StatusFound || res.Length != 20 || len(res.Program) != 20 {
+			t.Fatalf("%v: status %v, length %d, %d instructions; want a 20-instruction kernel",
+				obj, res.Status, res.Length, len(res.Program))
+		}
+		if !verify.SortsDuplicates(set, res.Program) {
+			t.Errorf("%v: kernel %q does not sort inputs with ties", obj, res.Program.FormatInline(set.N))
+		}
 	}
 }
 

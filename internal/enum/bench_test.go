@@ -129,3 +129,27 @@ func BenchmarkSearchBestN3(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkObjectiveSearch runs the cmov n=3 objective=fastest search
+// (ConfigBest at the optimal length 11, the whole optimal set ranked)
+// under both test suites, reporting the expanded states with ns/op.
+func BenchmarkObjectiveSearch(b *testing.B) {
+	set := isa.NewCmov(3, 1)
+	for _, dup := range []bool{false, true} {
+		name := "permutations"
+		if dup {
+			name = "weakorders"
+		}
+		b.Run(name, func(b *testing.B) {
+			opt := ConfigBest()
+			opt.MaxLen, opt.DuplicateSafe, opt.Objective = 11, dup, ObjectiveFastest
+			var res *Result
+			for i := 0; i < b.N; i++ {
+				if res = Run(set, opt); res.Length != 11 {
+					b.Fatalf("length %d, want 11", res.Length)
+				}
+			}
+			b.ReportMetric(float64(res.Expanded), "expanded/op")
+		})
+	}
+}

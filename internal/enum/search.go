@@ -51,12 +51,12 @@ type Result struct {
 	CutCount  int64 // successors discarded by the §3.5 cut
 	Pruned    int64 // successors discarded by viability/budget checks
 	// PairPruned counts the successors, a subset of Pruned, that the
-	// pair bound dropped (exact searches only, DESIGN.md §10): g plus
-	// the largest pair distance of the state exceeds the bound. A
-	// queued state the pair bound drops when popped, because a solution
-	// lowered the bound after it was queued, was already counted as
-	// kept; like a stale entry it is skipped without being counted
-	// again, here or in Expanded.
+	// pair bound dropped (exact and all-solutions searches only,
+	// DESIGN.md §10): g plus the largest pair distance of the state
+	// exceeds the bound. A queued state the pair bound drops when
+	// popped, because a solution lowered the bound after it was queued,
+	// was already counted as kept; like a stale entry it is skipped
+	// without being counted again, here or in Expanded.
 	PairPruned int64
 
 	// Exhausted reports that the open list ran empty (no timeout or
@@ -126,7 +126,7 @@ type searcher struct {
 	m     *state.Machine
 	set   *isa.Set
 	tab   *tables.Table
-	pairs *tables.Pairs // the pair bound, in exact searches only
+	pairs *tables.Pairs // the pair bound, in exact and all-solutions searches only
 	opt   Options
 
 	nodes    []node
@@ -230,10 +230,11 @@ func newSearcher(ctx context.Context, set *isa.Set, opt Options) *searcher {
 		s.tab = tables.For(m)
 	}
 	// The pair bound only drops states no program within the bound
-	// completes, so it runs in exactly the searches whose exhaustion is
-	// a proof; ConfigBest's cut and guide keep today's bound, and with
-	// them its kernels.
-	if opt.UseDistPrune && opt.Cut == CutNone && !opt.UseActionGuide {
+	// completes. It runs in the searches whose exhaustion is a proof and
+	// in every search that enumerates the optimal set, objective runs
+	// included; first-solution ConfigBest keeps the single bound, and
+	// with it its first-found kernels (DESIGN.md §10).
+	if opt.UseDistPrune && (opt.AllSolutions || opt.Cut == CutNone && !opt.UseActionGuide) {
 		s.pairs = s.tab.Pairs()
 	}
 	instrs := set.Instrs()

@@ -16,6 +16,7 @@ var (
 	sinkBool  bool
 	sinkState state.State
 	sinkMask  tables.Mask
+	sinkInt   int
 )
 
 func BenchmarkHashKey(b *testing.B) {
@@ -168,6 +169,9 @@ func TestHotPathsAllocFree(t *testing.T) {
 	dst := make(state.State, len(s))
 	var ps state.ProjSet
 	m.ErasedCountExceeds(s, 1, 12, &ps) // warm the stamp table
+	pairs := tab.Pairs()
+	wm := state.NewMachineSuite(set, state.SuiteWeakOrders)
+	view, ws := tables.For(wm).Pairs(), wm.Initial()
 	checks := []struct {
 		name string
 		fn   func()
@@ -175,6 +179,13 @@ func TestHotPathsAllocFree(t *testing.T) {
 		{"ApplyRaw", func() { dst = m.ApplyRaw(dst, s, in) }},
 		{"Candidates", func() { _, sinkMask = tab.Candidates(s, 19) }},
 		{"ErasedCountExceeds", func() { sinkBool = m.ErasedCountExceeds(s, 1, 12, &ps) }},
+		// At limit 10, the root's pair bound, Exceeds compares every
+		// pair; the weak-order view first copies the strict-order
+		// assignments.
+		{"Pairs.Max", func() { sinkInt = pairs.Max(s) }},
+		{"Pairs.Exceeds", func() { sinkBool = pairs.Exceeds(s, 10) }},
+		{"Pairs.Max weak orders", func() { sinkInt = view.Max(ws) }},
+		{"Pairs.Exceeds weak orders", func() { sinkBool = view.Exceeds(ws, 10) }},
 	}
 	for _, c := range checks {
 		if n := testing.AllocsPerRun(100, c.fn); n != 0 {

@@ -9,9 +9,12 @@ import (
 
 // maxPairV is the most viable assignments a pair table may cover:
 // V ≤ 4096, so V² ≤ 2^24 entries (16 MB) and every id fits a uint16.
-// Larger machines (cmov n=4 weak orders has V = 26,013) get no table
-// and keep the single-assignment bound. Comparing V, not V², keeps the
-// test exact where int is 32 bits wide.
+// Only permutation machines build a table, and larger ones (cmov n=5
+// has V = 7,560) get none and keep the single-assignment bound. A
+// weak-order machine reads its permutation machine's table (see
+// strictView), so cmov n=4 weak orders, whose own V of 26,013 is over
+// the cap, get the bound of the cmov n=4 table (V = 1,080). Comparing
+// V, not V², keeps the test exact where int is 32 bits wide.
 const maxPairV = 1 << 12
 
 // noID marks a table index without a viable assignment.
@@ -30,6 +33,10 @@ const noID = ^uint16(0)
 // flag code is one cmp can leave (0..2 on cmov machines, 0 on min/max
 // machines). Dead assignments in that domain have distance Infinite to
 // everything.
+//
+// On a weak-order machine Pairs is a view of the permutation machine's
+// table instead (see strictView): it bounds only the assignments tagged
+// with the strict goal 1..n, so there it can fall below MaxDist.
 type Pairs struct {
 	t   *Table
 	v   int      // number of viable assignments
@@ -40,14 +47,71 @@ type Pairs struct {
 	// limit of top or more, only pairs of two such ids can exceed it.
 	// It is nil when every pair has a joint program.
 	apart []bool
+
+	// view is set on a weak-order machine, whose t is then the
+	// weak-order table and every other field is unset.
+	view *strictView
+}
+
+// strictView reads a permutation machine's pair table through the
+// strict-order assignments of the weak-order machine with the same
+// instruction set: those tagged with the goal 1..n, the assignments
+// [lo, lo+span). Cleared of the tag (a−lo), such an assignment is the
+// permutation machine's assignment with the same registers and flags:
+// the two machines pack everything below the tag alike. The tag is
+// inert under execution, so the strict-tag assignments of a weak-order
+// state are exactly the permutation-suite state the same program
+// reaches, and a program that sorts the state sorts that sub-state:
+// the sub-state's pair bound is admissible and consistent for the whole
+// state. Every other tag is skipped, so no weak-order table is ever
+// built.
+type strictView struct {
+	perm     *Pairs
+	lo, span state.Asg
 }
 
 // Pairs returns the machine's pair-distance table, building it on the
-// first call (For never does), or nil when V² exceeds the table cap.
+// first call (For never does), or nil when V² exceeds the table cap. On
+// a weak-order machine it returns the view of the permutation machine's
+// table (building that one), or nil when that one exceeds the cap.
 // Safe for concurrent use; a concurrent first call waits for the build.
 func (t *Table) Pairs() *Pairs {
-	t.pairOnce.Do(func() { t.pairs = buildPairs(t) })
+	t.pairOnce.Do(func() {
+		if t.m.Suite == state.SuiteWeakOrders {
+			t.pairs = newStrictView(t)
+		} else {
+			t.pairs = buildPairs(t)
+		}
+	})
 	return t.pairs
+}
+
+// newStrictView returns the pair view of the weak-order table t, or nil
+// when its permutation machine has no table. The strict tag is the tag
+// of any initial weak order whose registers, tag cleared, are an
+// initial permutation.
+func newStrictView(t *Table) *Pairs {
+	pm := state.NewMachine(t.m.Set)
+	perm := For(pm).Pairs()
+	if perm == nil {
+		return nil
+	}
+	for _, a := range t.m.Initial() {
+		if lo := t.m.WithTag(0, t.m.Tag(a)); slices.Contains(pm.Initial(), a-lo) {
+			return &Pairs{t: t, view: &strictView{perm: perm, lo: lo, span: t.m.WithTag(0, 1)}}
+		}
+	}
+	panic(fmt.Sprintf("tables: %v weak orders have no strict-order tag", t.m.Set))
+}
+
+// strict appends the strict-tag assignments of s, tag cleared, to dst.
+func (v *strictView) strict(dst, s state.State) state.State {
+	for _, a := range s {
+		if a-v.lo < v.span {
+			dst = append(dst, a-v.lo)
+		}
+	}
+	return dst
 }
 
 // buildPairs fills the table by backward breadth-first search over the
@@ -59,8 +123,8 @@ func (t *Table) Pairs() *Pairs {
 // once. Dead successors have no entry, so the distances are exactly the
 // shortest joint programs through viable pairs — the only programs that
 // can sort both. A 2-vCPU Xeon builds cmov n=3 in 3–5 ms, minmax n=4 in
-// 9–12 ms, cmov n=3 weak orders in 0.2–0.35 s, cmov n=4 in 0.13–0.17 s
-// and minmax n=5 in 0.7–0.8 s.
+// 9–12 ms, cmov n=4 in 0.13–0.17 s and minmax n=5 in 0.7–0.8 s. Only
+// permutation machines get here (see Table.Pairs).
 func buildPairs(t *Table) *Pairs {
 	m := t.m
 	var asgs []state.Asg
@@ -210,17 +274,32 @@ func (t *Table) inDomain(a state.Asg) bool {
 // is outside the table's domain (see Pairs), where the index could
 // reach another assignment's entry.
 func (p *Pairs) checkedID(a state.Asg) uint16 {
+	p.checkDomain(a)
+	return p.id[p.t.index(a)]
+}
+
+// checkDomain panics if a is outside the table's domain (see Pairs).
+func (p *Pairs) checkDomain(a state.Asg) {
 	if !p.t.inDomain(a) {
 		panic(fmt.Sprintf("tables: pair lookup of %#x outside the table domain of %v (register values ≤ %d, goal tag < %d, lt and gt not both set)",
 			uint32(a), p.t.m.Set, p.t.m.Set.N, p.t.m.NumTags()))
 	}
-	return p.id[p.t.index(a)]
 }
 
 // Dist returns the length of the shortest program sorting a and b
 // together, or Infinite if none does (in particular if either is dead).
-// It panics if a or b is outside the table's domain (see Pairs).
+// On a weak-order machine it is 0, no bound, unless both carry the
+// strict tag (see strictView). It panics if a or b is outside the
+// table's domain (see Pairs).
 func (p *Pairs) Dist(a, b state.Asg) int {
+	if v := p.view; v != nil {
+		p.checkDomain(a)
+		p.checkDomain(b)
+		if a-v.lo >= v.span || b-v.lo >= v.span {
+			return 0
+		}
+		return v.perm.Dist(a-v.lo, b-v.lo)
+	}
 	ia, ib := p.checkedID(a), p.checkedID(b)
 	if ia == noID || ib == noID {
 		return Infinite
@@ -230,14 +309,26 @@ func (p *Pairs) Dist(a, b state.Asg) int {
 
 // Max returns the largest pair distance over the assignments of s (the
 // pair bound), or Infinite if some assignment is dead or some pair has
-// no joint program. It is 0 exactly when every assignment is sorted. It
-// panics if an assignment is outside the table's domain (see Pairs).
+// no joint program. It is 0 exactly when every assignment is sorted. On
+// a weak-order machine it covers the strict-tag assignments alone (see
+// strictView). It panics if an assignment is outside the table's domain
+// (see Pairs).
 func (p *Pairs) Max(s state.State) int {
-	ids := make([]uint16, len(s))
-	for i, a := range s {
-		if ids[i] = p.checkedID(a); ids[i] == noID {
+	if v := p.view; v != nil {
+		for _, a := range s {
+			p.checkDomain(a)
+		}
+		var buf [128]state.Asg
+		return v.perm.Max(v.strict(buf[:0], s))
+	}
+	var buf [128]uint16
+	ids := buf[:0]
+	for _, a := range s {
+		id := p.checkedID(a)
+		if id == noID {
 			return Infinite
 		}
+		ids = append(ids, id)
 	}
 	top := 0
 	for j, b := range ids {
@@ -257,6 +348,9 @@ func (p *Pairs) Max(s state.State) int {
 // bound is still far off — only pairs without a joint program exceed
 // it, so only assignments marked apart are compared.
 func (p *Pairs) Exceeds(s state.State, limit int) bool {
+	if p.view != nil {
+		return p.view.exceeds(s, limit)
+	}
 	far := limit >= int(p.top)
 	if far && p.apart == nil {
 		return false
@@ -278,4 +372,10 @@ func (p *Pairs) Exceeds(s state.State, limit int) bool {
 		}
 	}
 	return false
+}
+
+// exceeds is Exceeds on the strict-tag sub-state of s.
+func (v *strictView) exceeds(s state.State, limit int) bool {
+	var buf [128]state.Asg
+	return v.perm.Exceeds(v.strict(buf[:0], s), limit)
 }

@@ -10,15 +10,12 @@ import (
 )
 
 // pairMachines are the machines the pair-table oracle covers: cmov and
-// min/max, n = 2..3, under both test suites.
+// min/max, n = 2..3, under the permutation suite, the only one that
+// builds a table (weak orders read it through strictView).
 func pairMachines() []*state.Machine {
 	var ms []*state.Machine
-	for _, suite := range []state.Suite{state.SuitePermutations, state.SuiteWeakOrders} {
-		for n := 2; n <= 3; n++ {
-			ms = append(ms,
-				state.NewMachineSuite(isa.NewCmov(n, 1), suite),
-				state.NewMachineSuite(isa.NewMinMax(n, 1), suite))
-		}
+	for n := 2; n <= 3; n++ {
+		ms = append(ms, state.NewMachine(isa.NewCmov(n, 1)), state.NewMachine(isa.NewMinMax(n, 1)))
 	}
 	return ms
 }
@@ -168,16 +165,104 @@ func TestPairBoundAtRoot(t *testing.T) {
 }
 
 // TestPairTableCap pins which machines get a table under the V² ≤ 2^24
-// cap: minmax n=5 (V = 2,520) does, cmov n=4 weak orders (V = 26,013)
-// does not.
+// cap: minmax n=5 (V = 2,520) does, cmov n=5 (V = 7,560) does not.
 func TestPairTableCap(t *testing.T) {
 	mm5 := state.NewMachine(isa.NewMinMax(5, 1))
 	if p := For(mm5).Pairs(); p == nil || p.v != 2520 {
 		t.Errorf("minmax n=5: pair table %v, want one over 2520 assignments", p != nil)
 	}
-	cm4w := state.NewMachineSuite(isa.NewCmov(4, 1), state.SuiteWeakOrders)
-	if p := For(cm4w).Pairs(); p != nil {
-		t.Errorf("cmov n=4 weak orders: pair table over %d assignments, want none above the cap", p.v)
+	cm5 := state.NewMachine(isa.NewCmov(5, 1))
+	if p := For(cm5).Pairs(); p != nil {
+		t.Errorf("cmov n=5: pair table over %d assignments, want none above the cap", p.v)
+	}
+}
+
+// strictTag returns the goal tag of wm under which the registers 1..n
+// are sorted: the tag of the strict-order inputs.
+func strictTag(t *testing.T, wm *state.Machine) int {
+	ident := make([]int, wm.Set.N)
+	for i := range ident {
+		ident[i] = i + 1
+	}
+	for tag := 0; tag < wm.NumTags(); tag++ {
+		if wm.Sorted(wm.WithTag(wm.PackRegs(ident), tag)) {
+			return tag
+		}
+	}
+	t.Fatalf("%v weak orders: no tag sorts 1..%d", wm.Set, wm.Set.N)
+	return -1
+}
+
+// TestStrictViewMatchesPermutationTable checks the weak-order pair
+// view against the permutation machine's table on cmov and min/max
+// n=2..4: on every pair of strict-tag assignments (a stride of them at
+// n=4) the view's Dist equals the permutation table's Dist on the
+// assignments with the tag cleared, every pair with another tag reads 0
+// (no bound), and the root's pair bound is the permutation root's.
+func TestStrictViewMatchesPermutationTable(t *testing.T) {
+	for n := 2; n <= 4; n++ {
+		for _, set := range []*isa.Set{isa.NewCmov(n, 1), isa.NewMinMax(n, 1)} {
+			wm, pm := state.NewMachineSuite(set, state.SuiteWeakOrders), state.NewMachine(set)
+			view, perm := For(wm).Pairs(), For(pm).Pairs()
+			if view == nil || perm == nil {
+				t.Fatalf("%v: weak-order view %v, permutation table %v", set, view != nil, perm != nil)
+			}
+			tag := strictTag(t, wm)
+			var strict, other []state.Asg
+			for _, a := range assignments(wm) {
+				if wm.Tag(a) == tag {
+					strict = append(strict, a)
+				} else {
+					other = append(other, a)
+				}
+			}
+			stride := 1
+			if n == 4 {
+				stride = 7
+			}
+			for i := 0; i < len(strict); i += stride {
+				a := strict[i]
+				for j := 0; j < len(strict); j += stride {
+					b := strict[j]
+					if got, want := view.Dist(a, b), perm.Dist(wm.WithTag(a, 0), wm.WithTag(b, 0)); got != want {
+						t.Fatalf("%v: view D(%v, %v) = %d, permutation table %d", set, wm.Unpack(a), wm.Unpack(b), got, want)
+					}
+				}
+			}
+			all := append(strict, other...)
+			for i := 0; i < len(other); i += stride * stride {
+				x := other[i]
+				for j := 0; j < len(all); j += stride {
+					if d1, d2 := view.Dist(x, all[j]), view.Dist(all[j], x); d1 != 0 || d2 != 0 {
+						t.Fatalf("%v: view D(tag %d, tag %d) = %d, %d, want 0 off the strict tag %d",
+							set, wm.Tag(x), wm.Tag(all[j]), d1, d2, tag)
+					}
+				}
+			}
+			if got, want := view.Max(wm.Initial()), perm.Max(pm.Initial()); got != want {
+				t.Errorf("%v: weak-order root pair bound %d, permutation root %d", set, got, want)
+			}
+		}
+	}
+}
+
+// TestNoWeakOrderPairTable pins that no weak-order machine builds a
+// pair table: Pairs returns a view over the permutation machine's
+// table, which is that machine's own Pairs, or nil where that one is
+// over the cap (cmov n=5).
+func TestNoWeakOrderPairTable(t *testing.T) {
+	for n := 2; n <= 5; n++ {
+		for _, set := range []*isa.Set{isa.NewCmov(n, 1), isa.NewMinMax(n, 1)} {
+			p := For(state.NewMachineSuite(set, state.SuiteWeakOrders)).Pairs()
+			perm := For(state.NewMachine(set)).Pairs()
+			switch {
+			case p == nil && perm == nil:
+			case p == nil || perm == nil:
+				t.Errorf("%v: weak-order pairs %v, permutation table %v", set, p != nil, perm != nil)
+			case p.d != nil || p.id != nil || p.view == nil || p.view.perm != perm:
+				t.Errorf("%v: weak-order pairs hold a table of their own, not a view of the permutation table", set)
+			}
+		}
 	}
 }
 
@@ -237,6 +322,16 @@ func TestPairLookupOutsideDomainPanics(t *testing.T) {
 	if got := p.Dist(ok, ok); got != 0 {
 		t.Errorf("D(sorted, sorted) = %d, want 0", got)
 	}
+
+	wm := state.NewMachineSuite(isa.NewCmov(3, 1), state.SuiteWeakOrders)
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "outside the table domain") {
+				t.Errorf("weak-order view: recovered %q, want a domain panic", msg)
+			}
+		}()
+		For(wm).Pairs().Dist(wm.Initial()[0], wm.WithTag(ok, wm.NumTags()))
+	}()
 }
 
 // TestPairsConcurrentFirstUse has several searches reach a machine's

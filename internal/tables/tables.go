@@ -25,11 +25,13 @@
 // assignments.
 //
 // A second table, over pairs of viable assignments, is built lazily by
-// Pairs on first use — For never builds it — and only while V² ≤ 2^24
-// for the machine's V viable assignments. A program sorting a state
-// sorts every pair of its assignments, so the largest pair distance is
-// a stronger admissible bound than MaxDist (8 against 4 at the cmov n=3
-// root); the exact searches of internal/enum prune with it.
+// Pairs on first use — For never builds it — and only for permutation
+// machines with V² ≤ 2^24 for their V viable assignments; a weak-order
+// machine reads its permutation machine's table through the
+// strict-order assignments. A program sorting a state sorts every pair
+// of its assignments, so the largest pair distance is a stronger
+// admissible bound than MaxDist (8 against 4 at the cmov n=3 root); the
+// exact and all-solutions searches of internal/enum prune with it.
 //
 // Both tables share one domain: the assignments with a flag code cmp
 // can leave (see Dist).
@@ -161,7 +163,8 @@ type Table struct {
 	levels  int
 	cmpMask Mask
 
-	// The pair-distance table, built on first use by Pairs.
+	// The pair-distance table or, on a weak-order machine, its view of
+	// the permutation machine's table, built on first use by Pairs.
 	pairOnce sync.Once
 	pairs    *Pairs
 }

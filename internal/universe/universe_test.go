@@ -362,7 +362,7 @@ func TestBakeMini(t *testing.T) {
 //
 // It is the same on amd64 and 386 and at any GOMAXPROCS. A change
 // that alters any baked artifact must update it and say why.
-const miniContentID = "9d7648df62046914a1e5acfafe9a494430068a5c6e304ca43ffca432465dadd1"
+const miniContentID = "27d017250fc87927e4188967363154d03b6b5a7089017430bc52ec095365e56e"
 
 // TestBakeMiniContentID pins one artifact per key: the mini universe
 // (enum, both ISAs, n=2..3, slack 2, duplicate-safe variants, default
