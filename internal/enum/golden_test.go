@@ -23,8 +23,9 @@ import (
 // The budget mask drops candidates before they are applied and books
 // them with popcounts; the cmov4-w1 row was recorded with every
 // candidate applied, and the exact-search rows were re-recorded when the
-// pair bound came in (DESIGN.md §10), with their lengths, solution
-// counts, kernels and digests unchanged. Any drift in what the engine
+// pair bound came in (DESIGN.md §10), the two all-solutions rows under
+// the cut when it reached every all-solutions search, each time with
+// their lengths, solution counts, kernels and digests unchanged. Any drift in what the engine
 // generates, prunes, cuts or deduplicates — or in which kernel it
 // returns — fails here. The subtest names keep the workers=1 suffix the
 // rows were recorded under.
@@ -76,8 +77,8 @@ func TestSearchGoldenCounters(t *testing.T) {
 		{"cmov3-distmax-first", cmov3, first3, 11, 1, counters{15302, 642666, 195841, 0, 431272}, first3W1, ""},
 		{"cmov3-all-len13", cmov3, all3Slack, 11, 5602, counters{36757, 1543794, 519025, 0, 932297}, all3W1, all3Digest},
 		{"minmax3-all-len12", mm3, mm3Slack, 8, 604, counters{272, 9792, 3421, 0, 5848}, mm3W1, "9b601512ec7b91e6"},
-		{"cmov3-all-cut2-len13", cmov3, cut3Slack, 11, 5602, counters{529440, 22236480, 1989657, 4242557, 15458491}, all3W1, all3Digest},
-		{"minmax3-dupsafe-all-cut1-len11", mm3, cutDup3, 8, 288, counters{532, 19152, 2742, 3182, 12678}, mm3DupW1, "6a1963c25756bee0"},
+		{"cmov3-all-cut2-len13", cmov3, cut3Slack, 11, 5602, counters{36757, 1543794, 518506, 3674, 929293}, all3W1, all3Digest},
+		{"minmax3-dupsafe-all-cut1-len11", mm3, cutDup3, 8, 288, counters{251, 9036, 2194, 1098, 5395}, mm3DupW1, "6a1963c25756bee0"},
 		{"minmax5-best-len23", mm5, best5, 23, 1, counters{15935, 272769, 25857, 109230, 121383}, mm5W1, ""},
 	}
 	// orderDigest pins Programs in the order the engine returns them
@@ -91,14 +92,16 @@ func TestSearchGoldenCounters(t *testing.T) {
 		"minmax3-dupsafe-all-cut1-len11": "b0121aea6ed48777",
 	}
 	// pairPruned pins Result.PairPruned, the share of pruned the pair
-	// bound dropped; it is 0 on the rows not listed (ConfigBest's cut
-	// and guide keep the pair bound off).
+	// bound dropped; it is 0 on the rows not listed (first-solution
+	// ConfigBest keeps the pair bound off).
 	pairPruned := map[string]int64{
-		"cmov3-all":           59053,
-		"cmov3-proof10":       11388,
-		"cmov3-distmax-first": 58133,
-		"cmov3-all-len13":     72270,
-		"minmax3-all-len12":   89,
+		"cmov3-all":                      59053,
+		"cmov3-proof10":                  11388,
+		"cmov3-distmax-first":            58133,
+		"cmov3-all-len13":                72270,
+		"minmax3-all-len12":              89,
+		"cmov3-all-cut2-len13":           69352,
+		"minmax3-dupsafe-all-cut1-len11": 147,
 	}
 	for _, tc := range cases {
 		t.Run(tc.name+"/workers=1", func(t *testing.T) {
