@@ -2,6 +2,9 @@ package main
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"slices"
 	"time"
 
 	"sortsynth/internal/bench"
@@ -12,14 +15,42 @@ import (
 // objectiveRow is one shortest-vs-fastest latency measurement in
 // BENCH_enum.json: the frozen kernel each objective serves for a given
 // n, its cost-model prediction, and its measured wall time over the
-// standard random-array batch.
+// standard random-array batch (400 rounds over 4,096 arrays): the
+// median of Repeats batches, with their median absolute deviation as
+// the spread.
 type objectiveRow struct {
 	N               int     `json:"n"`
 	Objective       string  `json:"objective"`
 	Kernel          string  `json:"kernel"`
 	Instructions    int     `json:"instructions"`
 	ModelThroughput float64 `json:"model_throughput"`
+	GOMAXPROCS      int     `json:"gomaxprocs"`
+	Repeats         int     `json:"repeats"`
 	WallMS          float64 `json:"wall_ms"`
+	WallMADMS       float64 `json:"wall_mad_ms"`
+}
+
+// objectiveRepeats is the number of timed batches per kernel; the
+// kernels of one n alternate batch by batch.
+const objectiveRepeats = 7
+
+// medianMAD returns the median of xs and the median absolute deviation
+// from it.
+func medianMAD(xs []float64) (median, mad float64) {
+	med := func(v []float64) float64 {
+		v = slices.Clone(v)
+		slices.Sort(v)
+		if n := len(v); n%2 == 0 {
+			return (v[n/2-1] + v[n/2]) / 2
+		}
+		return v[len(v)/2]
+	}
+	median = med(xs)
+	dev := make([]float64, len(xs))
+	for i, x := range xs {
+		dev[i] = math.Abs(x - median)
+	}
+	return median, med(dev)
 }
 
 // frozenFor resolves the kernel a serving objective inlines for n:
@@ -52,29 +83,41 @@ func init() {
 
 		var rows []objectiveRow
 		var t tableWriter
-		t.row("n", "objective", "kernel", "instr", "model tp", "measured")
+		t.row("n", "objective", "kernel", "instr", "model tp", "measured (median ± MAD)")
+		objectives := []string{"shortest", "fastest"}
 		for _, n := range []int{3, 4, 5} {
 			inputs := bench.RandomArrays(n, 4096, 10000, 11)
-			for _, objective := range []string{"shortest", "fastest"} {
-				k, err := frozenFor(n, objective)
-				if err != nil {
+			ks := make([]kernels.Kernel, len(objectives))
+			walls := make([][]float64, len(objectives))
+			for i, objective := range objectives {
+				if ks[i], err = frozenFor(n, objective); err != nil {
 					return err
 				}
-				a := uarch.Analyze(k.Set, k.Prog)
-				d := bench.Measure(k.Go, inputs, 400)
+			}
+			for r := range objectiveRepeats {
+				for j := range objectives {
+					i := (j + r) % len(objectives) // alternate which kernel goes first
+					d := bench.Measure(ks[i].Go, inputs, 400)
+					walls[i] = append(walls[i], float64(d)/float64(time.Millisecond))
+				}
+			}
+			for i, objective := range objectives {
+				k := ks[i]
 				row := objectiveRow{
 					N:               n,
 					Objective:       objective,
 					Kernel:          k.Name,
 					Instructions:    len(k.Prog),
-					ModelThroughput: a.Throughput,
-					WallMS:          float64(d) / float64(time.Millisecond),
+					ModelThroughput: uarch.Analyze(k.Set, k.Prog).Throughput,
+					GOMAXPROCS:      runtime.GOMAXPROCS(0),
+					Repeats:         objectiveRepeats,
 				}
+				row.WallMS, row.WallMADMS = medianMAD(walls[i])
 				rows = append(rows, row)
 				t.row(fmt.Sprint(n), objective, k.Name,
 					fmt.Sprint(row.Instructions),
 					fmt.Sprintf("%.2f", row.ModelThroughput),
-					fmt.Sprintf("%.2fms", row.WallMS))
+					fmt.Sprintf("%.2f ± %.2fms", row.WallMS, row.WallMADMS))
 			}
 		}
 		t.flush(c.w)

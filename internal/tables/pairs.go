@@ -12,7 +12,7 @@ import (
 // Only permutation machines build a table, and larger ones (cmov n=5
 // has V = 7,560) get none and keep the single-assignment bound. A
 // weak-order machine reads its permutation machine's table (see
-// strictView), so cmov n=4 weak orders, whose own V of 26,013 is over
+// newStrictView), so cmov n=4 weak orders, whose own V of 26,013 is over
 // the cap, get the bound of the cmov n=4 table (V = 1,080). Comparing
 // V, not V², keeps the test exact where int is 32 bits wide.
 const maxPairV = 1 << 12
@@ -35,8 +35,8 @@ const noID = ^uint16(0)
 // everything.
 //
 // On a weak-order machine Pairs is a view of the permutation machine's
-// table instead (see strictView): it bounds only the assignments tagged
-// with the strict goal 1..n, so there it can fall below MaxDist.
+// table instead (see newStrictView): it bounds only the assignments
+// tagged with the strict goal 1..n, so there it can fall below MaxDist.
 type Pairs struct {
 	t   *Table
 	v   int      // number of viable assignments
@@ -48,24 +48,10 @@ type Pairs struct {
 	// It is nil when every pair has a joint program.
 	apart []bool
 
-	// view is set on a weak-order machine, whose t is then the
-	// weak-order table and every other field is unset.
-	view *strictView
-}
-
-// strictView reads a permutation machine's pair table through the
-// strict-order assignments of the weak-order machine with the same
-// instruction set: those tagged with the goal 1..n, the assignments
-// [lo, lo+span). Cleared of the tag (a−lo), such an assignment is the
-// permutation machine's assignment with the same registers and flags:
-// the two machines pack everything below the tag alike. The tag is
-// inert under execution, so the strict-tag assignments of a weak-order
-// state are exactly the permutation-suite state the same program
-// reaches, and a program that sorts the state sorts that sub-state:
-// the sub-state's pair bound is admissible and consistent for the whole
-// state. Every other tag is skipped, so no weak-order table is ever
-// built.
-type strictView struct {
+	// On a weak-order machine perm is the permutation machine's table,
+	// read through the strict-tag assignments [lo, lo+span) (see
+	// newStrictView); t is then the weak-order table, and the fields
+	// above are unset.
 	perm     *Pairs
 	lo, span state.Asg
 }
@@ -86,10 +72,19 @@ func (t *Table) Pairs() *Pairs {
 	return t.pairs
 }
 
-// newStrictView returns the pair view of the weak-order table t, or nil
-// when its permutation machine has no table. The strict tag is the tag
-// of any initial weak order whose registers, tag cleared, are an
-// initial permutation.
+// newStrictView returns the view of the weak-order table t onto its
+// permutation machine's pair table, or nil when that machine has none.
+// The view reads the strict-order assignments: those tagged with the
+// goal 1..n, the tag of any initial weak order whose registers, tag
+// cleared, are an initial permutation. Cleared of the tag (a−lo), such
+// an assignment is the permutation machine's assignment with the same
+// registers and flags: the two machines pack everything below the tag
+// alike. The tag is inert under execution, so the strict-tag
+// assignments of a weak-order state are exactly the permutation-suite
+// state the same program reaches, and a program that sorts the state
+// sorts that sub-state: the sub-state's pair bound is admissible and
+// consistent for the whole state. Every other tag is skipped, so no
+// weak-order table is ever built.
 func newStrictView(t *Table) *Pairs {
 	pm := state.NewMachine(t.m.Set)
 	perm := For(pm).Pairs()
@@ -98,17 +93,17 @@ func newStrictView(t *Table) *Pairs {
 	}
 	for _, a := range t.m.Initial() {
 		if lo := t.m.WithTag(0, t.m.Tag(a)); slices.Contains(pm.Initial(), a-lo) {
-			return &Pairs{t: t, view: &strictView{perm: perm, lo: lo, span: t.m.WithTag(0, 1)}}
+			return &Pairs{t: t, perm: perm, lo: lo, span: t.m.WithTag(0, 1)}
 		}
 	}
 	panic(fmt.Sprintf("tables: %v weak orders have no strict-order tag", t.m.Set))
 }
 
 // strict appends the strict-tag assignments of s, tag cleared, to dst.
-func (v *strictView) strict(dst, s state.State) state.State {
+func (p *Pairs) strict(dst, s state.State) state.State {
 	for _, a := range s {
-		if a-v.lo < v.span {
-			dst = append(dst, a-v.lo)
+		if a-p.lo < p.span {
+			dst = append(dst, a-p.lo)
 		}
 	}
 	return dst
@@ -289,16 +284,16 @@ func (p *Pairs) checkDomain(a state.Asg) {
 // Dist returns the length of the shortest program sorting a and b
 // together, or Infinite if none does (in particular if either is dead).
 // On a weak-order machine it is 0, no bound, unless both carry the
-// strict tag (see strictView). It panics if a or b is outside the
+// strict tag (see newStrictView). It panics if a or b is outside the
 // table's domain (see Pairs).
 func (p *Pairs) Dist(a, b state.Asg) int {
-	if v := p.view; v != nil {
+	if p.perm != nil {
 		p.checkDomain(a)
 		p.checkDomain(b)
-		if a-v.lo >= v.span || b-v.lo >= v.span {
+		if a-p.lo >= p.span || b-p.lo >= p.span {
 			return 0
 		}
-		return v.perm.Dist(a-v.lo, b-v.lo)
+		return p.perm.Dist(a-p.lo, b-p.lo)
 	}
 	ia, ib := p.checkedID(a), p.checkedID(b)
 	if ia == noID || ib == noID {
@@ -311,15 +306,15 @@ func (p *Pairs) Dist(a, b state.Asg) int {
 // pair bound), or Infinite if some assignment is dead or some pair has
 // no joint program. It is 0 exactly when every assignment is sorted. On
 // a weak-order machine it covers the strict-tag assignments alone (see
-// strictView). It panics if an assignment is outside the table's domain
-// (see Pairs).
+// newStrictView). It panics if an assignment is outside the table's
+// domain (see Pairs).
 func (p *Pairs) Max(s state.State) int {
-	if v := p.view; v != nil {
+	if p.perm != nil {
 		for _, a := range s {
 			p.checkDomain(a)
 		}
 		var buf [128]state.Asg
-		return v.perm.Max(v.strict(buf[:0], s))
+		return p.perm.Max(p.strict(buf[:0], s))
 	}
 	var buf [128]uint16
 	ids := buf[:0]
@@ -348,8 +343,8 @@ func (p *Pairs) Max(s state.State) int {
 // bound is still far off — only pairs without a joint program exceed
 // it, so only assignments marked apart are compared.
 func (p *Pairs) Exceeds(s state.State, limit int) bool {
-	if p.view != nil {
-		return p.view.exceeds(s, limit)
+	if p.perm != nil {
+		return p.exceedsStrict(s, limit)
 	}
 	far := limit >= int(p.top)
 	if far && p.apart == nil {
@@ -374,8 +369,9 @@ func (p *Pairs) Exceeds(s state.State, limit int) bool {
 	return false
 }
 
-// exceeds is Exceeds on the strict-tag sub-state of s.
-func (v *strictView) exceeds(s state.State, limit int) bool {
+// exceedsStrict is a weak-order view's Exceeds: the permutation table's
+// on the strict-tag sub-state of s, copied to a stack buffer.
+func (p *Pairs) exceedsStrict(s state.State, limit int) bool {
 	var buf [128]state.Asg
-	return v.perm.Exceeds(v.strict(buf[:0], s), limit)
+	return p.perm.Exceeds(p.strict(buf[:0], s), limit)
 }

@@ -11,7 +11,7 @@ import (
 
 // pairMachines are the machines the pair-table oracle covers: cmov and
 // min/max, n = 2..3, under the permutation suite, the only one that
-// builds a table (weak orders read it through strictView).
+// builds a table (weak orders read it through newStrictView).
 func pairMachines() []*state.Machine {
 	var ms []*state.Machine
 	for n := 2; n <= 3; n++ {
@@ -259,7 +259,7 @@ func TestNoWeakOrderPairTable(t *testing.T) {
 			case p == nil && perm == nil:
 			case p == nil || perm == nil:
 				t.Errorf("%v: weak-order pairs %v, permutation table %v", set, p != nil, perm != nil)
-			case p.d != nil || p.id != nil || p.view == nil || p.view.perm != perm:
+			case p.d != nil || p.id != nil || p.perm != perm:
 				t.Errorf("%v: weak-order pairs hold a table of their own, not a view of the permutation table", set)
 			}
 		}
@@ -336,25 +336,30 @@ func TestPairLookupOutsideDomainPanics(t *testing.T) {
 
 // TestPairsConcurrentFirstUse has several searches reach a machine's
 // pair table at once, before it is built: each must see the one
-// finished table.
+// finished table. The weak-order machine's first use builds its view
+// and reaches the permutation table through For.
 func TestPairsConcurrentFirstUse(t *testing.T) {
-	m := state.NewMachine(isa.NewCmov(3, 1))
-	tab := build(m) // a table of its own, outside For's cache
-	var wg sync.WaitGroup
-	got := make([]*Pairs, 4)
-	for i := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if got[i] = tab.Pairs(); got[i].Max(m.Initial()) != 8 {
-				t.Errorf("goroutine %d: root pair bound %d, want 8", i, got[i].Max(m.Initial()))
+	for _, m := range []*state.Machine{
+		state.NewMachine(isa.NewCmov(3, 1)),
+		state.NewMachineSuite(isa.NewCmov(3, 1), state.SuiteWeakOrders),
+	} {
+		tab := build(m) // a table of its own, outside For's cache
+		var wg sync.WaitGroup
+		got := make([]*Pairs, 4)
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got[i] = tab.Pairs(); got[i].Max(m.Initial()) != 8 {
+					t.Errorf("%v: goroutine %d: root pair bound %d, want 8", m.Suite, i, got[i].Max(m.Initial()))
+				}
+			}()
+		}
+		wg.Wait()
+		for i, p := range got {
+			if p != got[0] {
+				t.Errorf("%v: goroutine %d got a different table", m.Suite, i)
 			}
-		}()
-	}
-	wg.Wait()
-	for i, p := range got {
-		if p != got[0] {
-			t.Errorf("goroutine %d got a different table", i)
 		}
 	}
 }
